@@ -7,6 +7,8 @@ quadric, and verify the underlying polynomial identities in exact rational
 arithmetic.
 """
 
+import types as _types
+
 from .classify import (
     CLASSIFY_TOL,
     ClassificationReport,
@@ -75,61 +77,7 @@ from .triangle import (
 
 __version__ = "0.1.0"
 
+# Everything imported above, and nothing else, is the public API.
 __all__ = [
-    "CLASSIFY_TOL",
-    "ClassificationReport",
-    "Verdict",
-    "chi_relation_check",
-    "classify",
-    "classify_d",
-    "condition_residual",
-    "condition_value",
-    "epsilon_from_d",
-    "equilateral_factor",
-    "napoleonic_equation_residual",
-    "barycentre",
-    "cross",
-    "dot",
-    "norm",
-    "normalize",
-    "spherical_distance",
-    "triple",
-    "unit_vector",
-    "BasisCoefficients",
-    "EllipsoidPoint",
-    "d_to_xyz",
-    "quadratic_form",
-    "realize",
-    "sample_napoleonic_d",
-    "sample_napoleonic_d_with_attempts",
-    "third_vertex_coefficients",
-    "xyz_to_d",
-    "BoundaryConditioningWarning",
-    "CogeodesicError",
-    "DegenerateError",
-    "IndeterminateError",
-    "NapsphereError",
-    "OutOfRangeError",
-    "SeedExhaustedError",
-    "TooWideError",
-    "UnrealizableError",
-    "ZeroSumError",
-    "INWARD",
-    "OUTWARD",
-    "NapoleonisationResult",
-    "SignVector",
-    "apex",
-    "centroid_inner_closed_form",
-    "edge_centroid",
-    "napoleonise",
-    "apex_by_rotation",
-    "random_triangle",
-    "random_triangles",
-    "search_equilateral",
-    "SideParameters",
-    "SphericalTriangle",
-    "alpha",
-    "chi_squared",
-    "new_triangle",
-    "side_parameters",
+    name for name, value in list(globals().items()) if not (name.startswith("_") or isinstance(value, _types.ModuleType))
 ]

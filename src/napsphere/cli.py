@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -53,7 +54,7 @@ def _default_tol() -> float:
     try:
         return float(env)
     except ValueError:
-        raise SystemExit(f"NAPOLEON_TOL is not a number: {env!r}")
+        raise _BadInput(f"NAPOLEON_TOL is not a number: {env!r}")
 
 
 def _dump(obj) -> str:
@@ -208,6 +209,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.count < 1 or args.seed < 0:
+        raise _BadInput("--count must be >= 1 and --seed >= 0")
     samples, attempts = sample_napoleonic_d_with_attempts(args.count, args.seed)
     if args.format == "csv":
         header = "d0,d1,d2,X,Y,Z"
@@ -317,9 +320,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tol", None) is None:
-        args.tol = _default_tol()
     try:
+        if getattr(args, "tol", None) is None:
+            args.tol = _default_tol()
+        if not (math.isfinite(args.tol) and args.tol >= 0.0):
+            raise _BadInput(f"tolerance must be finite and >= 0, got {args.tol!r}")
         return args.func(args)
     except _BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)

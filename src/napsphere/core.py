@@ -35,6 +35,10 @@ UNIT_NORM_TOL = 1e-9
 Vector3 = np.ndarray
 UnitVector = np.ndarray
 
+# Cyclic successor and predecessor of each of the indices 0, 1, 2.
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
 
 def vector3(v) -> Vector3:
     """Coerce *v* to a float array of shape (3,), requiring finite entries."""
@@ -78,14 +82,21 @@ def normalize(v) -> UnitVector:
     return a / n
 
 
-def dot(a, b) -> float:
-    """Euclidean inner product of two 3-vectors."""
-    return float(np.asarray(a, dtype=float) @ np.asarray(b, dtype=float))
+def dot(a, b):
+    """Euclidean inner product over the last axis: a float for two 3-vectors,
+    else an array, each entry rounded exactly like ``a @ b`` of its pair."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim == b.ndim == 1:
+        return float(a @ b)
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
 def cross(a, b) -> Vector3:
-    """Right-handed cross product of two 3-vectors."""
-    return np.cross(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    """Right-handed cross product over the last axis (``np.cross``'s arithmetic, less set-up)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
 
 
 def triple(a, b, c) -> float:
@@ -106,11 +117,12 @@ def spherical_distance(p, q) -> float:
 def barycentre(p0, p1, p2) -> UnitVector:
     """Normalised vertex sum (spherical centroid direction) of three points.
 
-    Raises :class:`ZeroSumError` when the vertex sum is too small to
-    determine a direction (e.g. three equally spaced cogeodesic points).
+    Stacked points give one barycentre per triple.  Raises
+    :class:`ZeroSumError` when some vertex sum is too small to determine a
+    direction (e.g. three equally spaced cogeodesic points).
     """
     s = np.asarray(p0, dtype=float) + np.asarray(p1, dtype=float) + np.asarray(p2, dtype=float)
-    n = float(np.linalg.norm(s))
-    if n < 1e-9:
+    n = np.sqrt(dot(s, s))
+    if np.any(n < 1e-9):
         raise ZeroSumError("vertex sum is (near-)zero; barycentre undefined")
-    return s / n
+    return s / np.expand_dims(n, -1)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import cross
+from .core import dot
 from .errors import SeedExhaustedError, UnrealizableError
 from .triangle import SQRT3, SideParameters, SphericalTriangle, chi_squared, new_triangle
 
@@ -51,6 +51,9 @@ ROTATION = np.array(
 DIAGONAL_MARGIN = 1e-6
 
 _MAX_REJECTIONS = 10**6
+
+# Upper bound on the draws mapped per block (about 7.6 draws per accept).
+_MAX_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -113,11 +116,6 @@ def quadratic_form(d: SideParameters) -> float:
     return d_to_xyz(d).quadric_value()
 
 
-def _distance_to_diagonal(d: np.ndarray) -> float:
-    m = float(d.mean())
-    return float(np.linalg.norm(d - m))
-
-
 def sample_napoleonic_d(count: int, seed: int) -> list[SideParameters]:
     """Sample admissible non-equilateral points of the Napoleonic quadric.
 
@@ -131,42 +129,48 @@ def sample_napoleonic_d(count: int, seed: int) -> list[SideParameters]:
     return samples
 
 
+def _quadric_block(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Side parameters of draws *u* (shape (k, 2)) and the acceptance mask.
+
+    theta = pi u0 and phi = 2 pi u1 are exactly ``rng.uniform(0, pi)`` and
+    ``rng.uniform(0, 2 pi)`` of the same stream, drawn one at a time."""
+    theta = math.pi * u[:, 0]
+    phi = 2.0 * math.pi * u[:, 1]
+    sin_theta = np.sin(theta)
+    p = np.stack((np.cos(theta), 2.0 * sin_theta * np.cos(phi), 2.0 * sin_theta * np.sin(phi)), axis=-1)
+    d = (ROTATION.T @ p[..., None])[..., 0]
+    off = d - d.mean(axis=1, keepdims=True)
+    ok = (d > 0.0).all(axis=1) & (d < SQRT3).all(axis=1) & (np.sqrt(dot(off, off)) >= DIAGONAL_MARGIN)
+    return d, ok & (chi_squared(d) > 1e-12)
+
+
 def sample_napoleonic_d_with_attempts(count: int, seed: int) -> tuple[list[SideParameters], int]:
     """Like :func:`sample_napoleonic_d`, also returning the number of draws.
 
     The attempt count exposes the empirical rejection rate of the admissible
     region (which portion of the quadric is admissible is not asserted
-    anywhere, only measured).
+    anywhere, only measured).  Draws are mapped in blocks and accepted in
+    stream order, so samples and attempts do not depend on the block size.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     out: list[SideParameters] = []
     attempts = 0
-    rejections = 0
+    run = 0  # consecutive rejections carried into the next block
     while len(out) < count:
-        attempts += 1
-        theta = rng.uniform(0.0, math.pi)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        p = EllipsoidPoint(
-            math.cos(theta),
-            2.0 * math.sin(theta) * math.cos(phi),
-            2.0 * math.sin(theta) * math.sin(phi),
-        )
-        d = ROTATION.T @ np.array(p.as_tuple())
-        if (
-            np.all(d > 0.0)
-            and np.all(d < SQRT3)
-            and _distance_to_diagonal(d) >= DIAGONAL_MARGIN
-        ):
-            sp = SideParameters(*map(float, d))
-            if chi_squared(sp) > 1e-12:
-                out.append(sp)
-                rejections = 0
-                continue
-        rejections += 1
-        if rejections >= _MAX_REJECTIONS:
+        need = count - len(out)
+        k = min(8 * need + 64, _MAX_BLOCK)
+        d, ok = _quadric_block(rng.random((k, 2)))
+        hits = np.flatnonzero(ok)[:need]
+        done = len(hits) == need
+        # rejections before each accepted draw, then (if unfinished) at the block's end
+        gaps = np.diff(np.concatenate(([-1 - run], hits, [] if done else [k]))) - 1
+        if gaps.max() >= _MAX_REJECTIONS:
             raise SeedExhaustedError(f"{_MAX_REJECTIONS} consecutive rejections; sampler stuck")
+        run = int(gaps[-1])
+        attempts += int(hits[-1]) + 1 if done else k
+        out.extend(SideParameters(*row) for row in d[hits].tolist())
     return out, attempts
 
 
@@ -201,9 +205,8 @@ def realize(d: SideParameters) -> SphericalTriangle:
     """
     _, _, c2 = d.edge_inners()
     coeff = third_vertex_coefficients(d)
-    p0 = np.array([1.0, 0.0, 0.0])
-    p1 = np.array([c2, math.sqrt(1.0 - c2 * c2), 0.0])
-    p2 = coeff.a0 * p0 + coeff.a1 * p1 + coeff.b * cross(p0, p1)
-    p2 = p2 / float(np.linalg.norm(p2))
+    s = math.sqrt(1.0 - c2 * c2)
+    # a0 P0 + a1 P1 + b (P0 x P1) with P0 = (1,0,0), P1 = (c2, s, 0), P0 x P1 = (0,0,s)
+    p2 = np.array([coeff.a0 + coeff.a1 * c2, coeff.a1 * s, coeff.b * s])
     # b > 0 makes the raw triple product positive, so no swap occurs here.
-    return new_triangle(p0, p1, p2)
+    return new_triangle((1.0, 0.0, 0.0), (c2, s, 0.0), p2 / math.sqrt(dot(p2, p2)))

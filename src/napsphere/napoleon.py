@@ -22,15 +22,14 @@ so the construction is anchored to the caller's labelling.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UnitVector, cross, dot
+from .core import _NEXT, UnitVector, cross, dot
 from .errors import BoundaryConditioningWarning, DegenerateError, TooWideError
-from .triangle import SideParameters, SphericalTriangle
+from .triangle import SQRT3, SideParameters, SphericalTriangle, _opposite_edges
 
 __all__ = [
     "BOUNDARY_BAND",
@@ -136,8 +135,10 @@ class NapoleonisationResult:
         return min(self.rr01, self.rr12, self.rr20) > 1.0 - 1e-9
 
 
-def _check_edge(a, b) -> float:
-    """Validate an edge for apex construction and return its inner product."""
+def _check_edge(a, b, eps: int) -> float:
+    """Validate a sign and an edge for apex construction; return the edge's inner product."""
+    if eps not in (-1, +1):
+        raise ValueError("eps must be -1 or +1")
     c = dot(a, b)
     if float(np.linalg.norm(np.asarray(a) - np.asarray(b))) <= 1e-9:
         raise DegenerateError("apex undefined: endpoints coincide")
@@ -155,18 +156,28 @@ def _check_edge(a, b) -> float:
     return c
 
 
+def _construct(a, b, eps):
+    """Apexes, centroids and inner products of stacked admissible edges (a, b)
+    with one sign each; every edge of a stack comes out bit for bit as alone."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.expand_dims(dot(a, b), -1)
+    e = np.expand_dims(np.asarray(eps, dtype=float), -1)
+    h = np.sqrt(1.0 + 2.0 * c)
+    w = cross(a, b)
+    q = (c * (a + b) + e * h * w) / (1.0 + c)
+    r = (h * (a + b) + e * w) / (SQRT3 * (1.0 + c))
+    return q, r, c[..., 0]
+
+
 def apex(a, b, eps: int) -> UnitVector:
     """Apex of the equilateral spherical triangle erected on edge (a, b).
 
     The result Q is a unit vector with <Q,a> = <Q,b> = <a,b>; ``eps=+1``
     places it on the positive side of a x b, ``eps=-1`` on the negative side.
     """
-    if eps not in (-1, +1):
-        raise ValueError("eps must be -1 or +1")
-    c = _check_edge(a, b)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return (c * (a + b) + eps * math.sqrt(1.0 + 2.0 * c) * cross(a, b)) / (1.0 + c)
+    _check_edge(a, b, eps)
+    return _construct(a, b, eps)[0]
 
 
 def edge_centroid(a, b, eps: int) -> UnitVector:
@@ -175,12 +186,8 @@ def edge_centroid(a, b, eps: int) -> UnitVector:
     Equals ``barycentre(a, b, apex(a, b, eps))`` but is evaluated in closed
     form.
     """
-    if eps not in (-1, +1):
-        raise ValueError("eps must be -1 or +1")
-    c = _check_edge(a, b)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return (math.sqrt(1.0 + 2.0 * c) * (a + b) + eps * cross(a, b)) / (math.sqrt(3.0) * (1.0 + c))
+    _check_edge(a, b, eps)
+    return _construct(a, b, eps)[1]
 
 
 def napoleonise(t: SphericalTriangle, s: SignVector) -> NapoleonisationResult:
@@ -190,20 +197,12 @@ def napoleonise(t: SphericalTriangle, s: SignVector) -> NapoleonisationResult:
     ``new_triangle``; q_i and r_i are indexed opposite the stored vertex p_i.
     Centroids need not be distinct: the inward construction on an
     equilateral triangle collapses all three onto the triangle's centre.
+    The edges were validated by ``new_triangle``; only the boundary band is
+    checked here, once for all three edges.
     """
     eff = s.oriented(t.orientation_swapped)
-    v = t.vertices
-    near = any(t.edge_inner(i) <= -0.5 + BOUNDARY_BAND for i in range(3))
-
-    qs = []
-    rs = []
-    with warnings.catch_warnings():
-        # the per-edge warning is aggregated into near_boundary instead
-        warnings.simplefilter("ignore", BoundaryConditioningWarning)
-        for i, e in enumerate(eff.as_tuple()):
-            a, b = v[(i + 1) % 3], v[(i + 2) % 3]
-            qs.append(apex(a, b, e))
-            rs.append(edge_centroid(a, b, e))
+    q, r, c = _construct(*_opposite_edges(np.array(t.vertices)), eff.as_tuple())
+    near = bool((c <= -0.5 + BOUNDARY_BAND).any())
     if near:
         warnings.warn(
             "some edge inner product is within 1e-6 of -1/2; result is ill-conditioned",
@@ -211,13 +210,11 @@ def napoleonise(t: SphericalTriangle, s: SignVector) -> NapoleonisationResult:
             stacklevel=2,
         )
 
-    rr01 = dot(rs[0], rs[1])
-    rr12 = dot(rs[1], rs[2])
-    rr20 = dot(rs[2], rs[0])
+    rr01, rr12, rr20 = dot(r, r.take(_NEXT, 0)).tolist()
     residual = max(abs(rr01 - rr12), abs(rr12 - rr20), abs(rr20 - rr01))
     return NapoleonisationResult(
-        q0=qs[0], q1=qs[1], q2=qs[2],
-        r0=rs[0], r1=rs[1], r2=rs[2],
+        q0=q[0], q1=q[1], q2=q[2],
+        r0=r[0], r1=r[1], r2=r[2],
         rr01=rr01, rr12=rr12, rr20=rr20,
         equilateral_residual=residual,
         signs=s,

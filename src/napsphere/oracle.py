@@ -10,20 +10,21 @@ strong cross-check.
 :func:`search_equilateral` enumerates all eight sign vectors, constructing
 each Napoleonisation from rotation-based apexes and plain barycentres, and
 reports every sign vector whose centroid triangle is equilateral within a
-tolerance.
+tolerance.  Rotations use Rodrigues' formula, evaluated for all eight sign
+vectors and three edges at once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
-from .core import UnitVector, barycentre, dot
+from .core import _NEXT, UnitVector, barycentre, cross, dot
 from .errors import NapsphereError
 from .napoleon import SignVector, _check_edge
-from .triangle import SphericalTriangle, new_triangle
+from .triangle import SphericalTriangle, _opposite_edges, new_triangle
 
 __all__ = [
     "apex_by_rotation",
@@ -31,6 +32,17 @@ __all__ = [
     "random_triangle",
     "random_triangles",
 ]
+
+
+# Sign vectors in search order: e0 varies slowest, each from -1 to +1.
+_SIGNS = [SignVector(*e) for e in itertools.product((-1, +1), repeat=3)]
+
+
+def _rotate(v, axis, angle):
+    """Rodrigues' rotation of *v* about the unit *axis* by *angle* (all stackable)."""
+    cos = np.expand_dims(np.cos(angle), -1)
+    sin = np.expand_dims(np.sin(angle), -1)
+    return v * cos + cross(axis, v) * sin + axis * (np.expand_dims(dot(axis, v), -1) * (1.0 - cos))
 
 
 def apex_by_rotation(a, b, eps: int) -> UnitVector:
@@ -41,12 +53,8 @@ def apex_by_rotation(a, b, eps: int) -> UnitVector:
     Raises the same errors as the closed-form construction and degrades (with
     a conditioning warning) near the width boundary.
     """
-    if eps not in (-1, +1):
-        raise ValueError("eps must be -1 or +1")
-    c = _check_edge(a, b)
-    angle = math.acos(c / (1.0 + c))
-    axis = np.asarray(a, dtype=float)
-    return Rotation.from_rotvec(eps * angle * axis).apply(np.asarray(b, dtype=float))
+    c = _check_edge(a, b, eps)
+    return _rotate(np.asarray(b, dtype=float), np.asarray(a, dtype=float), eps * math.acos(c / (1.0 + c)))
 
 
 def search_equilateral(t: SphericalTriangle, tol: float) -> list[tuple[SignVector, float]]:
@@ -58,21 +66,13 @@ def search_equilateral(t: SphericalTriangle, tol: float) -> list[tuple[SignVecto
     pairs sorted by residual; an empty list means no equilateral
     Napoleonisation exists at this tolerance.
     """
-    v = t.vertices
-    hits: list[tuple[SignVector, float]] = []
-    for e0 in (-1, +1):
-        for e1 in (-1, +1):
-            for e2 in (-1, +1):
-                s = SignVector(e0, e1, e2)
-                rs = []
-                for i, e in enumerate(s.as_tuple()):
-                    a, b = v[(i + 1) % 3], v[(i + 2) % 3]
-                    q = apex_by_rotation(a, b, e)
-                    rs.append(barycentre(a, b, q))
-                rr = [dot(rs[0], rs[1]), dot(rs[1], rs[2]), dot(rs[2], rs[0])]
-                residual = max(abs(rr[0] - rr[1]), abs(rr[1] - rr[2]), abs(rr[2] - rr[0]))
-                if residual < tol:
-                    hits.append((s, residual))
+    a, b = _opposite_edges(np.array(t.vertices))
+    c = dot(a, b)
+    angles = np.array([s.as_tuple() for s in _SIGNS]) * np.arccos(c / (1.0 + c))
+    r = barycentre(a, b, _rotate(b, a, angles))  # (8 signs, 3 edges, 3)
+    rr = dot(r, r.take(_NEXT, 1))
+    residuals = np.abs(rr - rr.take(_NEXT, 1)).max(axis=1).tolist()
+    hits = [(s, res) for s, res in zip(_SIGNS, residuals) if res < tol]
     hits.sort(key=lambda pair: pair[1])
     return hits
 

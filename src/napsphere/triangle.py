@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UnitVector, dot, triple, unit_vector
+from .core import _NEXT, _PREV, UNIT_NORM_TOL, UnitVector, dot, triple, unit_vector
 from .errors import CogeodesicError, DegenerateError, OutOfRangeError, TooWideError
 
 __all__ = [
@@ -94,6 +94,24 @@ class SideParameters:
         return tuple((v * v - 1.0) / 2.0 for v in self.as_tuple())
 
 
+def _opposite_edges(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints of the edges opposite each vertex of a stacked (..., 3, 3) triple."""
+    return v.take(_NEXT, -2), v.take(_PREV, -2)
+
+
+def _unit_rows(points) -> np.ndarray:
+    """The three points as rows of one array, checked and re-normalised like
+    ``unit_vector``, which raises its own error for the first bad point."""
+    try:
+        v = np.array(points, dtype=float)
+        nsq = dot(v, v) if v.shape == (3, 3) and np.isfinite(v).all() else None
+    except (TypeError, ValueError):
+        nsq = None
+    if nsq is None or (np.abs(nsq - 1.0) > UNIT_NORM_TOL).any():
+        return np.array([unit_vector(p) for p in points])
+    return v / np.sqrt(nsq)[:, None]
+
+
 def new_triangle(p0, p1, p2) -> SphericalTriangle:
     """Validate three unit vectors as a spherical triangle.
 
@@ -103,27 +121,28 @@ def new_triangle(p0, p1, p2) -> SphericalTriangle:
     <= -1/2.  If the raw triple product is negative, ``p1`` and ``p2`` are
     swapped so the stored orientation has positive triple product.
     """
-    v = [unit_vector(p0), unit_vector(p1), unit_vector(p2)]
+    v = _unit_rows((p0, p1, p2))
 
-    for i in range(3):
-        a, b = v[i], v[(i + 1) % 3]
-        if float(np.linalg.norm(a - b)) <= DEGENERACY_TOL:
-            raise DegenerateError(f"vertices {i} and {(i + 1) % 3} coincide")
-        if float(np.linalg.norm(a + b)) <= DEGENERACY_TOL:
-            raise DegenerateError(f"vertices {i} and {(i + 1) % 3} are antipodal")
+    # pair i is (v[i], v[i+1]); first failing (pair, coincide/antipodal) wins
+    w = v.take(_NEXT, 0)
+    gaps = np.stack((v - w, v + w), axis=1)
+    close = np.sqrt(dot(gaps, gaps)).ravel() <= DEGENERACY_TOL
+    if close.any():
+        i, antipodal = divmod(int(close.argmax()), 2)
+        raise DegenerateError(f"vertices {i} and {(i + 1) % 3} {'are antipodal' if antipodal else 'coincide'}")
 
-    t = triple(v[0], v[1], v[2])
+    t = triple(*v)
     if abs(t) <= DEGENERACY_TOL:
         raise CogeodesicError("vertices lie on a common great circle")
 
-    for i in range(3):
-        c = dot(v[(i + 1) % 3], v[(i + 2) % 3])
-        if c <= -0.5:
-            raise TooWideError(f"edge opposite vertex {i} has inner product {c!r} <= -1/2")
+    c = dot(*_opposite_edges(v))
+    if (c <= -0.5).any():
+        i = int((c <= -0.5).argmax())
+        raise TooWideError(f"edge opposite vertex {i} has inner product {float(c[i])!r} <= -1/2")
 
     swapped = t < 0.0
     if swapped:
-        v[1], v[2] = v[2], v[1]
+        v = v[[0, 2, 1]]
         t = -t
     return SphericalTriangle(v[0], v[1], v[2], chi=t, orientation_swapped=swapped)
 
@@ -133,9 +152,17 @@ def side_parameters(t: SphericalTriangle) -> SideParameters:
     return SideParameters(*(math.sqrt(1.0 + 2.0 * t.edge_inner(i)) for i in range(3)))
 
 
+def _columns(d):
+    """(d0, d1, d2) of side parameters, or the columns of an (..., 3) array of them."""
+    return d.as_tuple() if isinstance(d, SideParameters) else np.moveaxis(np.asarray(d, dtype=float), -1, 0)
+
+
 def alpha(d: SideParameters) -> float:
-    """(d0^2 + d1^2 + d2^2 - 1) / 2, i.e. 1 + the sum of edge inner products."""
-    d0, d1, d2 = d.as_tuple()
+    """(d0^2 + d1^2 + d2^2 - 1) / 2, i.e. 1 + the sum of edge inner products.
+
+    Also accepts an (..., 3) array of side parameters, evaluated row-wise.
+    """
+    d0, d1, d2 = _columns(d)
     return (d0 * d0 + d1 * d1 + d2 * d2 - 1.0) / 2.0
 
 
@@ -145,8 +172,9 @@ def chi_squared(d: SideParameters) -> float:
     Computed from side parameters alone:
     ``[2(1-a)(1+2a) + d0^2 d1^2 + d1^2 d2^2 + d2^2 d0^2 + d0^2 d1^2 d2^2] / 4``
     with ``a = alpha(d)``.  May be negative, in which case *d* is not
-    realizable by any spherical triangle.
+    realizable by any spherical triangle.  Like :func:`alpha`, also
+    evaluates an (..., 3) array row-wise.
     """
-    d0s, d1s, d2s = (v * v for v in d.as_tuple())
+    d0s, d1s, d2s = (v * v for v in _columns(d))
     a = alpha(d)
     return (2.0 * (1.0 - a) * (1.0 + 2.0 * a) + d0s * d1s + d1s * d2s + d2s * d0s + d0s * d1s * d2s) / 4.0

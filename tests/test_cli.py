@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import napsphere
 from napsphere.cli import main
 
 from conftest import NAPOLEONIC_VERTICES, SCALENE_CENTROID_DISTANCES, SCALENE_VERTICES, equilateral_vertices
@@ -253,3 +258,48 @@ class TestErrors:
         path = _write(tmp_path, _vertices_doc(NAPOLEONIC_VERTICES))
         code, _, _ = _run(capsys, ["napoleonise", path, "--signs", "++"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv_tail",
+        [
+            ["search", None, "--tol", "nan"],
+            ["classify", None, "--tol", "-1"],
+            ["classify", None, "--tol", "inf"],
+            ["search", None, "--tol=-inf"],
+            ["sample", "--count", "0"],
+            ["sample", "--count", "-3"],
+            ["sample", "--seed", "-1"],
+        ],
+        ids=["search-tol-nan", "classify-tol-negative", "classify-tol-inf", "search-tol-neg-inf",
+             "sample-count-zero", "sample-count-negative", "sample-seed-negative"],
+    )
+    def test_bad_flag_values_exit_1(self, tmp_path, capsys, argv_tail):
+        path = _write(tmp_path, _vertices_doc(equilateral_vertices(-1.0 / 3.0)))
+        code, out, err = _run(capsys, [path if a is None else a for a in argv_tail])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("value", ["nan", "-1e-9", "inf", "not-a-number"])
+    def test_bad_env_tolerance_exit_1(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("NAPOLEON_TOL", value)
+        path = _write(tmp_path, _vertices_doc(equilateral_vertices(-1.0 / 3.0)))
+        code, out, err = _run(capsys, ["classify", path])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_zero_tolerance_accepted(self, tmp_path, capsys):
+        path = _write(tmp_path, _vertices_doc(NAPOLEONIC_VERTICES))
+        code, out, _ = _run(capsys, ["search", path, "--tol", "0"])
+        assert code == 0
+        assert json.loads(out) == {"matches": [], "tolerance": 0.0}
+
+
+@pytest.mark.parametrize("module", ["napsphere", "napsphere.cli"])
+def test_import_loads_no_scipy(module):
+    src = str(Path(napsphere.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout.strip() == "[]"

@@ -22,8 +22,9 @@ from napsphere import (
     triple,
     xyz_to_d,
 )
-from napsphere.ellipsoid import EllipsoidPoint, ROTATION
-from napsphere.errors import OutOfRangeError
+from napsphere import ellipsoid
+from napsphere.ellipsoid import DIAGONAL_MARGIN, EllipsoidPoint, ROTATION, sample_napoleonic_d_with_attempts
+from napsphere.errors import OutOfRangeError, SeedExhaustedError
 from napsphere.triangle import SideParameters
 
 from conftest import NAPOLEONIC_D
@@ -102,6 +103,58 @@ class TestSampler:
             assert report.verdict in (Verdict.OUTWARD_NAPOLEONIC, Verdict.EQUILATERAL)
             # the diagonal margin keeps samples clear of the equilateral point
             assert report.verdict is Verdict.OUTWARD_NAPOLEONIC
+
+
+def _reference_sampler(count, seed):
+    """The sampler one draw at a time: samples, attempts, longest rejection run."""
+    rng = np.random.default_rng(seed)
+    out, attempts, run, longest = [], 0, 0, 0
+    while len(out) < count:
+        attempts += 1
+        theta = rng.uniform(0.0, math.pi)
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        p = [math.cos(theta), 2.0 * math.sin(theta) * math.cos(phi), 2.0 * math.sin(theta) * math.sin(phi)]
+        d = ROTATION.T @ np.array(p)
+        if np.all(d > 0.0) and np.all(d < math.sqrt(3.0)) and np.linalg.norm(d - float(d.mean())) >= DIAGONAL_MARGIN:
+            sp = SideParameters(*map(float, d))
+            if chi_squared(sp) > 1e-12:
+                out.append(sp.as_tuple())
+                run = 0
+                continue
+        run += 1
+        longest = max(longest, run)
+    return out, attempts, longest
+
+
+class TestSamplerStream:
+    # Block sampling must reproduce the one-draw-at-a-time stream exactly.
+    # A host whose vectorised sin/cos round differently from libm fails here.
+    @pytest.mark.parametrize("count", [1, 7, 100])
+    def test_matches_reference_loop(self, count):
+        for seed in range(50):
+            expected, attempts, _ = _reference_sampler(count, seed)
+            samples, got_attempts = sample_napoleonic_d_with_attempts(count, seed)
+            assert [d.as_tuple() for d in samples] == expected
+            assert got_attempts == attempts
+
+    def test_exhausted_after_max_consecutive_rejections(self, monkeypatch):
+        monkeypatch.setattr(ellipsoid, "_MAX_REJECTIONS", 50)
+        monkeypatch.setattr(ellipsoid, "DIAGONAL_MARGIN", 10.0)
+        with pytest.raises(SeedExhaustedError):
+            sample_napoleonic_d_with_attempts(3, seed=0)
+
+    def test_limit_counts_consecutive_rejections_across_blocks(self, monkeypatch):
+        # With 7-draw blocks most rejection runs span a block boundary; the
+        # stream's longest run is allowed, one fewer is not.
+        monkeypatch.setattr(ellipsoid, "_MAX_BLOCK", 7)
+        expected, attempts, longest = _reference_sampler(300, seed=5)
+        monkeypatch.setattr(ellipsoid, "_MAX_REJECTIONS", longest + 1)
+        samples, got_attempts = sample_napoleonic_d_with_attempts(300, 5)
+        assert [d.as_tuple() for d in samples] == expected
+        assert got_attempts == attempts
+        monkeypatch.setattr(ellipsoid, "_MAX_REJECTIONS", longest)
+        with pytest.raises(SeedExhaustedError):
+            sample_napoleonic_d_with_attempts(300, 5)
 
 
 class TestRealize:

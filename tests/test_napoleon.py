@@ -175,6 +175,32 @@ class TestNapoleonise:
             assert np.allclose(rs_raw, rs_pre, atol=1e-12)
 
 
+def _reference_edge(a, b, eps):
+    """Apex and centroid of one edge, written out as the closed forms read."""
+    c = float(a @ b)
+    w = np.cross(a, b)
+    q = (c * (a + b) + eps * math.sqrt(1.0 + 2.0 * c) * w) / (1.0 + c)
+    r = (math.sqrt(1.0 + 2.0 * c) * (a + b) + eps * w) / (math.sqrt(3.0) * (1.0 + c))
+    return q, r
+
+
+def test_napoleonise_matches_one_edge_at_a_time_exactly():
+    # All three edges are built in one stacked evaluation; each must equal
+    # the per-edge closed form bit for bit, swapped orientations included.
+    triangles = []
+    for t in random_triangles(100, seed=26):
+        triangles += [t, new_triangle(t.p0, t.p2, t.p1)]
+    for t in triangles:
+        v = t.vertices
+        for s in ALL_SIGNS:
+            res = napoleonise(t, s)
+            for i, e in enumerate(s.oriented(t.orientation_swapped).as_tuple()):
+                q, r = _reference_edge(v[(i + 1) % 3], v[(i + 2) % 3], e)
+                assert np.array_equal(res.apexes[i], q) and np.array_equal(res.centroids[i], r)
+            r0, r1, r2 = res.centroids
+            assert res.centroid_inners == (float(r0 @ r1), float(r1 @ r2), float(r2 @ r0))
+
+
 class TestNearBoundaryFlag:
     def test_flag_and_warning_on_near_boundary_triangle(self):
         c = -0.5 + 5e-7
