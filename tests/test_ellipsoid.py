@@ -144,8 +144,8 @@ class TestSamplerStream:
             sample_napoleonic_d_with_attempts(3, seed=0)
 
     def test_limit_counts_consecutive_rejections_across_blocks(self, monkeypatch):
-        # With 7-draw blocks most rejection runs span a block boundary; the
-        # stream's longest run is allowed, one fewer is not.
+        # With 7-draw blocks most rejection runs span a block boundary; a
+        # limit above the stream's longest run passes, one equal to it raises.
         monkeypatch.setattr(ellipsoid, "_MAX_BLOCK", 7)
         expected, attempts, longest = _reference_sampler(300, seed=5)
         monkeypatch.setattr(ellipsoid, "_MAX_REJECTIONS", longest + 1)
