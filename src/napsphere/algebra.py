@@ -1,10 +1,14 @@
-"""Exact verification of the polynomial identities behind the classification.
+"""The polynomials behind the classification, and their exact verification.
 
-Works entirely over the rationals: polynomials in the three side parameters
-are stored sparsely as ``{(i, j, k): Fraction}`` maps for the monomials
-d0^i d1^j d2^k.  Nothing in this module touches floating point, so a
-``True`` from the ``verify_*`` functions is a coefficient-by-coefficient
-proof of the identity.
+alpha, chi^2, gamma, the condition value, the equilateral factor and the
+centroid inner-product bracket are each defined once here, with ring
+operations and integer constants only.  The float path (classifier, sampler,
+closed forms) calls them on floats and NumPy arrays and relies on the
+evaluation order written here; the ``verify_*`` checks call them on
+:class:`RationalPolynomial` arguments, sparse ``{(i, j, k): Fraction}`` maps
+for the monomials d0^i d1^j d2^k.  So the identities are proved for the
+expressions the classifier evaluates, and a ``True`` is still an exact,
+coefficient-by-coefficient proof, with no floating point involved.
 
 The quantity chi (the triangle's triple product) enters these identities
 only through its square, which is a polynomial in d; the one identity that
@@ -24,12 +28,14 @@ __all__ = [
     "D1",
     "D2",
     "ONE",
-    "alpha_polynomial",
-    "chi_squared_polynomial",
-    "locus_chi_polynomial",
-    "condition_polynomial",
-    "equilateral_factor_polynomial",
-    "gamma_polynomial",
+    "alpha",
+    "chi_squared",
+    "gamma",
+    "condition",
+    "equilateral_factor",
+    "sum_minus_product",
+    "one_minus_pairs",
+    "centroid_bracket",
     "IdentityCheck",
     "verify_factorisation",
     "verify_sum_of_squares",
@@ -118,6 +124,11 @@ class RationalPolynomial:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other) -> "RationalPolynomial":
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return self.scale(1 / Fraction(other))
+
     def __pow__(self, n: int) -> "RationalPolynomial":
         if n < 0:
             raise ValueError("negative powers are not polynomials")
@@ -174,54 +185,64 @@ D1 = RationalPolynomial.variable(1)
 D2 = RationalPolynomial.variable(2)
 ONE = RationalPolynomial.constant(1)
 
-_HALF = Fraction(1, 2)
+
+def alpha(d0, d1, d2):
+    """(d0^2 + d1^2 + d2^2 - 1) / 2, i.e. 1 + the sum of the edge inner products."""
+    return (d0 * d0 + d1 * d1 + d2 * d2 - 1) / 2
 
 
-def _sum_squares() -> RationalPolynomial:
-    return D0 * D0 + D1 * D1 + D2 * D2
+def chi_squared(d0, d1, d2):
+    """Squared triple product of any triangle realising d:
+    [2(1-a)(1+2a) + d0^2 d1^2 + d1^2 d2^2 + d2^2 d0^2 + d0^2 d1^2 d2^2] / 4
+    with a = alpha.  Negative when no spherical triangle realises d."""
+    a = alpha(d0, d1, d2)
+    s0, s1, s2 = d0 * d0, d1 * d1, d2 * d2
+    return (2 * (1 - a) * (1 + 2 * a) + s0 * s1 + s1 * s2 + s2 * s0 + s0 * s1 * s2) / 4
 
 
-def _sum_products() -> RationalPolynomial:
-    return D0 * D1 + D1 * D2 + D2 * D0
-
-
-def alpha_polynomial() -> RationalPolynomial:
-    """(d0^2 + d1^2 + d2^2 - 1) / 2."""
-    return (_sum_squares() - 1).scale(_HALF)
-
-
-def chi_squared_polynomial() -> RationalPolynomial:
-    """Squared triple product as a polynomial in the side parameters.
-
-    chi^2 = [2(1 - a)(1 + 2a) + d0^2 d1^2 + d1^2 d2^2 + d2^2 d0^2
-             + d0^2 d1^2 d2^2] / 4  with a the alpha polynomial.
-    """
-    a = alpha_polynomial()
-    sq = [D0 * D0, D1 * D1, D2 * D2]
-    quartic = sq[0] * sq[1] + sq[1] * sq[2] + sq[2] * sq[0]
-    sextic = sq[0] * sq[1] * sq[2]
-    four_chi_sq = ((ONE - a) * (ONE + a.scale(2))).scale(2) + quartic + sextic
-    return four_chi_sq.scale(Fraction(1, 4))
-
-
-def locus_chi_polynomial() -> RationalPolynomial:
-    """(d0 + d1 + d2 - d0 d1 d2) / 2: equals chi on the Napoleonic quadric."""
-    return (D0 + D1 + D2 - D0 * D1 * D2).scale(_HALF)
-
-
-def condition_polynomial() -> RationalPolynomial:
-    """d0^2 + d1^2 + d2^2 + d0 d1 + d1 d2 + d2 d0."""
-    return _sum_squares() + _sum_products()
-
-
-def equilateral_factor_polynomial() -> RationalPolynomial:
-    """d0^2 + d1^2 + d2^2 - d0 d1 - d1 d2 - d2 d0."""
-    return _sum_squares() - _sum_products()
-
-
-def gamma_polynomial() -> RationalPolynomial:
+def gamma(d0, d1, d2):
     """3 (d0^2 + 1)(d1^2 + 1)(d2^2 + 1)."""
-    return ((D0 * D0 + 1) * (D1 * D1 + 1) * (D2 * D2 + 1)).scale(3)
+    return 3 * (d0 * d0 + 1) * (d1 * d1 + 1) * (d2 * d2 + 1)
+
+
+def condition(d0, d1, d2):
+    """d0^2 + d1^2 + d2^2 + d0 d1 + d0 d2 + d1 d2; equals 2 on the Napoleonic quadric."""
+    return d0 * d0 + d1 * d1 + d2 * d2 + d0 * d1 + d0 * d2 + d1 * d2
+
+
+def equilateral_factor(d0, d1, d2):
+    """d0^2 + d1^2 + d2^2 - d0 d1 - d1 d2 - d2 d0."""
+    return d0 * d0 + d1 * d1 + d2 * d2 - d0 * d1 - d1 * d2 - d2 * d0
+
+
+def sum_minus_product(d0, d1, d2):
+    """d0 + d1 + d2 - d0 d1 d2; twice chi on the Napoleonic quadric.
+
+    Positive for every d in (0, sqrt(3))^3: with m = (d0 + d1 + d2)/3 < sqrt(3),
+    AM-GM gives d0 d1 d2 <= m^3 < 3 m = d0 + d1 + d2.
+    """
+    return d0 + d1 + d2 - d0 * d1 * d2
+
+
+def one_minus_pairs(d0, d1, d2):
+    """1 - d0 d1 - d1 d2 - d2 d0."""
+    return 1 - d0 * d1 - d1 * d2 - d2 * d0
+
+
+def centroid_bracket(d, chi, e, i: int):
+    """Bracket B of the centroid inner product <R_{i+2}, R_i> = (d_{i+1}^2 + 1) B / gamma:
+
+        B = 4 (alpha d_{i+2} d_i + chi (e_i d_{i+2} + e_{i+2} d_i))
+            + e_{i+2} e_i ((d_{i+2}^2 - 1)(d_i^2 - 1) - 2 (d_{i+1}^2 - 1))
+
+    for side parameters *d*, triple product *chi* and signs *e* (each e_j = +-1,
+    in the same vertex order as *d*).
+    """
+    di, dj, dk = d[i % 3], d[(i + 1) % 3], d[(i + 2) % 3]
+    ei, ek = e[i % 3], e[(i + 2) % 3]
+    return 4 * (alpha(*d) * dk * di + chi * (ei * dk + ek * di)) + ek * ei * (
+        (dk * dk - 1) * (di * di - 1) - 2 * (dj * dj - 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -248,58 +269,50 @@ def _check(name: str, lhs: RationalPolynomial, rhs: RationalPolynomial) -> Ident
 def verify_factorisation(
     chi_sq: RationalPolynomial | None = None,
 ) -> IdentityCheck:
-    """alpha^2 (sum d - prod d)^2 - chi^2 (1 - sum dd)^2 factorises as
+    """The product N+ N- of the two uniform-sign residuals
+    N+- = alpha (sum d - prod d) +- chi (1 - sum dd), built from the functions
+    ``napoleonic_equation_residual`` evaluates, factorises as
     (gamma/12) (equilateral factor) (condition - 2).
 
     *chi_sq* defaults to the derived chi^2 polynomial; passing a perturbed
     polynomial is useful for mutation testing.
     """
-    a = alpha_polynomial()
     if chi_sq is None:
-        chi_sq = chi_squared_polynomial()
-    sum_minus_prod = D0 + D1 + D2 - D0 * D1 * D2
-    one_minus_dd = ONE - _sum_products()
-    lhs = a * a * sum_minus_prod * sum_minus_prod - chi_sq * one_minus_dd * one_minus_dd
-    rhs = gamma_polynomial().scale(Fraction(1, 12)) * equilateral_factor_polynomial() * (
-        condition_polynomial() - 2
-    )
+        chi_sq = chi_squared(D0, D1, D2)
+    n = alpha(D0, D1, D2) * sum_minus_product(D0, D1, D2)
+    m = one_minus_pairs(D0, D1, D2)
+    lhs = n * n - chi_sq * m * m
+    rhs = gamma(D0, D1, D2) / 12 * equilateral_factor(D0, D1, D2) * (condition(D0, D1, D2) - 2)
     return _check("product-of-residuals factorisation", lhs, rhs)
 
 
 def verify_sum_of_squares() -> IdentityCheck:
     """(d0 + d1/2 + d2/2)^2 + (3/4)(d1 + d2/3)^2 + (2/3) d2^2 equals
     d0^2 + d1^2 + d2^2 + d0 d1 + d1 d2 + d2 d0."""
-    t1 = D0 + D1.scale(_HALF) + D2.scale(_HALF)
-    t2 = D1 + D2.scale(Fraction(1, 3))
+    t1 = D0 + D1 / 2 + D2 / 2
+    t2 = D1 + D2 / 3
     lhs = t1 * t1 + (t2 * t2).scale(Fraction(3, 4)) + (D2 * D2).scale(Fraction(2, 3))
-    return _check("positive-definite form of the condition", lhs, condition_polynomial())
+    return _check("positive-definite form of the condition", lhs, condition(D0, D1, D2))
 
 
 def verify_final_identity(i: int = 0) -> IdentityCheck:
-    """Centroid inner-product bracket at index *i* reduces to a multiple of
-    the condition residual.
+    """The outward centroid inner-product bracket at index *i* reduces to a
+    multiple of the condition residual.
 
-    With alpha and (via the quadric relation) chi substituted as polynomials,
+    With chi replaced by its quadric value (d0 + d1 + d2 - d0 d1 d2)/2 and
+    the outward signs e = (-1, -1, -1), the bracket that
+    ``centroid_inner_closed_form`` evaluates satisfies
 
-        (d_{i+2}^2+1)(d_i^2+1) + 4 (alpha d_{i+2} d_i - chi (d_{i+2}+d_i))
-        + (d_{i+2}^2-1)(d_i^2-1) - 2 (d_{i+1}^2-1)
+        (d_{i+2}^2+1)(d_i^2+1) + centroid_bracket(d, chi, e, i)
         = 2 (d_{i+2} d_i - 1)(condition - 2),
 
     which forces every centroid inner product to -1/3 on the quadric.
     """
-    a = alpha_polynomial()
-    chi = locus_chi_polynomial()
-    dv = [D0, D1, D2]
-    di = dv[i % 3]
-    dmid = dv[(i + 1) % 3]
-    dip2 = dv[(i + 2) % 3]
-    lhs = (
-        (dip2 * dip2 + 1) * (di * di + 1)
-        + (a * dip2 * di - chi * (dip2 + di)).scale(4)
-        + (dip2 * dip2 - 1) * (di * di - 1)
-        - (dmid * dmid - 1).scale(2)
-    )
-    rhs = ((dip2 * di - 1) * (condition_polynomial() - 2)).scale(2)
+    d = (D0, D1, D2)
+    di, dk = d[i % 3], d[(i + 2) % 3]
+    chi = sum_minus_product(*d) / 2
+    lhs = (dk * dk + 1) * (di * di + 1) + centroid_bracket(d, chi, (-1, -1, -1), i)
+    rhs = 2 * (dk * di - 1) * (condition(*d) - 2)
     return _check(f"quadric centroid inner-product identity (i={i})", lhs, rhs)
 
 
@@ -315,7 +328,7 @@ def verify_rotation_quadratic() -> IdentityCheck:
     y = D1 + D2 - D0.scale(2)
     z = D2 - D1
     lhs = (s * s).scale(Fraction(2, 3)) + (y * y).scale(Fraction(1, 12)) + (z * z).scale(Fraction(1, 4))
-    return _check("rotated-frame quadric identity", lhs, condition_polynomial())
+    return _check("rotated-frame quadric identity", lhs, condition(D0, D1, D2))
 
 
 def verify_all() -> list[IdentityCheck]:

@@ -20,6 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 
+from . import algebra
 from .errors import IndeterminateError
 from .triangle import SideParameters, SphericalTriangle, alpha, chi_squared, side_parameters
 
@@ -82,9 +83,8 @@ class ClassificationReport:
 
 
 def condition_value(d: SideParameters) -> float:
-    """d0^2 + d1^2 + d2^2 + d0 d1 + d0 d2 + d1 d2."""
-    d0, d1, d2 = d.as_tuple()
-    return d0 * d0 + d1 * d1 + d2 * d2 + d0 * d1 + d0 * d2 + d1 * d2
+    """d0^2 + d1^2 + d2^2 + d0 d1 + d0 d2 + d1 d2 (:func:`napsphere.algebra.condition`)."""
+    return algebra.condition(*d.as_tuple())
 
 
 def condition_residual(d: SideParameters) -> float:
@@ -98,8 +98,7 @@ def equilateral_factor(d: SideParameters) -> float:
     Equals half the sum of squared pairwise differences of the d_i, so it
     vanishes exactly for equilateral side parameters.
     """
-    d0, d1, d2 = d.as_tuple()
-    return d0 * d0 + d1 * d1 + d2 * d2 - d0 * d1 - d1 * d2 - d2 * d0
+    return algebra.equilateral_factor(*d.as_tuple())
 
 
 def napoleonic_equation_residual(d: SideParameters, chi: float, eps: int) -> float:
@@ -111,8 +110,8 @@ def napoleonic_equation_residual(d: SideParameters, chi: float, eps: int) -> flo
     """
     if eps not in (-1, +1):
         raise ValueError("eps must be -1 or +1")
-    d0, d1, d2 = d.as_tuple()
-    return alpha(d) * (d0 + d1 + d2 - d0 * d1 * d2) + eps * chi * (1.0 - d0 * d1 - d1 * d2 - d2 * d0)
+    dv = d.as_tuple()
+    return algebra.alpha(*dv) * algebra.sum_minus_product(*dv) + eps * chi * algebra.one_minus_pairs(*dv)
 
 
 def epsilon_from_d(d: SideParameters, tol: float = 1e-12) -> int:
@@ -124,7 +123,8 @@ def epsilon_from_d(d: SideParameters, tol: float = 1e-12) -> int:
     where both factors vanish).
     """
     d0, d1, d2 = d.as_tuple()
-    product = (1.0 - d0 * d0 - d1 * d1 - d2 * d2) * (1.0 - d0 * d1 - d1 * d2 - d2 * d0)
+    # 1 - d0^2 - d1^2 - d2^2 is -2 alpha, kept in this order so the product's bits hold
+    product = (1.0 - d0 * d0 - d1 * d1 - d2 * d2) * algebra.one_minus_pairs(d0, d1, d2)
     if abs(product) <= tol:
         raise IndeterminateError(f"sign product {product!r} vanishes within tolerance")
     return 1 if product > 0 else -1
@@ -136,8 +136,7 @@ def chi_relation_check(d: SideParameters, chi: float) -> float:
     Off the quadric the value is generically nonzero, so it doubles as a
     diagnostic of how far a triangle is from the outward-Napoleonic locus.
     """
-    d0, d1, d2 = d.as_tuple()
-    return 2.0 * chi - (d0 + d1 + d2 - d0 * d1 * d2)
+    return 2.0 * chi - algebra.sum_minus_product(*d.as_tuple())
 
 
 def classify_d(d: SideParameters, tol: float = CLASSIFY_TOL) -> ClassificationReport:
@@ -151,15 +150,10 @@ def classify_d(d: SideParameters, tol: float = CLASSIFY_TOL) -> ClassificationRe
     a = alpha(d)
     chi2 = chi_squared(d)
     chi = math.sqrt(chi2) if chi2 > 0.0 else 0.0
-    d0, d1, d2 = d.as_tuple()
-    gamma = 3.0 * (d0 * d0 + 1.0) * (d1 * d1 + 1.0) * (d2 * d2 + 1.0)
+    gamma = algebra.gamma(*d.as_tuple())
     cval = condition_value(d)
     cres = cval - 2.0
     eqf = equilateral_factor(d)
-
-    # d0+d1+d2 > d0 d1 d2 holds throughout (0, sqrt(3))^3 by AM-GM; a
-    # violation would indicate corrupted inputs.
-    assert d0 + d1 + d2 - d0 * d1 * d2 > 0.0, "side-parameter positivity violated"
 
     verdict = Verdict.NOT_NAPOLEONIC
     predicted_rr = None

@@ -11,9 +11,10 @@ verify-identities  run the exact polynomial identity checks
 Inputs are JSON documents, either ``{"vertices": [[x,y,z], ...]}`` (three
 vertices, normalised on ingestion) or ``{"d": [d0, d1, d2]}`` (side
 parameters, realized as a canonical triangle).  Exit codes: 0 success,
-1 malformed input, 2 geometric validation failure (the error kind is
-printed as JSON).  The environment variable ``NAPOLEON_TOL`` overrides the
-default classification/search tolerance; ``--tol`` beats both.
+1 malformed input or usage error, 2 geometric validation failure (the
+error kind is printed as JSON).  For ``classify`` and ``search`` the
+environment variable ``NAPOLEON_TOL`` overrides the default tolerance;
+``--tol`` beats both.
 
 See FORMATS.md for the exact output schemas.
 """
@@ -69,11 +70,11 @@ def _read_input(path: str) -> dict:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _BadInput(f"cannot read input: {exc}")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, parse_int=float)  # an integer beyond the float range becomes inf
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise _BadInput(f"input is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise _BadInput("input must be a JSON object")
@@ -85,40 +86,36 @@ class _BadInput(Exception):
 
 
 def _triangle_from_doc(doc: dict) -> SphericalTriangle:
-    if "vertices" in doc:
-        verts = doc["vertices"]
-        if not (isinstance(verts, list) and len(verts) == 3):
-            raise _BadInput('"vertices" must be a list of three [x, y, z] triples')
-        normed = []
-        for k, row in enumerate(verts):
-            if not (isinstance(row, list) and len(row) == 3):
-                raise _BadInput(f"vertex {k} must be an [x, y, z] triple")
-            try:
-                v = np.array([float(x) for x in row])
-            except (TypeError, ValueError):
-                raise _BadInput(f"vertex {k} has non-numeric components")
-            n = float(np.linalg.norm(v))
-            if abs(n - 1.0) > NORMALISE_WARN:
-                print(
-                    f"warning: vertex {k} renormalised (|v| deviated from 1 by {abs(n - 1.0):.3e})",
-                    file=sys.stderr,
-                )
-            normed.append(normalize(v))
-        return new_triangle(*normed)
+    if ("vertices" in doc) == ("d" in doc):
+        raise _BadInput('input must contain exactly one of "vertices" and "d"')
     if "d" in doc:
-        return realize(_side_parameters_from_doc(doc))
-    raise _BadInput('input must contain either "vertices" or "d"')
+        return realize(SideParameters(*_finite_triple(doc["d"], '"d"')))
+    verts = doc["vertices"]
+    if not (isinstance(verts, list) and len(verts) == 3):
+        raise _BadInput('"vertices" must be a list of three [x, y, z] triples')
+    normed = []
+    for k, row in enumerate(verts):
+        v = np.array(_finite_triple(row, f"vertex {k}"))
+        with np.errstate(over="ignore"):
+            n = float(np.linalg.norm(v))
+        if not math.isfinite(n):
+            raise _BadInput(f"vertex {k} is too long to normalise")
+        if abs(n - 1.0) > NORMALISE_WARN:
+            print(
+                f"warning: vertex {k} renormalised (|v| deviated from 1 by {abs(n - 1.0):.3e})",
+                file=sys.stderr,
+            )
+        normed.append(normalize(v))
+    return new_triangle(*normed)
 
 
-def _side_parameters_from_doc(doc: dict) -> SideParameters:
-    row = doc["d"]
+def _finite_triple(row, what: str) -> list[float]:
+    """Three finite JSON numbers; booleans, strings, NaN and +-Infinity are malformed."""
     if not (isinstance(row, list) and len(row) == 3):
-        raise _BadInput('"d" must be a list of three numbers')
-    try:
-        values = [float(x) for x in row]
-    except (TypeError, ValueError):
-        raise _BadInput('"d" has non-numeric components')
-    return SideParameters(*values)
+        raise _BadInput(f"{what} must be a list of three numbers")
+    if not all(type(x) is float and math.isfinite(x) for x in row):
+        raise _BadInput(f"{what} must hold three finite numbers")
+    return row
 
 
 def _vec(v) -> list[float]:
@@ -279,8 +276,17 @@ def cmd_verify_identities(args) -> int:
     return EXIT_OK if ok else EXIT_BAD_INPUT
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are malformed input: exit 1 with an ``error:`` line, not
+    argparse's exit 2, which is reserved for geometric rejection."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _BadInput(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="napsphere",
         description="Napoleonisations of spherical triangles: construction, "
         "classification, quadric sampling, and exact identity checks.",
@@ -290,7 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("napoleonise", help="construct apexes and centroids")
     p.add_argument("input", help="JSON file with 'vertices' or 'd' ('-' for stdin)")
     p.add_argument("--signs", default="out", help="'out', 'in', or e.g. '+-+' (default: out)")
-    p.add_argument("--tol", type=float, default=None, help=argparse.SUPPRESS)
     p.add_argument("--format", choices=("json", "csv"), default="json", help="csv emits a plot-ready point cloud")
     p.set_defaults(func=cmd_napoleonise)
 
@@ -318,13 +323,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        if getattr(args, "tol", None) is None:
-            args.tol = _default_tol()
-        if not (math.isfinite(args.tol) and args.tol >= 0.0):
-            raise _BadInput(f"tolerance must be finite and >= 0, got {args.tol!r}")
+        args = _build_parser().parse_args(argv)
+        if hasattr(args, "tol"):  # classify and search
+            if args.tol is None:
+                args.tol = _default_tol()
+            if not (math.isfinite(args.tol) and args.tol >= 0.0):
+                raise _BadInput(f"tolerance must be finite and >= 0, got {args.tol!r}")
         return args.func(args)
     except _BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import algebra
 from .core import _NEXT, UnitVector, cross, dot
 from .errors import BoundaryConditioningWarning, DegenerateError, TooWideError
 from .triangle import SQRT3, SideParameters, SphericalTriangle, _opposite_edges
@@ -230,11 +231,5 @@ def centroid_inner_closed_form(d: SideParameters, chi: float, s: SignVector, i: 
     Valid for every sign vector, mixed signs included.
     """
     dv = d.as_tuple()
-    ev = s.as_tuple()
-    i0, i1, i2 = i % 3, (i + 1) % 3, (i + 2) % 3
-    a = (dv[0] ** 2 + dv[1] ** 2 + dv[2] ** 2 - 1.0) / 2.0
-    gamma = 3.0 * (dv[0] ** 2 + 1.0) * (dv[1] ** 2 + 1.0) * (dv[2] ** 2 + 1.0)
-    bracket = 4.0 * (a * dv[i2] * dv[i0] + chi * (ev[i0] * dv[i2] + ev[i2] * dv[i0])) + ev[i2] * ev[i0] * (
-        (dv[i2] ** 2 - 1.0) * (dv[i0] ** 2 - 1.0) - 2.0 * (dv[i1] ** 2 - 1.0)
-    )
-    return (dv[i1] ** 2 + 1.0) / gamma * bracket
+    dj = dv[(i + 1) % 3]
+    return (dj * dj + 1) / algebra.gamma(*dv) * algebra.centroid_bracket(dv, chi, s.as_tuple(), i)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import algebra
 from .core import _NEXT, _PREV, UNIT_NORM_TOL, UnitVector, dot, triple, unit_vector
 from .errors import CogeodesicError, DegenerateError, OutOfRangeError, TooWideError
 
@@ -158,23 +159,14 @@ def _columns(d):
 
 
 def alpha(d: SideParameters) -> float:
-    """(d0^2 + d1^2 + d2^2 - 1) / 2, i.e. 1 + the sum of edge inner products.
-
-    Also accepts an (..., 3) array of side parameters, evaluated row-wise.
-    """
-    d0, d1, d2 = _columns(d)
-    return (d0 * d0 + d1 * d1 + d2 * d2 - 1.0) / 2.0
+    """:func:`napsphere.algebra.alpha` of *d*, i.e. 1 + the sum of edge inner
+    products; an (..., 3) array of side parameters is evaluated row-wise."""
+    return algebra.alpha(*_columns(d))
 
 
 def chi_squared(d: SideParameters) -> float:
-    """Squared triple product of any triangle realising *d*.
-
-    Computed from side parameters alone:
-    ``[2(1-a)(1+2a) + d0^2 d1^2 + d1^2 d2^2 + d2^2 d0^2 + d0^2 d1^2 d2^2] / 4``
-    with ``a = alpha(d)``.  May be negative, in which case *d* is not
-    realizable by any spherical triangle.  Like :func:`alpha`, also
-    evaluates an (..., 3) array row-wise.
-    """
-    d0s, d1s, d2s = (v * v for v in _columns(d))
-    a = alpha(d)
-    return (2.0 * (1.0 - a) * (1.0 + 2.0 * a) + d0s * d1s + d1s * d2s + d2s * d0s + d0s * d1s * d2s) / 4.0
+    """Squared triple product of any triangle realising *d*, from the side
+    parameters alone (:func:`napsphere.algebra.chi_squared`).  May be
+    negative, in which case *d* is not realizable by any spherical triangle.
+    Like :func:`alpha`, also evaluates an (..., 3) array row-wise."""
+    return algebra.chi_squared(*_columns(d))

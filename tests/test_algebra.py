@@ -6,25 +6,26 @@ from fractions import Fraction
 import pytest
 
 from napsphere import sample_napoleonic_d
+from napsphere import triangle
 from napsphere.algebra import (
     D0,
     D1,
     D2,
     ONE,
     RationalPolynomial,
-    alpha_polynomial,
-    chi_squared_polynomial,
-    condition_polynomial,
-    equilateral_factor_polynomial,
-    gamma_polynomial,
-    locus_chi_polynomial,
+    alpha,
+    chi_squared,
+    condition,
+    equilateral_factor,
+    gamma,
+    sum_minus_product,
     verify_all,
     verify_factorisation,
     verify_final_identity,
     verify_rotation_quadratic,
     verify_sum_of_squares,
 )
-from napsphere.triangle import SideParameters, alpha, chi_squared
+from napsphere.triangle import SideParameters
 
 
 class TestRingOperations:
@@ -33,20 +34,20 @@ class TestRingOperations:
 
     def test_alpha_polynomial_structure(self):
         # 2 alpha = d0^2 + d1^2 + d2^2 - 1
-        two_alpha = alpha_polynomial().scale(2)
+        two_alpha = alpha(D0, D1, D2).scale(2)
         expected = D0 * D0 + D1 * D1 + D2 * D2 - 1
         assert two_alpha == expected
 
     def test_chi_squared_polynomial_against_float_formula(self):
-        poly = chi_squared_polynomial()
+        poly = chi_squared(D0, D1, D2)
         for d in (
             SideParameters(0.3, 0.7, 1.1),
             SideParameters(1.0, 1.0, 1.0),
             SideParameters(0.9, 0.4, 1.5),
         ):
-            assert float(poly.evaluate(d.as_tuple())) == pytest.approx(chi_squared(d), abs=1e-12)
-            assert float(alpha_polynomial().evaluate(d.as_tuple())) == pytest.approx(
-                alpha(d), abs=1e-12
+            assert float(poly.evaluate(d.as_tuple())) == pytest.approx(triangle.chi_squared(d), abs=1e-12)
+            assert float(alpha(D0, D1, D2).evaluate(d.as_tuple())) == pytest.approx(
+                triangle.alpha(d), abs=1e-12
             )
 
     def test_zero_coefficients_never_stored(self):
@@ -64,13 +65,31 @@ class TestRingOperations:
         expr = (
             Fraction(1, 2) * (d0**2 + d1**2 + d2**2 - 1)
         )
-        assert alpha_polynomial().evaluate(point) == expr
+        assert alpha(D0, D1, D2).evaluate(point) == expr
         cond = d0**2 + d1**2 + d2**2 + d0 * d1 + d1 * d2 + d2 * d0
-        assert condition_polynomial().evaluate(point) == cond
+        assert condition(D0, D1, D2).evaluate(point) == cond
 
     def test_power_and_scale(self):
         assert (D0 + 1) ** 2 == D0 * D0 + D0.scale(2) + 1
         assert (D1.scale(Fraction(3, 2))).evaluate((0, 2, 0)) == 3
+        assert (D0 + 1) / 2 == (D0 + 1).scale(Fraction(1, 2))
+        with pytest.raises(TypeError):
+            D0 / 2.0
+
+
+class TestSeparateFloatForms:
+    """Float expressions kept outside ``algebra`` so that their rounding, and
+    the outputs built on it, stay as they are; each equals its polynomial."""
+
+    def test_gram_determinant_is_chi_squared(self):
+        # ellipsoid.third_vertex_coefficients: 1 - c0^2 - c1^2 - c2^2 + 2 c0 c1 c2
+        c0, c1, c2 = ((v * v - 1) / 2 for v in (D0, D1, D2))
+        gram = 1 - c0 * c0 - c1 * c1 - c2 * c2 + 2 * c0 * c1 * c2
+        assert gram == chi_squared(D0, D1, D2)
+
+    def test_epsilon_factor_is_minus_two_alpha(self):
+        # classify.epsilon_from_d: 1 - d0^2 - d1^2 - d2^2
+        assert 1 - D0 * D0 - D1 * D1 - D2 * D2 == -2 * alpha(D0, D1, D2)
 
 
 class TestFactorisation:
@@ -80,22 +99,22 @@ class TestFactorisation:
         assert check.difference.is_zero()
 
     def test_mutated_chi_squared_fails(self):
-        perturbed = chi_squared_polynomial() + 1
+        perturbed = chi_squared(D0, D1, D2) + 1
         check = verify_factorisation(chi_sq=perturbed)
         assert not check
         assert not check.difference.is_zero()
 
     def test_numeric_spot_check(self):
         d = (0.3, 0.7, 1.1)
-        a = float(alpha_polynomial().evaluate(d))
-        chi2 = float(chi_squared_polynomial().evaluate(d))
+        a = float(alpha(D0, D1, D2).evaluate(d))
+        chi2 = float(chi_squared(D0, D1, D2).evaluate(d))
         sum_minus_prod = d[0] + d[1] + d[2] - d[0] * d[1] * d[2]
         one_minus_dd = 1.0 - d[0] * d[1] - d[1] * d[2] - d[2] * d[0]
         lhs = a * a * sum_minus_prod**2 - chi2 * one_minus_dd**2
-        gamma = float(gamma_polynomial().evaluate(d))
-        eqf = float(equilateral_factor_polynomial().evaluate(d))
-        cond = float(condition_polynomial().evaluate(d))
-        rhs = gamma / 12.0 * eqf * (cond - 2.0)
+        g = float(gamma(D0, D1, D2).evaluate(d))
+        eqf = float(equilateral_factor(D0, D1, D2).evaluate(d))
+        cond = float(condition(D0, D1, D2).evaluate(d))
+        rhs = g / 12.0 * eqf * (cond - 2.0)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -105,13 +124,13 @@ class TestSumOfSquares:
 
     def test_evaluation_at_ones(self):
         point = (1, 1, 1)
-        assert condition_polynomial().evaluate(point) == 6
+        assert condition(D0, D1, D2).evaluate(point) == 6
 
     def test_evaluation_at_known_napoleonic_d(self):
         # the squared values are rational (2/25, 8/25, 18/25) but the d_i
         # themselves are not, so this spot check runs in floating point
         df = tuple(math.sqrt(2.0) / 5.0 * k for k in (1, 2, 3))
-        assert float(condition_polynomial().evaluate(df)) == pytest.approx(2.0, abs=1e-14)
+        assert float(condition(D0, D1, D2).evaluate(df)) == pytest.approx(2.0, abs=1e-14)
         t1 = df[0] + df[1] / 2.0 + df[2] / 2.0
         t2 = df[1] + df[2] / 3.0
         lhs = t1**2 + 0.75 * t2**2 + (2.0 / 3.0) * df[2] ** 2
@@ -126,8 +145,8 @@ class TestFinalIdentity:
         assert check.difference.is_zero()
 
     def test_numeric_evaluation_on_locus_samples(self):
-        chi_poly = locus_chi_polynomial()
-        a_poly = alpha_polynomial()
+        chi_poly = sum_minus_product(D0, D1, D2) / 2
+        a_poly = alpha(D0, D1, D2)
         for d in sample_napoleonic_d(50, seed=50):
             dv = d.as_tuple()
             a = float(a_poly.evaluate(dv))
@@ -147,13 +166,13 @@ class TestRotationQuadratic:
 
     def test_single_variable_limit_point(self):
         point = (1, 0, 0)
-        assert condition_polynomial().evaluate(point) == 1
+        assert condition(D0, D1, D2).evaluate(point) == 1
         s, y, z = 1, -2, 0
         assert Fraction(2, 3) * s**2 + Fraction(1, 12) * y**2 + Fraction(1, 4) * z**2 == 1
 
     def test_evaluation_at_known_napoleonic_d(self):
         df = tuple(math.sqrt(2.0) / 5.0 * k for k in (1, 2, 3))
-        assert float(condition_polynomial().evaluate(df)) == pytest.approx(2.0, abs=1e-14)
+        assert float(condition(D0, D1, D2).evaluate(df)) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_verify_all_passes():
@@ -164,6 +183,6 @@ def test_verify_all_passes():
 
 
 def test_polynomial_repr_is_readable():
-    text = repr(condition_polynomial() - 2)
+    text = repr(condition(D0, D1, D2) - 2)
     assert "d0" in text and "d1" in text and "d2" in text
     assert repr(ONE - ONE) == "0"

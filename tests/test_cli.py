@@ -289,6 +289,50 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"vertices": [[NaN, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+            '{"vertices": [[1e400, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+            '{"vertices": [[1e200, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+            '{"vertices": [[true, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+            '{"d": [0.5, 0.5, "0.5"]}',
+            '{"d": [Infinity, 0.5, 0.5]}',
+            '{"d": [1' + "0" * 400 + ', 0.5, 0.5]}',
+            '{"d": [0.5, 0.5, 0.5], "vertices": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+            "[" * 100000,
+            b'\xff{"d": [0.5, 0.5, 0.5]}',
+        ],
+        ids=["vertex-nan", "vertex-overflow", "vertex-norm-overflow", "vertex-boolean", "d-string",
+             "d-infinity", "d-huge-integer", "d-and-vertices", "deep-nesting", "not-utf8"],
+    )
+    def test_malformed_document_exit_1(self, tmp_path, capsys, text):
+        path = tmp_path / "input.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        code, out, err = _run(capsys, ["classify", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify", None, "--bogus"], ["sample", "--count", "x"], ["napoleonise", None, "--tol", "1e-9"], []],
+        ids=["unknown-flag", "non-integer-count", "napoleonise-tol", "no-command"],
+    )
+    def test_usage_error_exit_1(self, tmp_path, capsys, argv):
+        path = _write(tmp_path, _vertices_doc(NAPOLEONIC_VERTICES))
+        code, out, err = _run(capsys, [path if a is None else a for a in argv])
+        assert code == 1
+        assert out == ""
+        assert "error: " in err
+
+    def test_help_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--help"])
+        assert exc.value.code == 0
+        assert "--count" in capsys.readouterr().out
+
     def test_zero_tolerance_accepted(self, tmp_path, capsys):
         path = _write(tmp_path, _vertices_doc(NAPOLEONIC_VERTICES))
         code, out, _ = _run(capsys, ["search", path, "--tol", "0"])

@@ -52,6 +52,18 @@ def test_golden_stdout(case, monkeypatch):
         assert abs(m["residual"] - r["residual"]) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "case",
+    [c for c in CASES if c["argv"][0] in ("napoleonise", "sample", "verify-identities")],
+    ids=lambda c: c["name"],
+)
+def test_tolerance_env_read_only_by_classify_and_search(case, monkeypatch):
+    monkeypatch.setenv("NAPOLEON_TOL", "nan")
+    code, got = _run(case)
+    assert code == case["exit"]
+    assert got == (GOLDEN / f"{case['name']}.out").read_bytes()
+
+
 if __name__ == "__main__":
     for case in CASES:
         code, out = _run(case)
