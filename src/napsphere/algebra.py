@@ -127,7 +127,7 @@ class RationalPolynomial:
     def __truediv__(self, other) -> "RationalPolynomial":
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self.scale(1 / Fraction(other))
+        return self * (1 / Fraction(other))
 
     def __pow__(self, n: int) -> "RationalPolynomial":
         if n < 0:
@@ -136,10 +136,6 @@ class RationalPolynomial:
         for _ in range(n):
             result = result * self
         return result
-
-    def scale(self, c: Scalar) -> "RationalPolynomial":
-        q = Fraction(c)
-        return RationalPolynomial({e: q * v for e, v in self.coeffs.items()})
 
     # -- queries ----------------------------------------------------------
 
@@ -154,9 +150,6 @@ class RationalPolynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.coeffs), default=0)
 
     def evaluate(self, d: Iterable) -> "Fraction | float":
         """Evaluate at a point; exact when given Fractions/ints."""
@@ -291,7 +284,7 @@ def verify_sum_of_squares() -> IdentityCheck:
     d0^2 + d1^2 + d2^2 + d0 d1 + d1 d2 + d2 d0."""
     t1 = D0 + D1 / 2 + D2 / 2
     t2 = D1 + D2 / 3
-    lhs = t1 * t1 + (t2 * t2).scale(Fraction(3, 4)) + (D2 * D2).scale(Fraction(2, 3))
+    lhs = t1 * t1 + t2 * t2 * Fraction(3, 4) + D2 * D2 * Fraction(2, 3)
     return _check("positive-definite form of the condition", lhs, condition(D0, D1, D2))
 
 
@@ -325,9 +318,9 @@ def verify_rotation_quadratic() -> IdentityCheck:
     Z^2/2 = (d2-d1)^2 / 4.
     """
     s = D0 + D1 + D2
-    y = D1 + D2 - D0.scale(2)
+    y = D1 + D2 - D0 * 2
     z = D2 - D1
-    lhs = (s * s).scale(Fraction(2, 3)) + (y * y).scale(Fraction(1, 12)) + (z * z).scale(Fraction(1, 4))
+    lhs = s * s * Fraction(2, 3) + y * y / 12 + z * z / 4
     return _check("rotated-frame quadric identity", lhs, condition(D0, D1, D2))
 
 

@@ -73,11 +73,18 @@ def _read_input(path: str) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise _BadInput(f"cannot read input: {exc}")
     try:
-        doc = json.loads(text, parse_int=float)  # an integer beyond the float range becomes inf
+        doc = json.loads(text, parse_int=float, object_pairs_hook=_unique_keys)  # a huge integer becomes inf
     except (json.JSONDecodeError, RecursionError) as exc:
         raise _BadInput(f"input is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise _BadInput("input must be a JSON object")
+    return doc
+
+
+def _unique_keys(pairs: list) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        raise _BadInput("a key repeats within one JSON object")
     return doc
 
 
@@ -148,21 +155,12 @@ def _napoleonisation_dict(t: SphericalTriangle, res: NapoleonisationResult) -> d
     }
 
 
-def _point_cloud_csv(t: SphericalTriangle, res: NapoleonisationResult) -> str:
-    lines = ["kind,index,x,y,z"]
-
-    def row(kind: str, index: int, v) -> None:
-        lines.append(f"{kind},{index},{float(v[0])!r},{float(v[1])!r},{float(v[2])!r}")
-
-    for i, p in enumerate(t.vertices):
-        row("P", i, p)
-    for i, q in enumerate(res.apexes):
-        row("Q", i, q)
-    for i, r in enumerate(res.centroids):
-        row("R", i, r)
-    row("barycentre", 0, barycentre(*t.vertices))
-    row("barycentre", 1, barycentre(*res.centroids))
-    return "\n".join(lines) + "\n"
+def _point_cloud_csv(doc: dict) -> str:
+    """The points of a :func:`_napoleonisation_dict` as CSV rows."""
+    groups = {"P": doc["vertices"], "Q": doc["apexes"], "R": doc["centroids"]}
+    groups["barycentre"] = [doc["barycentre"], doc["napoleon_barycentre"]]
+    rows = [f"{kind},{i},{x!r},{y!r},{z!r}" for kind, pts in groups.items() for i, (x, y, z) in enumerate(pts)]
+    return "\n".join(["kind,index,x,y,z", *rows]) + "\n"
 
 
 def _report_dict(report: ClassificationReport) -> dict:
@@ -189,11 +187,11 @@ def cmd_napoleonise(args) -> int:
         signs = SignVector.parse(args.signs)
     except ValueError as exc:
         raise _BadInput(str(exc))
-    res = napoleonise(t, signs)
+    doc = _napoleonisation_dict(t, napoleonise(t, signs))
     if args.format == "csv":
-        sys.stdout.write(_point_cloud_csv(t, res))
+        sys.stdout.write(_point_cloud_csv(doc))
     else:
-        print(_dump(_napoleonisation_dict(t, res)))
+        print(_dump(doc))
     return EXIT_OK
 
 
@@ -209,30 +207,22 @@ def cmd_sample(args) -> int:
     if args.count < 1 or args.seed < 0:
         raise _BadInput("--count must be >= 1 and --seed >= 0")
     samples, attempts = sample_napoleonic_d_with_attempts(args.count, args.seed)
+    rows = []
+    for d in samples:
+        xyz = d_to_xyz(d)
+        entry = {"d": list(d.as_tuple()), "xyz": list(xyz.as_tuple()), "condition_value": xyz.quadric_value()}
+        if args.realize:
+            entry["vertices"] = [_vec(p) for p in realize(d).vertices]
+        rows.append(entry)
     if args.format == "csv":
         header = "d0,d1,d2,X,Y,Z"
         if args.realize:
             header += "," + ",".join(f"p{i}{ax}" for i in range(3) for ax in "xyz")
         print(header)
-        for d in samples:
-            xyz = d_to_xyz(d)
-            cells = [repr(v) for v in (*d.as_tuple(), *xyz.as_tuple())]
-            if args.realize:
-                t = realize(d)
-                cells += [repr(float(x)) for p in t.vertices for x in p]
-            print(",".join(cells))
+        for entry in rows:
+            cells = [*entry["d"], *entry["xyz"], *(x for p in entry.get("vertices", ()) for x in p)]
+            print(",".join(map(repr, cells)))
         return EXIT_OK
-    rows = []
-    for d in samples:
-        xyz = d_to_xyz(d)
-        entry = {
-            "d": list(d.as_tuple()),
-            "xyz": list(xyz.as_tuple()),
-            "condition_value": xyz.quadric_value(),
-        }
-        if args.realize:
-            entry["vertices"] = [_vec(p) for p in realize(d).vertices]
-        rows.append(entry)
     print(
         _dump(
             {

@@ -1,8 +1,8 @@
 """Elementary 3-vector and unit-sphere primitives.
 
 All functions are pure and operate on length-3 ``numpy`` arrays (or anything
-convertible).  Points of the unit sphere are plain arrays validated once by
-:func:`unit_vector`; no per-operation re-normalisation is performed.
+convertible), most also on 3-vectors stacked on the last axis.  Points of the
+unit sphere are plain arrays, validated once by :func:`unit_vector` and never re-normalised.
 """
 
 from __future__ import annotations
@@ -40,28 +40,36 @@ _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
 
 
+def _first(flags) -> int | None:
+    """Index of the first true entry of *flags* (one or stacked), or None."""
+    flags = np.asarray(flags).ravel()
+    i = int(flags.argmax())
+    return i if flags[i] else None
+
+
 def vector3(v) -> Vector3:
-    """Coerce *v* to a float array of shape (3,), requiring finite entries."""
+    """Coerce *v* to a float array of 3-vectors (stacked on the last axis), requiring finite entries."""
     a = np.asarray(v, dtype=float)
-    if a.shape != (3,):
+    if a.shape[-1:] != (3,):
         raise ValueError(f"expected 3 components, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("vector components must be finite")
     return a
 
 
 def unit_vector(v) -> UnitVector:
-    """Validate *v* as a point of the unit sphere and re-normalise it once.
+    """Validate *v* as a point (or stack of points) of the unit sphere and re-normalise it once.
 
-    Raises ``ValueError`` when the squared norm deviates from 1 by more than
+    Raises ``ValueError`` when a squared norm deviates from 1 by more than
     ``UNIT_NORM_TOL``.  Callers that accept unnormalised input (e.g. the CLI)
     should call :func:`normalize` first.
     """
     a = vector3(v)
-    nsq = float(a @ a)
-    if abs(nsq - 1.0) > UNIT_NORM_TOL:
-        raise ValueError(f"not a unit vector: |v|^2 = {nsq!r}")
-    return a / math.sqrt(nsq)
+    nsq = dot(a, a)
+    i = _first(np.abs(nsq - 1.0) > UNIT_NORM_TOL)
+    if i is not None:
+        raise ValueError(f"not a unit vector: |v|^2 = {float(np.ravel(nsq)[i])!r}")
+    return a / np.sqrt(nsq)[..., None]
 
 
 def norm(v) -> float:
@@ -71,15 +79,15 @@ def norm(v) -> float:
 
 
 def normalize(v) -> UnitVector:
-    """Unit vector in the direction of *v*.
+    """Unit vector in the direction of *v* (of each vector stacked on the last axis).
 
-    Raises :class:`DegenerateError` when the norm is below 1e-12.
+    Raises :class:`DegenerateError` when a norm is below 1e-12.
     """
     a = vector3(v)
-    n = float(np.linalg.norm(a))
-    if n < 1e-12:
+    n = np.sqrt(dot(a, a))
+    if _first(n < 1e-12) is not None:
         raise DegenerateError("cannot normalise a (near-)zero vector")
-    return a / n
+    return a / n[..., None]
 
 
 def dot(a, b):
@@ -88,7 +96,7 @@ def dot(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim == b.ndim == 1:
-        return float(a @ b)
+        return float(a.dot(b))
     return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 

@@ -77,4 +77,4 @@ class SeedExhaustedError(NapsphereError):
 
 
 class BoundaryConditioningWarning(UserWarning):
-    """Edge inner product within 1e-6 of -1/2: results are ill-conditioned."""
+    """Edge inner product within ``BOUNDARY_BAND`` of -1/2: results are ill-conditioned."""

@@ -18,19 +18,21 @@ caller supplied to ``new_triangle``.  When the constructor swapped two
 vertices to normalise orientation, the signs are remapped internally
 (negate all three and exchange the entries opposite the swapped vertices)
 so the construction is anchored to the caller's labelling.
+
+Single edges and their signs are admitted in :mod:`napsphere.triangle`, by the
+rule ``new_triangle`` applies; only :class:`SignVector` checks signs here.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra
 from .core import _NEXT, UnitVector, cross, dot
-from .errors import BoundaryConditioningWarning, DegenerateError, TooWideError
-from .triangle import SQRT3, SideParameters, SphericalTriangle, _opposite_edges
+from .triangle import BOUNDARY_BAND, SQRT3, SideParameters, SphericalTriangle
+from .triangle import _edge_inner, _near_boundary, _opposite_edges
 
 __all__ = [
     "BOUNDARY_BAND",
@@ -43,11 +45,6 @@ __all__ = [
     "napoleonise",
     "centroid_inner_closed_form",
 ]
-
-# Edges with <a,b> in (-1/2, -1/2 + BOUNDARY_BAND] are admissible but
-# numerically ill-conditioned; constructions on them emit a warning.
-BOUNDARY_BAND = 1e-6
-
 
 @dataclass(frozen=True)
 class SignVector:
@@ -136,27 +133,6 @@ class NapoleonisationResult:
         return min(self.rr01, self.rr12, self.rr20) > 1.0 - 1e-9
 
 
-def _check_edge(a, b, eps: int) -> float:
-    """Validate a sign and an edge for apex construction; return the edge's inner product."""
-    if eps not in (-1, +1):
-        raise ValueError("eps must be -1 or +1")
-    c = dot(a, b)
-    if float(np.linalg.norm(np.asarray(a) - np.asarray(b))) <= 1e-9:
-        raise DegenerateError("apex undefined: endpoints coincide")
-    if float(np.linalg.norm(np.asarray(a) + np.asarray(b))) <= 1e-9:
-        raise DegenerateError("apex undefined: endpoints are antipodal")
-    if c <= -0.5:
-        raise TooWideError(f"no equilateral triangle on edge with inner product {c!r} <= -1/2")
-    if c <= -0.5 + BOUNDARY_BAND:
-        warnings.warn(
-            f"edge inner product {c!r} is within {BOUNDARY_BAND:g} of -1/2; "
-            "apex and centroid are ill-conditioned",
-            BoundaryConditioningWarning,
-            stacklevel=3,
-        )
-    return c
-
-
 def _construct(a, b, eps):
     """Apexes, centroids and inner products of stacked admissible edges (a, b)
     with one sign each; every edge of a stack comes out bit for bit as alone."""
@@ -177,7 +153,7 @@ def apex(a, b, eps: int) -> UnitVector:
     The result Q is a unit vector with <Q,a> = <Q,b> = <a,b>; ``eps=+1``
     places it on the positive side of a x b, ``eps=-1`` on the negative side.
     """
-    _check_edge(a, b, eps)
+    _edge_inner(a, b, eps)
     return _construct(a, b, eps)[0]
 
 
@@ -187,7 +163,7 @@ def edge_centroid(a, b, eps: int) -> UnitVector:
     Equals ``barycentre(a, b, apex(a, b, eps))`` but is evaluated in closed
     form.
     """
-    _check_edge(a, b, eps)
+    _edge_inner(a, b, eps)
     return _construct(a, b, eps)[1]
 
 
@@ -203,14 +179,7 @@ def napoleonise(t: SphericalTriangle, s: SignVector) -> NapoleonisationResult:
     """
     eff = s.oriented(t.orientation_swapped)
     q, r, c = _construct(*_opposite_edges(np.array(t.vertices)), eff.as_tuple())
-    near = bool((c <= -0.5 + BOUNDARY_BAND).any())
-    if near:
-        warnings.warn(
-            "some edge inner product is within 1e-6 of -1/2; result is ill-conditioned",
-            BoundaryConditioningWarning,
-            stacklevel=2,
-        )
-
+    near = _near_boundary(c, stacklevel=2)
     rr01, rr12, rr20 = dot(r, r.take(_NEXT, 0)).tolist()
     residual = max(abs(rr01 - rr12), abs(rr12 - rr20), abs(rr20 - rr01))
     return NapoleonisationResult(

@@ -23,8 +23,8 @@ import numpy as np
 
 from .core import _NEXT, UnitVector, barycentre, cross, dot
 from .errors import NapsphereError
-from .napoleon import SignVector, _check_edge
-from .triangle import SphericalTriangle, _opposite_edges, new_triangle
+from .napoleon import SignVector
+from .triangle import SphericalTriangle, _edge_inner, _opposite_edges, new_triangle
 
 __all__ = [
     "apex_by_rotation",
@@ -53,7 +53,7 @@ def apex_by_rotation(a, b, eps: int) -> UnitVector:
     Raises the same errors as the closed-form construction and degrades (with
     a conditioning warning) near the width boundary.
     """
-    c = _check_edge(a, b, eps)
+    c = _edge_inner(a, b, eps)
     return _rotate(np.asarray(b, dtype=float), np.asarray(a, dtype=float), eps * math.acos(c / (1.0 + c)))
 
 

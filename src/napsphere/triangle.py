@@ -8,6 +8,10 @@ constructor normalises orientation: if the scalar triple product of the
 vertices is negative, the second and third vertices are swapped (recorded in
 ``orientation_swapped``) so that the stored ``chi`` is always positive.
 
+The coincident/antipodal (``DEGENERACY_TOL``), width and ill-conditioned band
+(``BOUNDARY_BAND``) tests are one function each here, shared by :func:`new_triangle`
+and the single-edge constructions; the unit-norm test is ``core.unit_vector``.
+
 Each edge is encoded by a side parameter ``d_i = sqrt(1 + 2<p_{i+1}, p_{i+2}>)``
 in (0, sqrt(3)), a monotone function of the length of the edge opposite
 vertex ``i``.  The quantities ``alpha`` and ``chi_squared`` derived from the
@@ -18,16 +22,18 @@ triple product of the vertices.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra
-from .core import _NEXT, _PREV, UNIT_NORM_TOL, UnitVector, dot, triple, unit_vector
-from .errors import CogeodesicError, DegenerateError, OutOfRangeError, TooWideError
+from .core import _NEXT, _PREV, UnitVector, _first, dot, triple, unit_vector
+from .errors import BoundaryConditioningWarning, CogeodesicError, DegenerateError, OutOfRangeError, TooWideError
 
 __all__ = [
     "DEGENERACY_TOL",
+    "BOUNDARY_BAND",
     "SQRT3",
     "SphericalTriangle",
     "SideParameters",
@@ -40,6 +46,10 @@ __all__ = [
 # Tolerance for distinctness / antipodality / cogeodesy checks, matching the
 # unit-norm tolerance scale of core.unit_vector.
 DEGENERACY_TOL = 1e-9
+
+# Edges with <a,b> in (-1/2, -1/2 + BOUNDARY_BAND] are admissible but
+# numerically ill-conditioned; constructions on them emit a warning.
+BOUNDARY_BAND = 1e-6
 
 SQRT3 = math.sqrt(3.0)
 
@@ -100,46 +110,75 @@ def _opposite_edges(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v.take(_NEXT, -2), v.take(_PREV, -2)
 
 
-def _unit_rows(points) -> np.ndarray:
-    """The three points as rows of one array, checked and re-normalised like
-    ``unit_vector``, which raises its own error for the first bad point."""
-    try:
-        v = np.array(points, dtype=float)
-        nsq = dot(v, v) if v.shape == (3, 3) and np.isfinite(v).all() else None
-    except (TypeError, ValueError):
-        nsq = None
-    if nsq is None or (np.abs(nsq - 1.0) > UNIT_NORM_TOL).any():
-        return np.array([unit_vector(p) for p in points])
-    return v / np.sqrt(nsq)[:, None]
+def _reject_degenerate(a, b, message) -> None:
+    """Raise :class:`DegenerateError` with ``message(i, how)`` for the first
+    stacked pair (a[i], b[i]) that coincides or is antipodal (coincidence first)."""
+    coincide = np.sqrt(dot(a - b, a - b)) <= DEGENERACY_TOL
+    antipodal = np.sqrt(dot(a + b, a + b)) <= DEGENERACY_TOL
+    if _first(coincide | antipodal) is not None:
+        i, anti = divmod(_first(np.stack((coincide, antipodal), axis=-1)), 2)
+        raise DegenerateError(message(i, "are antipodal" if anti else "coincide"))
+
+
+def _reject_too_wide(c, message) -> None:
+    """Raise :class:`TooWideError` with ``message(i, c_i)`` for the first edge
+    inner product c_i <= -1/2 of *c* (one or stacked)."""
+    i = _first(c <= -0.5)
+    if i is not None:
+        raise TooWideError(message(i, float(np.ravel(c)[i])))
+
+
+def _near_boundary(c, stacklevel: int) -> bool:
+    """Whether some edge inner product of *c* lies in the ill-conditioned band;
+    if so, warn with *stacklevel* counted from the caller, as in ``warnings.warn``."""
+    near = _first(c <= -0.5 + BOUNDARY_BAND) is not None
+    if near:
+        warnings.warn(
+            f"edge inner product {float(np.min(c))!r} is within {BOUNDARY_BAND:g} of -1/2; "
+            "apex and centroid are ill-conditioned",
+            BoundaryConditioningWarning,
+            stacklevel=stacklevel + 1,
+        )
+    return near
+
+
+def _edge_inner(a, b, eps: int) -> float:
+    """Inner product of one edge (a, b) given from outside the package, for a
+    construction with sign *eps*: checks the sign, one 3-vector per endpoint and
+    :func:`new_triangle`'s rule for edges; warns for the caller's caller."""
+    if eps not in (-1, +1):
+        raise ValueError("eps must be -1 or +1")
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != (3,) or b.shape != (3,):
+        raise ValueError(f"expected two 3-component points, got shapes {a.shape} and {b.shape}")
+    _reject_degenerate(a, b, lambda i, how: f"apex undefined: endpoints {how}")
+    c = dot(a, b)
+    _reject_too_wide(c, lambda i, ci: f"no equilateral triangle on edge with inner product {ci!r} <= -1/2")
+    _near_boundary(c, stacklevel=3)
+    return c
 
 
 def new_triangle(p0, p1, p2) -> SphericalTriangle:
     """Validate three unit vectors as a spherical triangle.
 
-    Raises :class:`DegenerateError` for coincident or antipodal vertices,
+    Raises ``ValueError`` for a point that is not a finite unit 3-vector,
+    :class:`DegenerateError` for coincident or antipodal vertices,
     :class:`CogeodesicError` when the triple product vanishes within
     tolerance, and :class:`TooWideError` when some edge has inner product
     <= -1/2.  If the raw triple product is negative, ``p1`` and ``p2`` are
     swapped so the stored orientation has positive triple product.
     """
-    v = _unit_rows((p0, p1, p2))
-
-    # pair i is (v[i], v[i+1]); first failing (pair, coincide/antipodal) wins
-    w = v.take(_NEXT, 0)
-    gaps = np.stack((v - w, v + w), axis=1)
-    close = np.sqrt(dot(gaps, gaps)).ravel() <= DEGENERACY_TOL
-    if close.any():
-        i, antipodal = divmod(int(close.argmax()), 2)
-        raise DegenerateError(f"vertices {i} and {(i + 1) % 3} {'are antipodal' if antipodal else 'coincide'}")
+    v = unit_vector((p0, p1, p2))
+    if v.ndim != 2:
+        raise ValueError(f"expected three 3-component points, got shape {v.shape}")
+    _reject_degenerate(v, v.take(_NEXT, 0), lambda i, how: f"vertices {i} and {(i + 1) % 3} {how}")
 
     t = triple(*v)
     if abs(t) <= DEGENERACY_TOL:
         raise CogeodesicError("vertices lie on a common great circle")
 
     c = dot(*_opposite_edges(v))
-    if (c <= -0.5).any():
-        i = int((c <= -0.5).argmax())
-        raise TooWideError(f"edge opposite vertex {i} has inner product {float(c[i])!r} <= -1/2")
+    _reject_too_wide(c, lambda i, ci: f"edge opposite vertex {i} has inner product {ci!r} <= -1/2")
 
     swapped = t < 0.0
     if swapped:

@@ -34,7 +34,7 @@ class TestRingOperations:
 
     def test_alpha_polynomial_structure(self):
         # 2 alpha = d0^2 + d1^2 + d2^2 - 1
-        two_alpha = alpha(D0, D1, D2).scale(2)
+        two_alpha = alpha(D0, D1, D2) * 2
         expected = D0 * D0 + D1 * D1 + D2 * D2 - 1
         assert two_alpha == expected
 
@@ -70,9 +70,9 @@ class TestRingOperations:
         assert condition(D0, D1, D2).evaluate(point) == cond
 
     def test_power_and_scale(self):
-        assert (D0 + 1) ** 2 == D0 * D0 + D0.scale(2) + 1
-        assert (D1.scale(Fraction(3, 2))).evaluate((0, 2, 0)) == 3
-        assert (D0 + 1) / 2 == (D0 + 1).scale(Fraction(1, 2))
+        assert (D0 + 1) ** 2 == D0 * D0 + D0 * 2 + 1
+        assert (D1 * Fraction(3, 2)).evaluate((0, 2, 0)) == 3
+        assert (D0 + 1) / 2 == (D0 + 1) * Fraction(1, 2)
         with pytest.raises(TypeError):
             D0 / 2.0
 

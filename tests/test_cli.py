@@ -302,9 +302,10 @@ class TestErrors:
             '{"d": [0.5, 0.5, 0.5], "vertices": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}',
             "[" * 100000,
             b'\xff{"d": [0.5, 0.5, 0.5]}',
+            '{"d": [5, 5, 5], "d": [0.5, 0.6, 0.7]}',
         ],
         ids=["vertex-nan", "vertex-overflow", "vertex-norm-overflow", "vertex-boolean", "d-string",
-             "d-infinity", "d-huge-integer", "d-and-vertices", "deep-nesting", "not-utf8"],
+             "d-infinity", "d-huge-integer", "d-and-vertices", "deep-nesting", "not-utf8", "repeated-key"],
     )
     def test_malformed_document_exit_1(self, tmp_path, capsys, text):
         path = tmp_path / "input.json"

@@ -1,7 +1,8 @@
 """Hypothesis fuzz of the CLI, in process through ``napsphere.cli.main``.
 
 Whatever the input document, flags and ``NAPOLEON_TOL``, a call returns exit
-0, 1 or 2 and raises nothing.  Stdout is empty on exit 1, the
+0, 1 or 2 and raises nothing; a document that repeats a key exits 1 from every
+subcommand that reads one.  Stdout is empty on exit 1, the
 ``{"error": {"kind", "message"}}`` document on exit 2, and on exit 0 strict
 JSON (no ``NaN``/``Infinity`` constants), the documented CSV, or the
 ``verify-identities`` report.
@@ -53,11 +54,15 @@ members = st.one_of(
     st.tuples(st.just("d"), side_parameters),
     st.tuples(st.text(max_size=3), scalars),
 )
+# (document text, whether its top-level object repeats a key)
 documents = _mostly(
     st.lists(members, min_size=1, max_size=2).map(
-        lambda kv: "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in kv) + "}"
+        lambda kv: (
+            "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in kv) + "}",
+            len({k for k, _ in kv}) < len(kv),
+        )
     ),
-    st.one_of(wrong_shapes.map(json.dumps), st.text(max_size=30)),
+    st.one_of(wrong_shapes.map(json.dumps), st.text(max_size=30)).map(lambda text: (text, False)),
 )
 
 
@@ -109,10 +114,12 @@ def _check_csv(text: str, header: str) -> None:
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
-@given(command=commands, doc=documents, env_tol=st.none() | tolerances.filter(lambda v: "\x00" not in v))
-def test_cli_never_escapes_its_contract(command, doc, env_tol):
+@given(command=commands, document=documents, env_tol=st.none() | tolerances.filter(lambda v: "\x00" not in v))
+def test_cli_never_escapes_its_contract(command, document, env_tol):
     name, flags = command
-    argv = [name] + (["-"] if name in ("napoleonise", "classify", "search") else [])
+    doc, repeats_key = document
+    reads_input = name in ("napoleonise", "classify", "search")
+    argv = [name] + (["-"] if reads_input else [])
     argv += [f"{flag}={value}" if value is not None else flag for flag, value in flags.items()]
     out, err = io.StringIO(), io.StringIO()
     saved_stdin, saved_env = sys.stdin, os.environ.pop("NAPOLEON_TOL", None)
@@ -129,6 +136,8 @@ def test_cli_never_escapes_its_contract(command, doc, env_tol):
             os.environ["NAPOLEON_TOL"] = saved_env
     text = out.getvalue()
     assert code in (0, 1, 2)
+    if repeats_key and reads_input:
+        assert code == 1
     if code == 1:
         assert text == ""
         assert "error: " in err.getvalue()

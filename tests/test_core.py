@@ -140,6 +140,14 @@ class TestUnitVector:
         with pytest.raises(ValueError):
             unit_vector((1.1, 0.0, 0.0))
 
+    def test_stacked_points_match_one_at_a_time(self):
+        v = _unit_vectors(np.random.default_rng(5), 4) * (1.0 + 1e-10)
+        assert np.array_equal(unit_vector(v), np.array([unit_vector(p) for p in v]))
+        assert np.array_equal(normalize(v * 3.0), np.array([normalize(p) for p in v * 3.0]))
+        v[2] *= 1.1
+        with pytest.raises(ValueError, match="not a unit vector"):
+            unit_vector(v)
+
 
 @given(raw_vectors, raw_vectors)
 @settings(max_examples=200, deadline=None)

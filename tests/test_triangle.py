@@ -6,11 +6,18 @@ import numpy as np
 import pytest
 
 from napsphere import (
+    OUTWARD,
+    BoundaryConditioningWarning,
     CogeodesicError,
     DegenerateError,
+    NapsphereError,
     TooWideError,
     alpha,
+    apex,
+    apex_by_rotation,
     chi_squared,
+    edge_centroid,
+    napoleonise,
     new_triangle,
     side_parameters,
     triple,
@@ -19,6 +26,15 @@ from napsphere.oracle import random_triangles
 from napsphere.triangle import SQRT3, SideParameters
 
 from conftest import NAPOLEONIC_D, SCALENE_VERTICES, equilateral_vertices
+
+EX = np.array([1.0, 0.0, 0.0])
+EZ = np.array([0.0, 0.0, 1.0])
+BAND_TEXT = r"edge inner product -0\.49999\d* is within 1e-06 of -1/2; apex and centroid are ill-conditioned"
+
+
+def _edge_at(c):
+    """An edge from (1, 0, 0) whose endpoints have inner product *c*."""
+    return EX, np.array([c, math.sqrt(1.0 - c * c), 0.0])
 
 
 class TestNewTriangle:
@@ -53,12 +69,75 @@ class TestNewTriangle:
         assert np.allclose(t.p1, SCALENE_VERTICES[2])
         assert np.allclose(t.p2, SCALENE_VERTICES[1])
 
+    @pytest.mark.parametrize(
+        "point",
+        [(0.0, 1.1, 0.0), (0.0, 1.0), (0.0, math.nan, 1.0), None],
+        ids=["non-unit", "two-components", "nan", "none"],
+    )
+    def test_malformed_point_rejected(self, point):
+        with pytest.raises(ValueError) as exc:
+            new_triangle(EX, point, EZ)
+        assert not isinstance(exc.value, NapsphereError)
+
+    @pytest.mark.parametrize(
+        "points",
+        [(EX, [[0.0, 1.0, 0.0]], EZ), ([EX], [EZ], [[0.0, 1.0, 0.0]]), (1.0, 0.0, 0.0)],
+        ids=["one-nested", "all-nested", "scalars"],
+    )
+    def test_points_of_wrong_shape_rejected(self, points):
+        with pytest.raises(ValueError) as exc:
+            new_triangle(*points)
+        assert not isinstance(exc.value, NapsphereError)
+
     def test_revalidation_is_idempotent(self, napoleonic_triangle):
         t2 = new_triangle(*napoleonic_triangle.vertices)
         assert not t2.orientation_swapped
         for a, b in zip(t2.vertices, napoleonic_triangle.vertices):
             assert np.allclose(a, b, atol=1e-15)
         assert t2.chi == pytest.approx(napoleonic_triangle.chi, abs=1e-15)
+
+
+@pytest.mark.parametrize("construction", [apex, edge_centroid, apex_by_rotation])
+class TestSingleEdgeRule:
+    """The single-edge constructions admit an edge by new_triangle's rule."""
+
+    @pytest.mark.parametrize(
+        "edge, error",
+        [((EX, EX), DegenerateError), ((EX, -EX), DegenerateError), (_edge_at(-0.5), TooWideError)],
+        ids=["coincident", "antipodal", "too-wide"],
+    )
+    def test_rejected_with_new_triangles_kind(self, construction, edge, error):
+        with pytest.raises(error):
+            construction(*edge, -1)
+        with pytest.raises(error):
+            new_triangle(*edge, EZ)
+
+    def test_boundary_band_warns_the_caller(self, construction):
+        a, b = _edge_at(-0.5 + 1e-7)
+        with pytest.warns(BoundaryConditioningWarning, match=BAND_TEXT) as record:
+            construction(a, b, -1)
+        assert [w.filename for w in record if w.category is BoundaryConditioningWarning] == [__file__]
+        new_triangle(a, b, EZ)  # admissible
+
+    @pytest.mark.parametrize(
+        "edge",
+        [(np.eye(3)[:2], np.eye(3)[1:]), ((1.0, 0.0), (0.0, 1.0)), ([EX], EZ)],
+        ids=["stack-of-edges", "2-component", "nested"],
+    )
+    def test_one_edge_only(self, construction, edge):
+        with pytest.raises(ValueError, match="3-component"):
+            construction(*edge, 1)
+
+    def test_sign_checked(self, construction):
+        with pytest.raises(ValueError, match="eps"):
+            construction(EX, EZ, 0)
+
+
+def test_napoleonise_band_warning_matches_single_edge():
+    t = new_triangle(*_edge_at(-0.5 + 1e-7), EZ)
+    with pytest.warns(BoundaryConditioningWarning, match=BAND_TEXT) as record:
+        assert napoleonise(t, OUTWARD).near_boundary
+    assert [w.filename for w in record if w.category is BoundaryConditioningWarning] == [__file__]
 
 
 class TestSideParameters:
