@@ -5,10 +5,11 @@ centroid inner-product bracket are each defined once here, with ring
 operations and integer constants only.  The float path (classifier, sampler,
 closed forms) calls them on floats and NumPy arrays and relies on the
 evaluation order written here; the ``verify_*`` checks call them on
-:class:`RationalPolynomial` arguments, sparse ``{(i, j, k): Fraction}`` maps
-for the monomials d0^i d1^j d2^k.  So the identities are proved for the
-expressions the classifier evaluates, and a ``True`` is still an exact,
-coefficient-by-coefficient proof, with no floating point involved.
+:class:`RationalPolynomial` arguments, integer numerators ``{(i, j, k): int}``
+for the monomials d0^i d1^j d2^k over one common denominator.  So the
+identities are proved for the expressions the classifier evaluates, and a
+``True`` is still an exact, coefficient-by-coefficient proof, with no
+floating point involved.
 
 The quantity chi (the triangle's triple product) enters these identities
 only through its square, which is a polynomial in d; the one identity that
@@ -18,6 +19,7 @@ involves bare chi is verified after substituting the relation
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -49,64 +51,71 @@ Scalar = Union[int, Fraction]
 
 
 class RationalPolynomial:
-    """Sparse multivariate polynomial in d0, d1, d2 with Fraction coefficients.
+    """Sparse multivariate polynomial in d0, d1, d2 with rational coefficients.
 
-    Immutable in practice: all arithmetic returns new instances, zero
-    coefficients are never stored, and coefficients are canonical reduced
-    fractions (``fractions.Fraction`` guarantees this).
+    Stored as integer numerators ``{(i, j, k): int}`` over one positive common
+    denominator, in lowest terms and without zero numerators, so equal
+    polynomials have equal representations.  Arithmetic runs on Python ints
+    with one gcd reduction per result (Knuth, TAOCP Vol. 2, 4.5.1).  Immutable
+    in practice: all arithmetic returns new instances.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Mapping[Exponents, Scalar] | None = None):
-        cleaned: dict[Exponents, Fraction] = {}
-        if coeffs:
-            for exps, c in coeffs.items():
-                q = Fraction(c)
-                if q != 0:
-                    cleaned[tuple(int(e) for e in exps)] = q
-        self.coeffs = cleaned
+        fracs = {tuple(int(e) for e in exps): q for exps, c in (coeffs or {}).items() if (q := Fraction(c))}
+        # Over the lcm of reduced denominators the numerators share no factor with it.
+        self._den = math.lcm(*(q.denominator for q in fracs.values()))
+        self._num = {e: q.numerator * (self._den // q.denominator) for e, q in fracs.items()}
 
-    # -- constructors ----------------------------------------------------
+    @classmethod
+    def _make(cls, num: dict[Exponents, int], den: int) -> "RationalPolynomial":
+        """Trusted constructor: num/den (den > 0) in lowest terms, without zero numerators."""
+        num = {e: n for e, n in num.items() if n}
+        g = math.gcd(den, *num.values())
+        p = object.__new__(cls)
+        p._num, p._den = ({e: n // g for e, n in num.items()} if g != 1 else num), den // g
+        return p
+
+    @property
+    def coeffs(self) -> dict[Exponents, Fraction]:
+        """The coefficients, as a fresh ``{exponents: Fraction}`` map."""
+        return {e: Fraction(n, self._den) for e, n in self._num.items()}
 
     @classmethod
     def constant(cls, c: Scalar) -> "RationalPolynomial":
-        return cls({(0, 0, 0): Fraction(c)})
+        return cls({(0, 0, 0): c})
 
     @classmethod
     def variable(cls, index: int) -> "RationalPolynomial":
-        exps = [0, 0, 0]
-        exps[index] = 1
-        return cls({tuple(exps): Fraction(1)})
-
-    # -- ring operations --------------------------------------------------
+        return cls({tuple(int(i == index) for i in range(3)): 1})
 
     def _coerce(self, other) -> "RationalPolynomial":
         if isinstance(other, RationalPolynomial):
             return other
         if isinstance(other, (int, Fraction)):
-            return RationalPolynomial.constant(other)
+            return RationalPolynomial._make({(0, 0, 0): other.numerator}, other.denominator)
         return NotImplemented
 
     def __add__(self, other) -> "RationalPolynomial":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.coeffs)
-        for exps, c in other.coeffs.items():
-            out[exps] = out.get(exps, Fraction(0)) + c
-        return RationalPolynomial(out)
+        g = math.gcd(self._den, other._den)
+        sa, sb = other._den // g, self._den // g
+        out = {e: n * sa for e, n in self._num.items()}
+        for e, n in other._num.items():
+            out[e] = out.get(e, 0) + n * sb
+        return RationalPolynomial._make(out, self._den * sa)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial({e: -c for e, c in self.coeffs.items()})
+        return RationalPolynomial._make({e: -n for e, n in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "RationalPolynomial":
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other) -> "RationalPolynomial":
         return self._coerce(other) - self
@@ -115,12 +124,12 @@ class RationalPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return RationalPolynomial(out)
+        out: dict[Exponents, int] = {}
+        for (i1, j1, k1), n1 in self._num.items():
+            for (i2, j2, k2), n2 in other._num.items():
+                e = (i1 + i2, j1 + j2, k1 + k2)
+                out[e] = out.get(e, 0) + n1 * n2
+        return RationalPolynomial._make(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -132,45 +141,35 @@ class RationalPolynomial:
     def __pow__(self, n: int) -> "RationalPolynomial":
         if n < 0:
             raise ValueError("negative powers are not polynomials")
-        result = ONE
-        for _ in range(n):
-            result = result * self
-        return result
-
-    # -- queries ----------------------------------------------------------
+        return math.prod([self] * n, start=ONE)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def evaluate(self, d: Iterable) -> "Fraction | float":
         """Evaluate at a point; exact when given Fractions/ints."""
         d0, d1, d2 = d
-        total = None
-        for (i, j, k), c in self.coeffs.items():
-            term = c * d0**i * d1**j * d2**k
-            total = term if total is None else total + term
-        if total is None:
+        terms = [c * d0**i * d1**j * d2**k for (i, j, k), c in self.coeffs.items()]
+        if not terms:
             return Fraction(0) if isinstance(d0, (int, Fraction)) else 0.0
-        return total
+        return sum(terms[1:], terms[0])
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
+        coeffs = self.coeffs
         parts = []
-        for exps in sorted(self.coeffs, key=lambda e: (sum(e), e), reverse=True):
-            c = self.coeffs[exps]
+        for exps in sorted(coeffs, key=lambda e: (sum(e), e), reverse=True):
             mono = " ".join(f"d{i}^{e}" if e > 1 else f"d{i}" for i, e in enumerate(exps) if e)
-            parts.append(f"{c}" + (f" {mono}" if mono else ""))
-        return " + ".join(parts)
+            parts.append(f"{coeffs[exps]}" + (f" {mono}" if mono else ""))
+        return " + ".join(parts) or "0"
 
 
 D0 = RationalPolynomial.variable(0)
@@ -326,7 +325,7 @@ def verify_rotation_quadratic() -> IdentityCheck:
 
 def verify_all() -> list[IdentityCheck]:
     """Run every exact identity check (final identity at all three indices)."""
-    checks = [
+    return [
         verify_factorisation(),
         verify_sum_of_squares(),
         verify_final_identity(0),
@@ -334,4 +333,3 @@ def verify_all() -> list[IdentityCheck]:
         verify_final_identity(2),
         verify_rotation_quadratic(),
     ]
-    return checks

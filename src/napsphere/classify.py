@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import algebra
 from .errors import IndeterminateError
-from .triangle import SideParameters, SphericalTriangle, alpha, chi_squared, side_parameters
+from .triangle import SideParameters, SphericalTriangle, _check_sign, alpha, chi_squared, side_parameters
 
 __all__ = [
     "CLASSIFY_TOL",
@@ -108,8 +108,7 @@ def napoleonic_equation_residual(d: SideParameters, chi: float, eps: int) -> flo
     is equilateral (for non-equilateral d).  ``chi`` must be the positive
     square root of ``chi_squared(d)``.
     """
-    if eps not in (-1, +1):
-        raise ValueError("eps must be -1 or +1")
+    _check_sign(eps)
     dv = d.as_tuple()
     return algebra.alpha(*dv) * algebra.sum_minus_product(*dv) + eps * chi * algebra.one_minus_pairs(*dv)
 

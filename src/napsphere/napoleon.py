@@ -32,7 +32,7 @@ import numpy as np
 from . import algebra
 from .core import _NEXT, UnitVector, cross, dot
 from .triangle import BOUNDARY_BAND, SQRT3, SideParameters, SphericalTriangle
-from .triangle import _edge_inner, _near_boundary, _opposite_edges
+from .triangle import _check_sign, _edge_inner, _near_boundary, _opposite_edges
 
 __all__ = [
     "BOUNDARY_BAND",
@@ -56,8 +56,7 @@ class SignVector:
 
     def __post_init__(self):
         for name in ("e0", "e1", "e2"):
-            if getattr(self, name) not in (-1, +1):
-                raise ValueError(f"{name} must be -1 or +1")
+            _check_sign(getattr(self, name), name)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.e0, self.e1, self.e2)

@@ -142,15 +142,22 @@ def _near_boundary(c, stacklevel: int) -> bool:
     return near
 
 
+def _check_sign(value, name: str = "eps") -> None:
+    """Raise ``ValueError`` unless *value*, the construction sign *name*, is -1 or +1."""
+    if value not in (-1, +1):
+        raise ValueError(f"{name} must be -1 or +1")
+
+
 def _edge_inner(a, b, eps: int) -> float:
     """Inner product of one edge (a, b) given from outside the package, for a
-    construction with sign *eps*: checks the sign, one 3-vector per endpoint and
-    :func:`new_triangle`'s rule for edges; warns for the caller's caller."""
-    if eps not in (-1, +1):
-        raise ValueError("eps must be -1 or +1")
+    construction with sign *eps*: checks the sign, that each endpoint is one
+    finite unit 3-vector and :func:`new_triangle`'s rule for edges; warns for
+    the caller's caller.  The constructions use the caller's *a* and *b* as given."""
+    _check_sign(eps)
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != (3,) or b.shape != (3,):
         raise ValueError(f"expected two 3-component points, got shapes {a.shape} and {b.shape}")
+    unit_vector((a, b))
     _reject_degenerate(a, b, lambda i, how: f"apex undefined: endpoints {how}")
     c = dot(a, b)
     _reject_too_wide(c, lambda i, ci: f"no equilateral triangle on edge with inner product {ci!r} <= -1/2")

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from napsphere import sample_napoleonic_d
 from napsphere import triangle
@@ -186,3 +188,71 @@ def test_polynomial_repr_is_readable():
     text = repr(condition(D0, D1, D2) - 2)
     assert "d0" in text and "d1" in text and "d2" in text
     assert repr(ONE - ONE) == "0"
+
+
+# -- the ring operations against a plain {exponents: Fraction} reference ----
+
+_exponents = st.tuples(*[st.integers(0, 3)] * 3)
+_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
+_coefficient_maps = st.dictionaries(_exponents, _rationals, max_size=6)
+_points = st.tuples(_rationals, _rationals, _rationals)
+
+
+def _clean(ref):
+    return {e: c for e, c in ref.items() if c != 0}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return _clean(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return _clean(out)
+
+
+def _ref_evaluate(ref, point):
+    d0, d1, d2 = point
+    return sum((c * d0**i * d1**j * d2**k for (i, j, k), c in ref.items()), Fraction(0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_coefficient_maps, _coefficient_maps, _rationals.filter(bool), _points)
+def test_ring_operations_match_fraction_reference(a, b, k, point):
+    p, q = RationalPolynomial(a), RationalPolynomial(b)
+    neg_b = {e: -c for e, c in b.items()}
+    expected = {
+        "p+q": (p + q, _ref_add(a, b)),
+        "p-q": (p - q, _ref_add(a, neg_b)),
+        "p*q": (p * q, _ref_mul(a, b)),
+        "p/k": (p / k, _clean({e: c / k for e, c in a.items()})),
+        "-p": (-p, _clean({e: -c for e, c in a.items()})),
+        "p**2": (p**2, _ref_mul(a, a)),
+    }
+    for name, (poly, ref) in expected.items():
+        assert poly.coeffs == ref, name
+        assert poly.evaluate(point) == _ref_evaluate(ref, point), name
+    assert (p - p).is_zero()
+    assert p.coeffs == _clean(a)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_coefficient_maps, _coefficient_maps)
+def test_equal_polynomials_built_in_different_orders_hash_equal(a, b):
+    p = RationalPolynomial(a)
+    reordered = RationalPolynomial(dict(reversed(list(a.items()))))
+    summed = sum((RationalPolynomial({e: c}) for e, c in reversed(list(a.items()))), RationalPolynomial())
+    for other in (reordered, summed):
+        assert p == other
+        assert hash(p) == hash(other)
+    q = RationalPolynomial(b)
+    assert p + q == q + p and hash(p + q) == hash(q + p)
+    assert p * q == q * p and hash(p * q) == hash(q * p)
+    assert (p + q) - q == p and hash((p + q) - q) == hash(p)

@@ -62,6 +62,8 @@ class TestNapoleonicEquationResidual:
     def test_known_d_nonzero_for_inward_sign(self):
         d = SideParameters(*NAPOLEONIC_D)
         assert abs(napoleonic_equation_residual(d, _chi(d), +1)) > 1e-3
+        with pytest.raises(ValueError, match=r"^eps must be -1 or \+1$"):
+            napoleonic_equation_residual(d, _chi(d), 0)
 
     def test_nonzero_on_unit_sphere_of_d(self):
         # points with sum of squares = 1 cannot satisfy the equation for

@@ -201,6 +201,21 @@ class TestVerifyIdentities:
         assert len(lines) == 6
         assert all(line.startswith("PASS") for line in lines)
 
+    def test_failure_exit_1_with_difference(self, capsys, monkeypatch):
+        from napsphere import algebra
+        from napsphere.algebra import D0, D1, D2, chi_squared, verify_factorisation
+
+        perturbed = chi_squared(D0, D1, D2) + D0 / 3
+        monkeypatch.setattr(algebra, "verify_all", lambda: [verify_factorisation(chi_sq=perturbed)])
+        code, out, err = _run(capsys, ["verify-identities"])
+        assert code == 1
+        assert out == "FAIL  product-of-residuals factorisation\n"
+        assert err == (
+            "      difference: -1/3 d0^3 d1^2 + -2/3 d0^3 d1 d2 + -1/3 d0^3 d2^2 + -2/3 d0^2 d1^2 d2"
+            " + -2/3 d0^2 d1 d2^2 + -1/3 d0 d1^2 d2^2 + 2/3 d0^2 d1 + 2/3 d0^2 d2 + 2/3 d0 d1 d2"
+            " + -1/3 d0\n"
+        )
+
 
 class TestErrors:
     def test_cogeodesic_exit_2(self, tmp_path, capsys):

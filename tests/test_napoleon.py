@@ -174,6 +174,11 @@ class TestNapoleonise:
             rs_pre = sorted(map(tuple, napoleonise(t_pre, s_pre).centroids))
             assert np.allclose(rs_raw, rs_pre, atol=1e-12)
 
+    @pytest.mark.parametrize("signs, name", [((0, 1, 1), "e0"), ((1, -1, 2), "e2")])
+    def test_sign_vector_entries_checked(self, signs, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be -1 or \+1$"):
+            SignVector(*signs)
+
 
 def _reference_edge(a, b, eps):
     """Apex and centroid of one edge, written out as the closed forms read."""

@@ -28,6 +28,7 @@ from napsphere.triangle import SQRT3, SideParameters
 from conftest import NAPOLEONIC_D, SCALENE_VERTICES, equilateral_vertices
 
 EX = np.array([1.0, 0.0, 0.0])
+EY = np.array([0.0, 1.0, 0.0])
 EZ = np.array([0.0, 0.0, 1.0])
 BAND_TEXT = r"edge inner product -0\.49999\d* is within 1e-06 of -1/2; apex and centroid are ill-conditioned"
 
@@ -131,6 +132,19 @@ class TestSingleEdgeRule:
     def test_sign_checked(self, construction):
         with pytest.raises(ValueError, match="eps"):
             construction(EX, EZ, 0)
+
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            (((math.nan, 0.0, 0.0), EY), "finite"),
+            ((EX, (0.0, math.inf, 0.0)), "finite"),
+            (((2.0, 0.0, 0.0), (0.0, 2.0, 0.0)), "not a unit vector"),
+        ],
+        ids=["nan", "inf", "norm-2"],
+    )
+    def test_malformed_endpoint_rejected(self, construction, edge, message):
+        with pytest.raises(ValueError, match=message):
+            construction(*edge, 1)
 
 
 def test_napoleonise_band_warning_matches_single_edge():
