@@ -105,6 +105,13 @@ class TestSphericalDistance:
     def test_identical_points(self):
         assert spherical_distance(EX, EX) == 0.0
 
+    def test_inner_product_rounded_past_one_is_clamped(self):
+        # <p, p> rounds to 1.0000000000000002; unclamped, math.acos would raise.
+        p = np.array([0.36486176735685877, 0.9240647543268905, -0.11393077078653184])
+        assert dot(p, p) > 1.0
+        assert spherical_distance(p, p) == 0.0
+        assert spherical_distance(p, -p) == math.pi
+
     def test_known_centroid_pair(self):
         r0, r1, _ = NAPOLEONIC_CENTROIDS
         assert spherical_distance(r0, r1) == pytest.approx(math.acos(-1.0 / 3.0), abs=1e-12)
