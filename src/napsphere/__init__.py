@@ -13,12 +13,10 @@ from .classify import (
     CLASSIFY_TOL,
     ClassificationReport,
     Verdict,
-    chi_relation_check,
     classify,
     classify_d,
     condition_residual,
     condition_value,
-    epsilon_from_d,
     equilateral_factor,
     napoleonic_equation_residual,
 )
@@ -26,28 +24,22 @@ from .core import (
     barycentre,
     cross,
     dot,
-    norm,
     normalize,
     spherical_distance,
     triple,
     unit_vector,
 )
 from .ellipsoid import (
-    BasisCoefficients,
     EllipsoidPoint,
     d_to_xyz,
-    quadratic_form,
     realize,
     sample_napoleonic_d,
     sample_napoleonic_d_with_attempts,
-    third_vertex_coefficients,
-    xyz_to_d,
 )
 from .errors import (
     BoundaryConditioningWarning,
     CogeodesicError,
     DegenerateError,
-    IndeterminateError,
     NapsphereError,
     OutOfRangeError,
     SeedExhaustedError,
@@ -65,7 +57,7 @@ from .napoleon import (
     edge_centroid,
     napoleonise,
 )
-from .oracle import apex_by_rotation, random_triangle, random_triangles, search_equilateral
+from .oracle import apex_by_rotation, random_triangles, search_equilateral
 from .triangle import (
     SideParameters,
     SphericalTriangle,

@@ -150,6 +150,9 @@ class RationalPolynomial:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
+        # A constant hashes like the int or Fraction it equals, as == requires.
+        if self._num.keys() <= {(0, 0, 0)}:
+            return hash(Fraction(self._num.get((0, 0, 0), 0), self._den))
         return hash((self._den, frozenset(self._num.items())))
 
     def is_zero(self) -> bool:

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 from . import algebra
-from .errors import IndeterminateError
 from .triangle import SideParameters, SphericalTriangle, _check_sign, alpha, chi_squared, side_parameters
 
 __all__ = [
@@ -32,8 +31,6 @@ __all__ = [
     "condition_residual",
     "equilateral_factor",
     "napoleonic_equation_residual",
-    "epsilon_from_d",
-    "chi_relation_check",
     "classify",
     "classify_d",
 ]
@@ -111,31 +108,6 @@ def napoleonic_equation_residual(d: SideParameters, chi: float, eps: int) -> flo
     _check_sign(eps)
     dv = d.as_tuple()
     return algebra.alpha(*dv) * algebra.sum_minus_product(*dv) + eps * chi * algebra.one_minus_pairs(*dv)
-
-
-def epsilon_from_d(d: SideParameters, tol: float = 1e-12) -> int:
-    """Sign of (1 - d0^2 - d1^2 - d2^2)(1 - d0 d1 - d1 d2 - d2 d0).
-
-    This is the only uniform sign whose Napoleonisation can possibly be
-    equilateral at *d*.  Raises :class:`IndeterminateError` when the product
-    is within *tol* of zero (e.g. at the symmetric point (1,1,1)/sqrt(3),
-    where both factors vanish).
-    """
-    d0, d1, d2 = d.as_tuple()
-    # 1 - d0^2 - d1^2 - d2^2 is -2 alpha, kept in this order so the product's bits hold
-    product = (1.0 - d0 * d0 - d1 * d1 - d2 * d2) * algebra.one_minus_pairs(d0, d1, d2)
-    if abs(product) <= tol:
-        raise IndeterminateError(f"sign product {product!r} vanishes within tolerance")
-    return 1 if product > 0 else -1
-
-
-def chi_relation_check(d: SideParameters, chi: float) -> float:
-    """2 chi - (d0 + d1 + d2 - d0 d1 d2); approximately 0 on the quadric.
-
-    Off the quadric the value is generically nonzero, so it doubles as a
-    diagnostic of how far a triangle is from the outward-Napoleonic locus.
-    """
-    return 2.0 * chi - algebra.sum_minus_product(*d.as_tuple())
 
 
 def classify_d(d: SideParameters, tol: float = CLASSIFY_TOL) -> ClassificationReport:

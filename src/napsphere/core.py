@@ -19,12 +19,10 @@ __all__ = [
     "UnitVector",
     "vector3",
     "unit_vector",
-    "norm",
     "normalize",
     "dot",
     "cross",
     "triple",
-    "clamp",
     "spherical_distance",
     "barycentre",
 ]
@@ -72,12 +70,6 @@ def unit_vector(v) -> UnitVector:
     return a / np.sqrt(nsq)[..., None]
 
 
-def norm(v) -> float:
-    """Euclidean length of *v*."""
-    a = np.asarray(v, dtype=float)
-    return float(np.linalg.norm(a))
-
-
 def normalize(v) -> UnitVector:
     """Unit vector in the direction of *v* (of each vector stacked on the last axis).
 
@@ -112,14 +104,11 @@ def triple(a, b, c) -> float:
     return dot(a, cross(b, c))
 
 
-def clamp(x: float, lo: float = -1.0, hi: float = 1.0) -> float:
-    """Clamp *x* to [lo, hi]; guards arccos against rounding past +-1."""
-    return lo if x < lo else hi if x > hi else x
-
-
 def spherical_distance(p, q) -> float:
     """Great-circle distance in [0, pi] between two unit vectors."""
-    return math.acos(clamp(dot(p, q)))
+    x = dot(p, q)
+    # Clamped to [-1, 1] against rounding past +-1; NaN passes through.
+    return math.acos(-1.0 if x < -1.0 else 1.0 if x > 1.0 else x)
 
 
 def barycentre(p0, p1, p2) -> UnitVector:

@@ -7,9 +7,12 @@ In rotated coordinates
     Z = (-d1 + d2)/sqrt(2),
 
 the locus d0^2+d1^2+d2^2+d0d1+d0d2+d1d2 = 2 becomes the ellipsoid of
-revolution 2 X^2 + Y^2/2 + Z^2/2 = 2 with semi-axes (1, 2, 2).  The module
-samples admissible side parameters from this surface and realizes any
-realizable side parameters as a canonical triangle on the unit sphere.
+revolution 2 X^2 + Y^2/2 + Z^2/2 = 2 with semi-axes (1, 2, 2);
+``algebra.verify_rotation_quadratic`` proves the two sides equal as
+polynomials in d.  :func:`d_to_xyz` gives the rotated coordinates, the
+samplers draw admissible side parameters from this surface, and
+:func:`realize` places any realizable side parameters as a canonical
+triangle on the unit sphere.
 """
 
 from __future__ import annotations
@@ -19,20 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import algebra
 from .core import dot
 from .errors import SeedExhaustedError, UnrealizableError
-from .triangle import SQRT3, SideParameters, SphericalTriangle, chi_squared, new_triangle
+from .triangle import SQRT3, SideParameters, SphericalTriangle, new_triangle
 
 __all__ = [
     "EllipsoidPoint",
-    "BasisCoefficients",
     "ROTATION",
     "d_to_xyz",
-    "xyz_to_d",
-    "quadratic_form",
     "sample_napoleonic_d",
     "sample_napoleonic_d_with_attempts",
-    "third_vertex_coefficients",
     "realize",
 ]
 
@@ -77,43 +77,10 @@ class EllipsoidPoint:
         return 2.0 * self.x * self.x + self.y * self.y / 2.0 + self.z * self.z / 2.0
 
 
-@dataclass(frozen=True)
-class BasisCoefficients:
-    """Coefficients of a unit vector in the frame {P0, P1, P0 x P1}.
-
-    For unit P0, P1 with c = <P0, P1>, any unit vector a0 P0 + a1 P1 +
-    b (P0 x P1) satisfies a0^2 + a1^2 + 2 a0 a1 c + b^2 (1 - c^2) = 1.
-    """
-
-    a0: float
-    a1: float
-    b: float
-
-    def norm_identity_residual(self, c: float) -> float:
-        """Deviation of the frame norm identity from 1 at edge inner product *c*."""
-        return self.a0**2 + self.a1**2 + 2.0 * self.a0 * self.a1 * c + self.b**2 * (1.0 - c * c) - 1.0
-
-
 def d_to_xyz(d: SideParameters) -> EllipsoidPoint:
     """Rotate side parameters into the ellipsoid's principal-axis frame."""
     xyz = ROTATION @ d.as_array()
     return EllipsoidPoint(*map(float, xyz))
-
-
-def xyz_to_d(p: EllipsoidPoint) -> SideParameters:
-    """Invert the rotation; raises :class:`OutOfRangeError` when some d_i
-    falls outside (0, sqrt(3))."""
-    d = ROTATION.T @ np.array(p.as_tuple())
-    return SideParameters(*map(float, d))
-
-
-def quadratic_form(d: SideParameters) -> float:
-    """2 X^2 + Y^2/2 + Z^2/2 evaluated through the rotation.
-
-    Identical, as a polynomial in d, to the condition value
-    d0^2+d1^2+d2^2+d0d1+d0d2+d1d2.
-    """
-    return d_to_xyz(d).quadric_value()
 
 
 def sample_napoleonic_d(count: int, seed: int) -> list[SideParameters]:
@@ -141,7 +108,7 @@ def _quadric_block(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = (ROTATION.T @ p[..., None])[..., 0]
     off = d - d.mean(axis=1, keepdims=True)
     ok = (d > 0.0).all(axis=1) & (d < SQRT3).all(axis=1) & (np.sqrt(dot(off, off)) >= DIAGONAL_MARGIN)
-    return d, ok & (chi_squared(d) > 1e-12)
+    return d, ok & (algebra.chi_squared(*d.T) > 1e-12)
 
 
 def sample_napoleonic_d_with_attempts(count: int, seed: int) -> tuple[list[SideParameters], int]:
@@ -174,39 +141,26 @@ def sample_napoleonic_d_with_attempts(count: int, seed: int) -> tuple[list[SideP
     return out, attempts
 
 
-def third_vertex_coefficients(d: SideParameters) -> BasisCoefficients:
-    """Coefficients of the canonical third vertex in the {P0, P1, P0 x P1} frame.
-
-    With c_i = (d_i^2 - 1)/2 the prescribed inner products, the third vertex
-    of the canonical realization is a0 P0 + a1 P1 + b (P0 x P1) where b > 0
-    enforces positive orientation.  Raises :class:`UnrealizableError` when
-    ``chi_squared(d)`` is not positive.
-    """
-    c0, c1, c2 = d.edge_inners()
-    chi2 = 1.0 - c0 * c0 - c1 * c1 - c2 * c2 + 2.0 * c0 * c1 * c2
-    if chi2 <= 1e-12:
-        raise UnrealizableError(f"side parameters admit no triangle: squared triple {chi2!r} <= 0")
-    denom = 1.0 - c2 * c2
-    return BasisCoefficients(
-        a0=(c1 - c2 * c0) / denom,
-        a1=(c0 - c2 * c1) / denom,
-        b=math.sqrt(chi2) / denom,
-    )
-
-
 def realize(d: SideParameters) -> SphericalTriangle:
     """Canonical triangle on the unit sphere with side parameters *d*.
 
     P0 = (1,0,0), P1 lies in the upper xy half-plane, and the third vertex
     is placed with positive orientation, so the result needs no vertex swap
     and represents the congruence class of *d*.  Raises
-    :class:`UnrealizableError` when ``chi_squared(d) <= 1e-12`` and
-    :class:`OutOfRangeError` for side parameters outside (0, sqrt(3)).
+    :class:`UnrealizableError` when ``chi_squared(d) <= 1e-12``; the range
+    (0, sqrt(3)) is enforced by :class:`SideParameters` itself.
     """
-    _, _, c2 = d.edge_inners()
-    coeff = third_vertex_coefficients(d)
-    s = math.sqrt(1.0 - c2 * c2)
-    # a0 P0 + a1 P1 + b (P0 x P1) with P0 = (1,0,0), P1 = (c2, s, 0), P0 x P1 = (0,0,s)
-    p2 = np.array([coeff.a0 + coeff.a1 * c2, coeff.a1 * s, coeff.b * s])
+    c0, c1, c2 = d.edge_inners()
+    chi2 = 1.0 - c0 * c0 - c1 * c1 - c2 * c2 + 2.0 * c0 * c1 * c2
+    if chi2 <= 1e-12:
+        raise UnrealizableError(f"side parameters admit no triangle: squared triple {chi2!r} <= 0")
+    # P2 = a0 P0 + a1 P1 + b (P0 x P1) has <P2, P0> = c1 and <P2, P1> = c0,
+    # with P0 = (1,0,0), P1 = (c2, s, 0) and P0 x P1 = (0,0,s).
+    denom = 1.0 - c2 * c2
+    a0 = (c1 - c2 * c0) / denom
+    a1 = (c0 - c2 * c1) / denom
+    b = math.sqrt(chi2) / denom
+    s = math.sqrt(denom)
+    p2 = np.array([a0 + a1 * c2, a1 * s, b * s])
     # b > 0 makes the raw triple product positive, so no swap occurs here.
     return new_triangle((1.0, 0.0, 0.0), (c2, s, 0.0), p2 / math.sqrt(dot(p2, p2)))

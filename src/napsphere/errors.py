@@ -14,7 +14,6 @@ __all__ = [
     "TooWideError",
     "CogeodesicError",
     "ZeroSumError",
-    "IndeterminateError",
     "UnrealizableError",
     "OutOfRangeError",
     "SeedExhaustedError",
@@ -50,12 +49,6 @@ class ZeroSumError(NapsphereError):
     """Vertex sum is too close to zero for a barycentre to exist."""
 
     kind = "ZeroSum"
-
-
-class IndeterminateError(NapsphereError):
-    """A sign query whose defining product vanishes within tolerance."""
-
-    kind = "Indeterminate"
 
 
 class UnrealizableError(NapsphereError):

@@ -31,11 +31,10 @@ import numpy as np
 
 from . import algebra
 from .core import _NEXT, UnitVector, cross, dot
-from .triangle import BOUNDARY_BAND, SQRT3, SideParameters, SphericalTriangle
+from .triangle import SQRT3, SideParameters, SphericalTriangle
 from .triangle import _check_sign, _edge_inner, _near_boundary, _opposite_edges
 
 __all__ = [
-    "BOUNDARY_BAND",
     "SignVector",
     "OUTWARD",
     "INWARD",

@@ -12,6 +12,8 @@ each Napoleonisation from rotation-based apexes and plain barycentres, and
 reports every sign vector whose centroid triangle is equilateral within a
 tolerance.  Rotations use Rodrigues' formula, evaluated for all eight sign
 vectors and three edges at once.
+
+:func:`random_triangles` draws seeded uniform triangles to check against.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .triangle import SphericalTriangle, _edge_inner, _opposite_edges, new_trian
 __all__ = [
     "apex_by_rotation",
     "search_equilateral",
-    "random_triangle",
     "random_triangles",
 ]
 
@@ -77,15 +78,17 @@ def search_equilateral(t: SphericalTriangle, tol: float) -> list[tuple[SignVecto
     return hits
 
 
-def random_triangle(rng: np.random.Generator) -> SphericalTriangle:
-    """One uniformly random valid triangle (rejection sampling).
+def random_triangles(count: int, seed: int) -> list[SphericalTriangle]:
+    """Deterministic batch of uniformly random valid triangles for a given seed.
 
     Vertices are independent uniform points of the sphere (normalised
     Gaussian triples); candidates violating the triangle invariants are
-    rejected.  The result is rebuilt in its orientation-normalised vertex
+    rejected.  Each result is rebuilt in its orientation-normalised vertex
     order, so ``orientation_swapped`` is always False.
     """
-    while True:
+    rng = np.random.default_rng(seed)
+    out: list[SphericalTriangle] = []
+    while len(out) < count:
         v = rng.normal(size=(3, 3))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         try:
@@ -94,10 +97,5 @@ def random_triangle(rng: np.random.Generator) -> SphericalTriangle:
             continue
         if t.orientation_swapped:
             t = new_triangle(t.p0, t.p1, t.p2)
-        return t
-
-
-def random_triangles(count: int, seed: int) -> list[SphericalTriangle]:
-    """Deterministic batch of valid random triangles for a given seed."""
-    rng = np.random.default_rng(seed)
-    return [random_triangle(rng) for _ in range(count)]
+        out.append(t)
+    return out

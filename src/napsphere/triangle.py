@@ -199,20 +199,13 @@ def side_parameters(t: SphericalTriangle) -> SideParameters:
     return SideParameters(*(math.sqrt(1.0 + 2.0 * t.edge_inner(i)) for i in range(3)))
 
 
-def _columns(d):
-    """(d0, d1, d2) of side parameters, or the columns of an (..., 3) array of them."""
-    return d.as_tuple() if isinstance(d, SideParameters) else np.moveaxis(np.asarray(d, dtype=float), -1, 0)
-
-
 def alpha(d: SideParameters) -> float:
-    """:func:`napsphere.algebra.alpha` of *d*, i.e. 1 + the sum of edge inner
-    products; an (..., 3) array of side parameters is evaluated row-wise."""
-    return algebra.alpha(*_columns(d))
+    """:func:`napsphere.algebra.alpha` of *d*, i.e. 1 + the sum of edge inner products."""
+    return algebra.alpha(*d.as_tuple())
 
 
 def chi_squared(d: SideParameters) -> float:
     """Squared triple product of any triangle realising *d*, from the side
     parameters alone (:func:`napsphere.algebra.chi_squared`).  May be
-    negative, in which case *d* is not realizable by any spherical triangle.
-    Like :func:`alpha`, also evaluates an (..., 3) array row-wise."""
-    return algebra.chi_squared(*_columns(d))
+    negative, in which case *d* is not realizable by any spherical triangle."""
+    return algebra.chi_squared(*d.as_tuple())

@@ -84,13 +84,24 @@ class TestSeparateFloatForms:
     the outputs built on it, stay as they are; each equals its polynomial."""
 
     def test_gram_determinant_is_chi_squared(self):
-        # ellipsoid.third_vertex_coefficients: 1 - c0^2 - c1^2 - c2^2 + 2 c0 c1 c2
+        # ellipsoid.realize: 1 - c0^2 - c1^2 - c2^2 + 2 c0 c1 c2
         c0, c1, c2 = ((v * v - 1) / 2 for v in (D0, D1, D2))
         gram = 1 - c0 * c0 - c1 * c1 - c2 * c2 + 2 * c0 * c1 * c2
         assert gram == chi_squared(D0, D1, D2)
 
+    def test_third_vertex_formula(self):
+        # ellipsoid.realize places P2 = (A0 P0 + A1 P1 + sqrt(G) P0 x P1) / (1 - c2^2)
+        # with <P0, P1> = c2 and |P0 x P1|^2 = 1 - c2^2.  Cleared of that
+        # denominator: P2 is a unit vector, <P2, P0> = c1 and <P2, P1> = c0.
+        c0, c1, c2 = ((v * v - 1) / 2 for v in (D0, D1, D2))
+        gram = 1 - c0 * c0 - c1 * c1 - c2 * c2 + 2 * c0 * c1 * c2
+        a0, a1, w = c1 - c2 * c0, c0 - c2 * c1, 1 - c2 * c2
+        assert a0 * a0 + a1 * a1 + 2 * a0 * a1 * c2 + gram * w == w * w
+        assert a0 + a1 * c2 == c1 * w
+        assert a0 * c2 + a1 == c0 * w
+
     def test_epsilon_factor_is_minus_two_alpha(self):
-        # classify.epsilon_from_d: 1 - d0^2 - d1^2 - d2^2
+        # tests/test_classify.py::_epsilon_from_d: 1 - d0^2 - d1^2 - d2^2
         assert 1 - D0 * D0 - D1 * D1 - D2 * D2 == -2 * alpha(D0, D1, D2)
 
 
@@ -256,3 +267,11 @@ def test_equal_polynomials_built_in_different_orders_hash_equal(a, b):
     assert p + q == q + p and hash(p + q) == hash(q + p)
     assert p * q == q * p and hash(p * q) == hash(q * p)
     assert (p + q) - q == p and hash((p + q) - q) == hash(p)
+
+
+def test_constant_polynomials_hash_like_the_equal_number():
+    assert ONE == 1 and hash(ONE) == hash(1)
+    assert len({ONE, 1, Fraction(1)}) == 1
+    assert D0 - D0 == 0 and hash(D0 - D0) == hash(0)
+    assert ONE / 2 == Fraction(1, 2) and hash(ONE / 2) == hash(Fraction(1, 2))
+    assert hash(RationalPolynomial.constant(Fraction(-7, 3))) == hash(Fraction(-7, 3))

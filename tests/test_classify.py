@@ -8,14 +8,11 @@ import pytest
 from napsphere import (
     INWARD,
     OUTWARD,
-    IndeterminateError,
     Verdict,
-    chi_relation_check,
     chi_squared,
     classify,
     classify_d,
     condition_value,
-    epsilon_from_d,
     equilateral_factor,
     napoleonic_equation_residual,
     napoleonise,
@@ -24,6 +21,7 @@ from napsphere import (
     sample_napoleonic_d,
     side_parameters,
 )
+from napsphere import algebra
 from napsphere.oracle import random_triangles
 from napsphere.triangle import SideParameters
 
@@ -34,6 +32,30 @@ SYMMETRIC_POINT = SideParameters(*(1.0 / math.sqrt(3.0),) * 3)
 
 def _chi(d: SideParameters) -> float:
     return math.sqrt(chi_squared(d))
+
+
+def _epsilon_from_d(d: SideParameters, tol: float = 1e-12) -> int:
+    """Sign of (1 - d0^2 - d1^2 - d2^2)(1 - d0 d1 - d1 d2 - d2 d0).
+
+    This is the only uniform sign whose Napoleonisation can possibly be
+    equilateral at *d*.  Raises ``ValueError`` when the product is within
+    *tol* of zero (e.g. at the symmetric point (1,1,1)/sqrt(3), where both
+    factors vanish).
+    """
+    d0, d1, d2 = d.as_tuple()
+    product = (1.0 - d0 * d0 - d1 * d1 - d2 * d2) * algebra.one_minus_pairs(d0, d1, d2)
+    if abs(product) <= tol:
+        raise ValueError(f"sign product {product!r} vanishes within tolerance")
+    return 1 if product > 0 else -1
+
+
+def _chi_relation_check(d: SideParameters, chi: float) -> float:
+    """2 chi - (d0 + d1 + d2 - d0 d1 d2); approximately 0 on the quadric.
+
+    Off the quadric the value is generically nonzero, so it doubles as a
+    diagnostic of how far a triangle is from the outward-Napoleonic locus.
+    """
+    return 2.0 * chi - algebra.sum_minus_product(*d.as_tuple())
 
 
 class TestConditionValue:
@@ -95,17 +117,17 @@ class TestNapoleonicEquationResidual:
 class TestEpsilonFromD:
     def test_known_d(self):
         # (1 - 28/25) < 0 and (1 - 22/25) > 0, so the product is negative
-        assert epsilon_from_d(SideParameters(*NAPOLEONIC_D)) == -1
+        assert _epsilon_from_d(SideParameters(*NAPOLEONIC_D)) == -1
 
     def test_locus_points_always_outward(self):
         for d in sample_napoleonic_d(200, seed=32):
             if equilateral_factor(d) < 1e-6:
                 continue
-            assert epsilon_from_d(d) == -1
+            assert _epsilon_from_d(d) == -1
 
     def test_symmetric_point_indeterminate(self):
-        with pytest.raises(IndeterminateError):
-            epsilon_from_d(SYMMETRIC_POINT)
+        with pytest.raises(ValueError, match="vanishes within tolerance"):
+            _epsilon_from_d(SYMMETRIC_POINT)
 
 
 class TestClassify:
@@ -149,15 +171,15 @@ class TestClassify:
 class TestChiRelation:
     def test_known_d(self):
         d = SideParameters(*NAPOLEONIC_D)
-        assert chi_relation_check(d, _chi(d)) == pytest.approx(0.0, abs=1e-12)
+        assert _chi_relation_check(d, _chi(d)) == pytest.approx(0.0, abs=1e-12)
 
     def test_locus_samples(self):
         for d in sample_napoleonic_d(1000, seed=34):
-            assert abs(chi_relation_check(d, _chi(d))) < 1e-10
+            assert abs(_chi_relation_check(d, _chi(d))) < 1e-10
 
     def test_off_locus_nonzero(self):
         d = side_parameters(new_triangle(*SCALENE_VERTICES))
-        assert abs(chi_relation_check(d, _chi(d))) > 1e-3
+        assert abs(_chi_relation_check(d, _chi(d))) > 1e-3
 
 
 def test_positivity_of_sum_minus_product_on_random_d():

@@ -14,16 +14,13 @@ from napsphere import (
     d_to_xyz,
     napoleonise,
     new_triangle,
-    quadratic_form,
     realize,
     sample_napoleonic_d,
     side_parameters,
-    third_vertex_coefficients,
     triple,
-    xyz_to_d,
 )
 from napsphere import ellipsoid
-from napsphere.ellipsoid import DIAGONAL_MARGIN, EllipsoidPoint, ROTATION, sample_napoleonic_d_with_attempts
+from napsphere.ellipsoid import DIAGONAL_MARGIN, ROTATION, sample_napoleonic_d_with_attempts
 from napsphere.errors import OutOfRangeError, SeedExhaustedError
 from napsphere.triangle import SideParameters
 
@@ -60,27 +57,21 @@ class TestRotation:
     def test_round_trip_identity(self):
         rng = np.random.default_rng(40)
         for d in _random_d(rng, 1000):
-            back = xyz_to_d(d_to_xyz(d))
-            assert back.as_tuple() == pytest.approx(d.as_tuple(), abs=1e-12)
+            back = ROTATION.T @ np.array(d_to_xyz(d).as_tuple())
+            assert tuple(back) == pytest.approx(d.as_tuple(), abs=1e-12)
 
     def test_quadratic_form_equals_condition_value(self):
         from napsphere import condition_value
 
         rng = np.random.default_rng(41)
         for d in _random_d(rng, 200):
-            assert quadratic_form(d) == pytest.approx(condition_value(d), abs=1e-12)
-
-    def test_inverse_rejects_out_of_range(self):
-        # X = sqrt(3) d with d = (1,1,1) diag: any point with X <= 0 inverts
-        # to nonpositive coordinates
-        with pytest.raises(OutOfRangeError):
-            xyz_to_d(EllipsoidPoint(-1.0, 0.0, 0.0))
+            assert d_to_xyz(d).quadric_value() == pytest.approx(condition_value(d), abs=1e-12)
 
 
 class TestSampler:
     def test_samples_lie_on_quadric(self):
         for d in sample_napoleonic_d(500, seed=42):
-            assert quadratic_form(d) == pytest.approx(2.0, abs=1e-12)
+            assert d_to_xyz(d).quadric_value() == pytest.approx(2.0, abs=1e-12)
 
     def test_samples_in_range_and_realizable(self):
         for d in sample_napoleonic_d(500, seed=43):
@@ -209,9 +200,9 @@ class TestRealize:
         with pytest.raises(OutOfRangeError):
             SideParameters(2.0, 1.0, 1.0)
 
-
-class TestBasisCoefficients:
-    def test_norm_identity(self):
+    def test_random_realizable_d_round_trip(self):
+        # The third-vertex formula is proved exactly in
+        # test_algebra.py::TestSeparateFloatForms::test_third_vertex_formula.
         rng = np.random.default_rng(48)
         count = 0
         while count < 1000:
@@ -220,7 +211,6 @@ class TestBasisCoefficients:
             if chi_squared(d) <= 1e-12:
                 continue
             count += 1
-            coeff = third_vertex_coefficients(d)
-            _, _, c2 = d.edge_inners()
-            assert abs(coeff.norm_identity_residual(c2)) < 1e-12
-            assert coeff.b > 0.0
+            t = realize(d)
+            assert not t.orientation_swapped
+            assert side_parameters(t).as_tuple() == pytest.approx(d.as_tuple(), abs=1e-9)
