@@ -16,6 +16,7 @@ from napsphere import (
     apex,
     apex_by_rotation,
     chi_squared,
+    dot,
     edge_centroid,
     napoleonise,
     new_triangle,
@@ -187,9 +188,23 @@ class TestSideParameters:
         # relabelled input that needs no swap
         t_pre = new_triangle(SCALENE_VERTICES[0], SCALENE_VERTICES[2], SCALENE_VERTICES[1])
         assert not t_pre.orientation_swapped
-        assert side_parameters(t_raw).as_tuple() == pytest.approx(
-            side_parameters(t_pre).as_tuple(), abs=1e-15
-        )
+        assert side_parameters(t_raw).as_tuple() == side_parameters(t_pre).as_tuple()
+
+
+def test_stored_edge_inners_are_the_per_pair_products_exactly():
+    # new_triangle evaluates the three edge inner products as one stacked
+    # product before any swap; each must equal the plain product of its two
+    # stored vertices bit for bit, swapped orientations included.
+    triangles = []
+    for t in random_triangles(100, seed=26):
+        triangles += [t, new_triangle(t.p0, t.p2, t.p1)]
+    assert any(t.orientation_swapped for t in triangles)
+    for t in triangles:
+        v = np.array(t.vertices)
+        stacked = dot(v.take([1, 2, 0], 0), v.take([2, 0, 1], 0))
+        for i in range(3):
+            expected = float(v[(i + 1) % 3] @ v[(i + 2) % 3])
+            assert stacked[i] == expected and t.edge_inner(i) == expected
 
 
 class TestAlpha:
