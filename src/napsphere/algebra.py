@@ -301,7 +301,9 @@ def verify_final_identity(i: int = 0) -> IdentityCheck:
         (d_{i+2}^2+1)(d_i^2+1) + centroid_bracket(d, chi, e, i)
         = 2 (d_{i+2} d_i - 1)(condition - 2),
 
-    which forces every centroid inner product to -1/3 on the quadric.
+    which forces every centroid inner product to -1/3 on the quadric.  The chi
+    substitution is exact there: 4 chi^2 - sum_minus_product^2 equals
+    -(equilateral factor)(condition - 2), and sum_minus_product is positive.
     """
     d = (D0, D1, D2)
     di, dk = d[i % 3], d[(i + 2) % 3]

@@ -125,18 +125,14 @@ def _finite_triple(row, what: str) -> list[float]:
     return row
 
 
-def _vec(v) -> list[float]:
-    return [float(x) for x in v]
-
-
 def _napoleonisation_dict(t: SphericalTriangle, res: NapoleonisationResult) -> dict:
     rs = res.centroids
     return {
         "signs": list(res.signs.as_tuple()),
         "orientation_swapped": t.orientation_swapped,
-        "vertices": [_vec(p) for p in t.vertices],
-        "apexes": [_vec(q) for q in res.apexes],
-        "centroids": [_vec(r) for r in rs],
+        "vertices": t.vertices.tolist(),
+        "apexes": res.apexes.tolist(),
+        "centroids": rs.tolist(),
         "centroid_inner_products": {
             "rr01": res.rr01,
             "rr12": res.rr12,
@@ -150,8 +146,8 @@ def _napoleonisation_dict(t: SphericalTriangle, res: NapoleonisationResult) -> d
         "equilateral_residual": res.equilateral_residual,
         "coincident_centroids": res.centroids_coincident,
         "near_boundary": res.near_boundary,
-        "barycentre": _vec(barycentre(*t.vertices)),
-        "napoleon_barycentre": _vec(barycentre(*rs)),
+        "barycentre": barycentre(*t.vertices).tolist(),
+        "napoleon_barycentre": barycentre(*rs).tolist(),
     }
 
 
@@ -212,7 +208,7 @@ def cmd_sample(args) -> int:
         xyz = d_to_xyz(d)
         entry = {"d": list(d.as_tuple()), "xyz": list(xyz.as_tuple()), "condition_value": xyz.quadric_value()}
         if args.realize:
-            entry["vertices"] = [_vec(p) for p in realize(d).vertices]
+            entry["vertices"] = realize(d).vertices.tolist()
         rows.append(entry)
     if args.format == "csv":
         header = "d0,d1,d2,X,Y,Z"

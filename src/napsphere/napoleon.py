@@ -94,32 +94,21 @@ INWARD = SignVector(+1, +1, +1)
 class NapoleonisationResult:
     """Apexes, centroids, and centroid inner products of one construction.
 
-    ``q_i``/``r_i`` sit opposite the triangle's stored vertex ``p_i`` (they
-    are built on the edge joining the other two vertices).  The residual is
-    the maximum pairwise difference of the three centroid inner products; it
-    vanishes exactly when the Napoleonisation is equilateral.
+    ``apexes`` and ``centroids`` are (3, 3) arrays whose row ``i`` sits
+    opposite the triangle's stored vertex ``i`` (built on the edge joining the
+    other two vertices).  The residual is the maximum pairwise difference of
+    the three centroid inner products; it vanishes exactly when the
+    Napoleonisation is equilateral.
     """
 
-    q0: UnitVector
-    q1: UnitVector
-    q2: UnitVector
-    r0: UnitVector
-    r1: UnitVector
-    r2: UnitVector
+    apexes: np.ndarray
+    centroids: np.ndarray
     rr01: float
     rr12: float
     rr20: float
     equilateral_residual: float
     signs: SignVector
     near_boundary: bool = False
-
-    @property
-    def apexes(self) -> tuple[UnitVector, UnitVector, UnitVector]:
-        return (self.q0, self.q1, self.q2)
-
-    @property
-    def centroids(self) -> tuple[UnitVector, UnitVector, UnitVector]:
-        return (self.r0, self.r1, self.r2)
 
     @property
     def centroid_inners(self) -> tuple[float, float, float]:
@@ -131,18 +120,19 @@ class NapoleonisationResult:
         return min(self.rr01, self.rr12, self.rr20) > 1.0 - 1e-9
 
 
-def _construct(a, b, eps):
-    """Apexes, centroids and inner products of stacked admissible edges (a, b)
-    with one sign each; every edge of a stack comes out bit for bit as alone."""
+def _construct(a, b, c, eps):
+    """Apexes and centroids of stacked admissible edges (a, b), with the inner
+    products *c* validation computed for them and one sign each; every edge
+    of a stack comes out bit for bit as alone."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    c = np.expand_dims(dot(a, b), -1)
+    c = np.expand_dims(c, -1)
     e = np.expand_dims(np.asarray(eps, dtype=float), -1)
     h = np.sqrt(1.0 + 2.0 * c)
     w = cross(a, b)
     q = (c * (a + b) + e * h * w) / (1.0 + c)
     r = (h * (a + b) + e * w) / (SQRT3 * (1.0 + c))
-    return q, r, c[..., 0]
+    return q, r
 
 
 def apex(a, b, eps: int) -> UnitVector:
@@ -151,8 +141,7 @@ def apex(a, b, eps: int) -> UnitVector:
     The result Q is a unit vector with <Q,a> = <Q,b> = <a,b>; ``eps=+1``
     places it on the positive side of a x b, ``eps=-1`` on the negative side.
     """
-    _edge_inner(a, b, eps)
-    return _construct(a, b, eps)[0]
+    return _construct(a, b, _edge_inner(a, b, eps), eps)[0]
 
 
 def edge_centroid(a, b, eps: int) -> UnitVector:
@@ -161,28 +150,26 @@ def edge_centroid(a, b, eps: int) -> UnitVector:
     Equals ``barycentre(a, b, apex(a, b, eps))`` but is evaluated in closed
     form.
     """
-    _edge_inner(a, b, eps)
-    return _construct(a, b, eps)[1]
+    return _construct(a, b, _edge_inner(a, b, eps), eps)[1]
 
 
 def napoleonise(t: SphericalTriangle, s: SignVector) -> NapoleonisationResult:
     """Construct apexes and centroids on every edge of *t* with signs *s*.
 
     ``s`` is interpreted in the vertex order originally passed to
-    ``new_triangle``; q_i and r_i are indexed opposite the stored vertex p_i.
-    Centroids need not be distinct: the inward construction on an
-    equilateral triangle collapses all three onto the triangle's centre.
-    The edges were validated by ``new_triangle``; only the boundary band is
-    checked here, once for all three edges.
+    ``new_triangle``; apex and centroid ``i`` are indexed opposite the stored
+    vertex ``i``.  Centroids need not be distinct: the inward construction on
+    an equilateral triangle collapses all three onto the triangle's centre.
+    The edges and their inner products come from ``new_triangle``; only the
+    boundary band is checked here, once for all three edges.
     """
     eff = s.oriented(t.orientation_swapped)
-    q, r, c = _construct(*_opposite_edges(np.array(t.vertices)), eff.as_tuple())
-    near = _near_boundary(c, stacklevel=2)
+    near = _near_boundary(t.edge_inners, stacklevel=2)
+    q, r = _construct(*_opposite_edges(t.vertices), t.edge_inners, eff.as_tuple())
     rr01, rr12, rr20 = dot(r, r.take(_NEXT, 0)).tolist()
     residual = max(abs(rr01 - rr12), abs(rr12 - rr20), abs(rr20 - rr01))
     return NapoleonisationResult(
-        q0=q[0], q1=q[1], q2=q[2],
-        r0=r[0], r1=r[1], r2=r[2],
+        apexes=q, centroids=r,
         rr01=rr01, rr12=rr12, rr20=rr20,
         equilateral_residual=residual,
         signs=s,

@@ -67,8 +67,8 @@ def search_equilateral(t: SphericalTriangle, tol: float) -> list[tuple[SignVecto
     pairs sorted by residual; an empty list means no equilateral
     Napoleonisation exists at this tolerance.
     """
-    a, b = _opposite_edges(np.array(t.vertices))
-    c = dot(a, b)
+    a, b = _opposite_edges(t.vertices)
+    c = t.edge_inners
     angles = np.array([s.as_tuple() for s in _SIGNS]) * np.arccos(c / (1.0 + c))
     r = barycentre(a, b, _rotate(b, a, angles))  # (8 signs, 3 edges, 3)
     rr = dot(r, r.take(_NEXT, 1))
@@ -96,6 +96,6 @@ def random_triangles(count: int, seed: int) -> list[SphericalTriangle]:
         except NapsphereError:
             continue
         if t.orientation_swapped:
-            t = new_triangle(t.p0, t.p1, t.p2)
+            t = new_triangle(*t.vertices)
         out.append(t)
     return out

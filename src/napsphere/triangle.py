@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .core import _NEXT, _PREV, UnitVector, _first, dot, triple, unit_vector
+from .core import _NEXT, _PREV, _first, dot, triple, unit_vector
 from .errors import BoundaryConditioningWarning, CogeodesicError, DegenerateError, OutOfRangeError, TooWideError
 
 __all__ = [
@@ -58,26 +58,18 @@ SQRT3 = math.sqrt(3.0)
 class SphericalTriangle:
     """Admissible, orientation-normalised vertex triple on the unit sphere.
 
-    ``chi`` is the (positive) scalar triple product of the stored vertices.
-    ``orientation_swapped`` records whether ``p1`` and ``p2`` were exchanged
-    relative to the constructor input; callers can use it to map indices (and
-    apex directions) back to their original labelling.
+    ``vertices`` is a read-only (3, 3) array, one stored vertex per row, and
+    ``edge_inners`` the read-only (3,) array of the inner products of the edges
+    opposite them, computed once by :func:`new_triangle` and read by everything
+    downstream.  ``chi`` is the (positive) triple product of the vertices.
+    ``orientation_swapped`` records whether vertices 1 and 2 were exchanged
+    relative to the constructor input, to map indices back to that labelling.
     """
 
-    p0: UnitVector
-    p1: UnitVector
-    p2: UnitVector
+    vertices: np.ndarray
+    edge_inners: np.ndarray
     chi: float
     orientation_swapped: bool = False
-
-    @property
-    def vertices(self) -> tuple[UnitVector, UnitVector, UnitVector]:
-        return (self.p0, self.p1, self.p2)
-
-    def edge_inner(self, i: int) -> float:
-        """Inner product of the edge opposite vertex *i*."""
-        v = self.vertices
-        return dot(v[(i + 1) % 3], v[(i + 2) % 3])
 
 
 @dataclass(frozen=True)
@@ -169,11 +161,12 @@ def new_triangle(p0, p1, p2) -> SphericalTriangle:
     """Validate three unit vectors as a spherical triangle.
 
     Raises ``ValueError`` for a point that is not a finite unit 3-vector,
-    :class:`DegenerateError` for coincident or antipodal vertices,
-    :class:`CogeodesicError` when the triple product vanishes within
-    tolerance, and :class:`TooWideError` when some edge has inner product
-    <= -1/2.  If the raw triple product is negative, ``p1`` and ``p2`` are
-    swapped so the stored orientation has positive triple product.
+    :class:`DegenerateError` for coincident or antipodal vertices, or so close
+    that a side parameter rounds to sqrt(3), :class:`CogeodesicError` when the
+    triple product vanishes within tolerance, and :class:`TooWideError` when
+    some edge has inner product <= -1/2.  If the raw triple product is
+    negative, ``p1`` and ``p2`` (and their edge inner products) are swapped so
+    the stored orientation has positive triple product.
     """
     v = unit_vector((p0, p1, p2))
     if v.ndim != 2:
@@ -186,17 +179,21 @@ def new_triangle(p0, p1, p2) -> SphericalTriangle:
 
     c = dot(*_opposite_edges(v))
     _reject_too_wide(c, lambda i, ci: f"edge opposite vertex {i} has inner product {ci!r} <= -1/2")
+    i = _first(np.sqrt(1.0 + 2.0 * c) >= SQRT3)  # side_parameters' own expression
+    if i is not None:
+        raise DegenerateError(f"vertices {(i + 1) % 3} and {(i + 2) % 3} coincide: d{i} rounds to sqrt(3)")
 
     swapped = t < 0.0
     if swapped:
-        v = v[[0, 2, 1]]
+        v, c = v[[0, 2, 1]], c[[0, 2, 1]]
         t = -t
-    return SphericalTriangle(v[0], v[1], v[2], chi=t, orientation_swapped=swapped)
+    v.flags.writeable = c.flags.writeable = False
+    return SphericalTriangle(v, c, chi=t, orientation_swapped=swapped)
 
 
 def side_parameters(t: SphericalTriangle) -> SideParameters:
     """Side parameters of a validated triangle; each is guaranteed in range."""
-    return SideParameters(*(math.sqrt(1.0 + 2.0 * t.edge_inner(i)) for i in range(3)))
+    return SideParameters(*np.sqrt(1.0 + 2.0 * t.edge_inners).tolist())
 
 
 def alpha(d: SideParameters) -> float:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -47,8 +48,7 @@ from napsphere import (
 from napsphere.cli import main as cli_main
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cases.json"
-SIGNS = [SignVector(*s) for s in ((-1, -1, -1), (-1, -1, 1), (-1, 1, -1), (-1, 1, 1),
-                                  (1, -1, -1), (1, -1, 1), (1, 1, -1), (1, 1, 1))]
+SIGNS = [SignVector(*s) for s in itertools.product((-1, 1), repeat=3)]
 
 
 class Digest:

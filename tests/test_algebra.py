@@ -157,6 +157,17 @@ class TestFinalIdentity:
         assert check
         assert check.difference.is_zero()
 
+    def test_chi_substitution_is_exact_on_the_quadric(self):
+        # 4 chi^2 - (d0 + d1 + d2 - d0 d1 d2)^2 = -(equilateral factor)(condition - 2):
+        # on the quadric chi is sum_minus_product / 2, the positive root.
+        d = (D0, D1, D2)
+        assert 4 * chi_squared(*d) - sum_minus_product(*d) ** 2 == -equilateral_factor(*d) * (condition(*d) - 2)
+
+    def test_perturbed_chi_substitution_fails(self):
+        d = (D0, D1, D2)
+        perturbed = chi_squared(*d) + D0 * D1 * D2
+        assert 4 * perturbed - sum_minus_product(*d) ** 2 != -equilateral_factor(*d) * (condition(*d) - 2)
+
     def test_numeric_evaluation_on_locus_samples(self):
         chi_poly = sum_minus_product(D0, D1, D2) / 2
         a_poly = alpha(D0, D1, D2)

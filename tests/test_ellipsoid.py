@@ -151,21 +151,21 @@ class TestSamplerStream:
 class TestRealize:
     def test_known_d_reproduces_edge_inners(self):
         t = realize(SideParameters(*NAPOLEONIC_D))
-        assert t.edge_inner(0) == pytest.approx(-23.0 / 50.0, abs=1e-14)
-        assert t.edge_inner(1) == pytest.approx(-17.0 / 50.0, abs=1e-14)
-        assert t.edge_inner(2) == pytest.approx(-7.0 / 50.0, abs=1e-14)
+        assert t.edge_inners[0] == pytest.approx(-23.0 / 50.0, abs=1e-14)
+        assert t.edge_inners[1] == pytest.approx(-17.0 / 50.0, abs=1e-14)
+        assert t.edge_inners[2] == pytest.approx(-7.0 / 50.0, abs=1e-14)
         assert t.chi > 0.0
 
     def test_equilateral_d(self):
         s = 1.0 / math.sqrt(3.0)
         t = realize(SideParameters(s, s, s))
         for i in range(3):
-            assert t.edge_inner(i) == pytest.approx(-1.0 / 3.0, abs=1e-14)
+            assert t.edge_inners[i] == pytest.approx(-1.0 / 3.0, abs=1e-14)
 
     def test_canonical_placement(self):
         t = realize(SideParameters(*NAPOLEONIC_D))
-        assert np.allclose(t.p0, [1.0, 0.0, 0.0], atol=1e-15)
-        assert t.p1[1] > 0.0 and t.p1[2] == pytest.approx(0.0, abs=1e-15)
+        assert np.allclose(t.vertices[0], [1.0, 0.0, 0.0], atol=1e-15)
+        assert t.vertices[1, 1] > 0.0 and t.vertices[1, 2] == pytest.approx(0.0, abs=1e-15)
 
     @boundary_ok
     def test_round_trip_side_parameters(self):

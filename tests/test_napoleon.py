@@ -158,8 +158,8 @@ class TestNapoleonise:
     def test_equilateral_inward_collapse(self):
         t = new_triangle(*equilateral_vertices(-1.0 / 3.0))
         res = napoleonise(t, INWARD)
-        assert np.allclose(res.r0, res.r1, atol=1e-12)
-        assert np.allclose(res.r1, res.r2, atol=1e-12)
+        assert np.allclose(res.centroids[0], res.centroids[1], atol=1e-12)
+        assert np.allclose(res.centroids[1], res.centroids[2], atol=1e-12)
         assert res.centroids_coincident
 
     def test_signs_follow_input_vertex_order(self):
@@ -194,7 +194,7 @@ def test_napoleonise_matches_one_edge_at_a_time_exactly():
     # the per-edge closed form bit for bit, swapped orientations included.
     triangles = []
     for t in random_triangles(100, seed=26):
-        triangles += [t, new_triangle(t.p0, t.p2, t.p1)]
+        triangles += [t, new_triangle(*t.vertices[[0, 2, 1]])]
     for t in triangles:
         v = t.vertices
         for s in ALL_SIGNS:

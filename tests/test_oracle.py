@@ -119,6 +119,6 @@ def test_random_triangles_are_seeded_and_normalised():
     a = random_triangles(20, seed=62)
     b = random_triangles(20, seed=62)
     for ta, tb in zip(a, b):
-        assert np.allclose(ta.p0, tb.p0) and np.allclose(ta.p1, tb.p1) and np.allclose(ta.p2, tb.p2)
+        assert np.allclose(ta.vertices, tb.vertices)
         assert not ta.orientation_swapped
         assert ta.chi > 0.0

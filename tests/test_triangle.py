@@ -14,8 +14,10 @@ from napsphere import (
     TooWideError,
     alpha,
     apex,
+    Verdict,
     apex_by_rotation,
     chi_squared,
+    classify,
     dot,
     edge_centroid,
     napoleonise,
@@ -59,6 +61,36 @@ class TestNewTriangle:
         with pytest.raises(DegenerateError):
             new_triangle((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize("sep", [1.01e-9, 1e-8])
+    def test_near_coincident_vertices_rejected(self, sep):
+        # Far enough apart for the coincidence test, but <p0, p1> rounds so
+        # that d2 = sqrt(1 + 2 <p0, p1>) equals sqrt(3).
+        with pytest.raises(DegenerateError, match="vertices 0 and 1 coincide"):
+            new_triangle(EX, (1.0, sep, 0.0), EZ)
+
+    def test_close_vertices_accepted_and_classified(self):
+        t = new_triangle(EX, (1.0, 1e-7, 0.0), EZ)
+        assert side_parameters(t).d2 < SQRT3
+        assert classify(t).verdict is Verdict.NOT_NAPOLEONIC
+
+    def test_near_pairs_rejected_or_in_range(self):
+        # Random vertex pairs 1.01e-9 to 2e-8 apart: new_triangle rejects
+        # the triangle, or its side parameters are all in range.
+        rng = np.random.default_rng(17)
+        kinds = []
+        for _ in range(500):
+            p, u, r = rng.normal(size=(3, 3))
+            p /= np.linalg.norm(p)
+            u -= (u @ p) * p
+            q = p + rng.uniform(1.01e-9, 2e-8) * u / np.linalg.norm(u)
+            try:
+                t = new_triangle(p, q / np.linalg.norm(q), r / np.linalg.norm(r))
+            except NapsphereError as exc:
+                kinds.append(exc.kind)
+                continue
+            side_parameters(t)
+        assert "Degenerate" in kinds
+
     def test_antipodal_rejected(self):
         with pytest.raises(DegenerateError):
             new_triangle((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
@@ -68,8 +100,8 @@ class TestNewTriangle:
         assert t.orientation_swapped
         assert t.chi > 0.0
         # the stored triangle is the input with vertices 1 and 2 exchanged
-        assert np.allclose(t.p1, SCALENE_VERTICES[2])
-        assert np.allclose(t.p2, SCALENE_VERTICES[1])
+        assert np.allclose(t.vertices[1], SCALENE_VERTICES[2])
+        assert np.allclose(t.vertices[2], SCALENE_VERTICES[1])
 
     @pytest.mark.parametrize(
         "point",
@@ -170,7 +202,7 @@ class TestSideParameters:
         t = new_triangle(*SCALENE_VERTICES)
         d = side_parameters(t)
         # independent route: d_i = sqrt(1 + 2 c_i) from the stored edge inners
-        expected = sorted(math.sqrt(1.0 + 2.0 * t.edge_inner(i)) for i in range(3))
+        expected = sorted(math.sqrt(1.0 + 2.0 * t.edge_inners[i]) for i in range(3))
         assert sorted(d.as_tuple()) == pytest.approx(expected, abs=1e-15)
         assert sorted(d.as_tuple()) == pytest.approx(
             sorted((1.6929339632083817, math.sqrt(2.0), math.sqrt(2.5))), abs=1e-12
@@ -197,14 +229,22 @@ def test_stored_edge_inners_are_the_per_pair_products_exactly():
     # stored vertices bit for bit, swapped orientations included.
     triangles = []
     for t in random_triangles(100, seed=26):
-        triangles += [t, new_triangle(t.p0, t.p2, t.p1)]
+        triangles += [t, new_triangle(*t.vertices[[0, 2, 1]])]
     assert any(t.orientation_swapped for t in triangles)
     for t in triangles:
-        v = np.array(t.vertices)
+        v = t.vertices
         stacked = dot(v.take([1, 2, 0], 0), v.take([2, 0, 1], 0))
         for i in range(3):
             expected = float(v[(i + 1) % 3] @ v[(i + 2) % 3])
-            assert stacked[i] == expected and t.edge_inner(i) == expected
+            assert stacked[i] == expected and t.edge_inners[i] == expected
+
+
+@pytest.mark.parametrize("field", ["vertices", "edge_inners"])
+def test_triangle_record_is_read_only(napoleonic_triangle, field):
+    # edge_inners is stored, not recomputed: an in-place change to either
+    # array would leave the two disagreeing.
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(napoleonic_triangle, field)[0] = 0.0
 
 
 class TestAlpha:
