@@ -30,8 +30,8 @@ from .core import (
     unit_vector,
 )
 from .ellipsoid import (
-    EllipsoidPoint,
     d_to_xyz,
+    quadric_value,
     realize,
     sample_napoleonic_d,
     sample_napoleonic_d_with_attempts,

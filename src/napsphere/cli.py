@@ -32,7 +32,7 @@ import numpy as np
 from . import algebra
 from .classify import CLASSIFY_TOL, ClassificationReport, classify
 from .core import barycentre, normalize, spherical_distance
-from .ellipsoid import d_to_xyz, realize, sample_napoleonic_d_with_attempts
+from .ellipsoid import _realized, d_to_xyz, quadric_value, realize, sample_napoleonic_d_with_attempts
 from .errors import NapsphereError
 from .napoleon import NapoleonisationResult, SignVector, napoleonise
 from .oracle import search_equilateral
@@ -203,13 +203,12 @@ def cmd_sample(args) -> int:
     if args.count < 1 or args.seed < 0:
         raise _BadInput("--count must be >= 1 and --seed >= 0")
     samples, attempts = sample_napoleonic_d_with_attempts(args.count, args.seed)
-    rows = []
-    for d in samples:
-        xyz = d_to_xyz(d)
-        entry = {"d": list(d.as_tuple()), "xyz": list(xyz.as_tuple()), "condition_value": xyz.quadric_value()}
-        if args.realize:
-            entry["vertices"] = realize(d).vertices.tolist()
-        rows.append(entry)
+    d = np.array([s.as_tuple() for s in samples])
+    xyz = d_to_xyz(d)
+    columns = {"d": d.tolist(), "xyz": xyz.tolist(), "condition_value": quadric_value(xyz).tolist()}
+    if args.realize:
+        columns["vertices"] = _realized(*d.T)[0].tolist()
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
     if args.format == "csv":
         header = "d0,d1,d2,X,Y,Z"
         if args.realize:
@@ -219,17 +218,8 @@ def cmd_sample(args) -> int:
             cells = [*entry["d"], *entry["xyz"], *(x for p in entry.get("vertices", ()) for x in p)]
             print(",".join(map(repr, cells)))
         return EXIT_OK
-    print(
-        _dump(
-            {
-                "count": args.count,
-                "seed": args.seed,
-                "attempts": attempts,
-                "acceptance_rate": args.count / attempts,
-                "samples": rows,
-            }
-        )
-    )
+    doc = {"count": args.count, "seed": args.seed, "attempts": attempts, "acceptance_rate": args.count / attempts}
+    print(_dump({**doc, "samples": rows}))
     return EXIT_OK
 
 

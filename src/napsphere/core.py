@@ -40,6 +40,8 @@ _PREV = np.array([2, 0, 1])
 
 def _first(flags) -> int | None:
     """Index of the first true entry of *flags* (one or stacked), or None."""
+    if isinstance(flags, bool):  # one check on Python floats needs no array
+        return 0 if flags else None
     flags = np.asarray(flags).ravel()
     i = int(flags.argmax())
     return i if flags[i] else None

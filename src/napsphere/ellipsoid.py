@@ -9,28 +9,28 @@ In rotated coordinates
 the locus d0^2+d1^2+d2^2+d0d1+d0d2+d1d2 = 2 becomes the ellipsoid of
 revolution 2 X^2 + Y^2/2 + Z^2/2 = 2 with semi-axes (1, 2, 2);
 ``algebra.verify_rotation_quadratic`` proves the two sides equal as
-polynomials in d.  :func:`d_to_xyz` gives the rotated coordinates, the
-samplers draw admissible side parameters from this surface, and
-:func:`realize` places any realizable side parameters as a canonical
-triangle on the unit sphere.
+polynomials in d.  :func:`d_to_xyz` rotates side parameters stacked on the
+last axis to plain (..., 3) arrays and :func:`quadric_value` evaluates the
+left side per row; the samplers draw admissible side parameters from this
+surface, and :func:`realize` places any realizable side parameters as a
+canonical triangle on the unit sphere (``_realized`` places a stack).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra
-from .core import dot
+from .core import _first, dot
 from .errors import SeedExhaustedError, UnrealizableError
-from .triangle import SQRT3, SideParameters, SphericalTriangle, new_triangle
+from .triangle import SQRT3, SideParameters, SphericalTriangle, _validate
 
 __all__ = [
-    "EllipsoidPoint",
     "ROTATION",
     "d_to_xyz",
+    "quadric_value",
     "sample_napoleonic_d",
     "sample_napoleonic_d_with_attempts",
     "realize",
@@ -56,31 +56,15 @@ _MAX_REJECTIONS = 10**6
 _MAX_BLOCK = 1 << 15
 
 
-@dataclass(frozen=True)
-class EllipsoidPoint:
-    """Rotated coordinates of side parameters.
-
-    Points returned by :func:`sample_napoleonic_d`'s parametrization satisfy
-    ``2 X^2 + Y^2/2 + Z^2/2 = 2``; the forward map :func:`d_to_xyz` accepts
-    arbitrary side parameters, so use :meth:`quadric_value` to test surface
-    membership.
-    """
-
-    x: float
-    y: float
-    z: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
-    def quadric_value(self) -> float:
-        return 2.0 * self.x * self.x + self.y * self.y / 2.0 + self.z * self.z / 2.0
+def d_to_xyz(d) -> np.ndarray:
+    """Rotate side parameters (..., 3) into the ellipsoid's principal-axis frame."""
+    return (ROTATION @ np.asarray(d, dtype=float)[..., None])[..., 0]
 
 
-def d_to_xyz(d: SideParameters) -> EllipsoidPoint:
-    """Rotate side parameters into the ellipsoid's principal-axis frame."""
-    xyz = ROTATION @ d.as_array()
-    return EllipsoidPoint(*map(float, xyz))
+def quadric_value(xyz):
+    """``2 X^2 + Y^2/2 + Z^2/2`` of rotated coordinates (..., 3); 2 on the quadric."""
+    x, y, z = np.moveaxis(np.asarray(xyz, dtype=float), -1, 0)
+    return 2.0 * x * x + y * y / 2.0 + z * z / 2.0
 
 
 def sample_napoleonic_d(count: int, seed: int) -> list[SideParameters]:
@@ -141,26 +125,40 @@ def sample_napoleonic_d_with_attempts(count: int, seed: int) -> tuple[list[SideP
     return out, attempts
 
 
+def _realized(d0, d1, d2):
+    """:func:`realize` with the same expressions on floats or on columns (N,): ``_validate`` of
+    the canonical vertices (..., 3, 3), or the first row's error."""
+    c0, c1, c2 = ((x * x - 1.0) / 2.0 for x in (d0, d1, d2))
+    chi2 = 1.0 - c0 * c0 - c1 * c1 - c2 * c2 + 2.0 * c0 * c1 * c2
+    i = _first(chi2 <= 1e-12)
+    if i is not None:
+        raise UnrealizableError(f"side parameters admit no triangle: squared triple {float(np.ravel(chi2)[i])!r} <= 0")
+    # P2 = a0 P0 + a1 P1 + b (P0 x P1) has <P2, P0> = c1 and <P2, P1> = c0,
+    # with P0 = (1,0,0), P1 = (c2, s, 0) and P0 x P1 = (0,0,s).
+    denom = 1.0 - c2 * c2
+    a0 = (c1 - c2 * c0) / denom
+    a1 = (c0 - c2 * c1) / denom
+    b = np.sqrt(chi2) / denom
+    s = np.sqrt(denom)
+    v = np.zeros(s.shape + (3, 3))
+    v[..., 0, 0], v[..., 1, 0], v[..., 1, 1] = 1.0, c2, s
+    p2 = v[..., 2, :]
+    p2[..., 0], p2[..., 1], p2[..., 2] = a0 + a1 * c2, a1 * s, b * s
+    p2 /= np.sqrt(dot(p2, p2))[..., None]
+    # b > 0 makes the raw triple product positive, so no swap occurs here.
+    return _validate(v)
+
+
 def realize(d: SideParameters) -> SphericalTriangle:
     """Canonical triangle on the unit sphere with side parameters *d*.
 
     P0 = (1,0,0), P1 lies in the upper xy half-plane, and the third vertex
     is placed with positive orientation, so the result needs no vertex swap
     and represents the congruence class of *d*.  Raises
-    :class:`UnrealizableError` when ``chi_squared(d) <= 1e-12``; the range
-    (0, sqrt(3)) is enforced by :class:`SideParameters` itself.
+    :class:`UnrealizableError` when the Gram form ``1 - sum c_i^2 + 2 c0 c1 c2``
+    of ``c_i = (d_i^2 - 1)/2`` is <= 1e-12: ``chi_squared(d)`` as a polynomial
+    (``test_gram_determinant_is_chi_squared``), though rounded differently.
+    The placed vertices must pass :func:`new_triangle`'s rules: a d_i below
+    about 1.5e-8 is :class:`TooWideError`.  This is :func:`_realized` for one row.
     """
-    c0, c1, c2 = d.edge_inners()
-    chi2 = 1.0 - c0 * c0 - c1 * c1 - c2 * c2 + 2.0 * c0 * c1 * c2
-    if chi2 <= 1e-12:
-        raise UnrealizableError(f"side parameters admit no triangle: squared triple {chi2!r} <= 0")
-    # P2 = a0 P0 + a1 P1 + b (P0 x P1) has <P2, P0> = c1 and <P2, P1> = c0,
-    # with P0 = (1,0,0), P1 = (c2, s, 0) and P0 x P1 = (0,0,s).
-    denom = 1.0 - c2 * c2
-    a0 = (c1 - c2 * c0) / denom
-    a1 = (c0 - c2 * c1) / denom
-    b = math.sqrt(chi2) / denom
-    s = math.sqrt(denom)
-    p2 = np.array([a0 + a1 * c2, a1 * s, b * s])
-    # b > 0 makes the raw triple product positive, so no swap occurs here.
-    return new_triangle((1.0, 0.0, 0.0), (c2, s, 0.0), p2 / math.sqrt(dot(p2, p2)))
+    return SphericalTriangle(*_realized(*d.as_tuple()))

@@ -94,7 +94,7 @@ INWARD = SignVector(+1, +1, +1)
 class NapoleonisationResult:
     """Apexes, centroids, and centroid inner products of one construction.
 
-    ``apexes`` and ``centroids`` are (3, 3) arrays whose row ``i`` sits
+    ``apexes`` and ``centroids`` are read-only (3, 3) arrays whose row ``i`` sits
     opposite the triangle's stored vertex ``i`` (built on the edge joining the
     other two vertices).  The residual is the maximum pairwise difference of
     the three centroid inner products; it vanishes exactly when the
@@ -166,6 +166,7 @@ def napoleonise(t: SphericalTriangle, s: SignVector) -> NapoleonisationResult:
     eff = s.oriented(t.orientation_swapped)
     near = _near_boundary(t.edge_inners, stacklevel=2)
     q, r = _construct(*_opposite_edges(t.vertices), t.edge_inners, eff.as_tuple())
+    q.flags.writeable = r.flags.writeable = False
     rr01, rr12, rr20 = dot(r, r.take(_NEXT, 0)).tolist()
     residual = max(abs(rr01 - rr12), abs(rr12 - rr20), abs(rr20 - rr01))
     return NapoleonisationResult(

@@ -89,13 +89,6 @@ class SideParameters:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.d0, self.d1, self.d2)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.d0, self.d1, self.d2])
-
-    def edge_inners(self) -> tuple[float, float, float]:
-        """Vertex inner products (<p1,p2>, <p2,p0>, <p0,p1>) this d encodes."""
-        return tuple((v * v - 1.0) / 2.0 for v in self.as_tuple())
-
 
 def _opposite_edges(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints of the edges opposite each vertex of a stacked (..., 3, 3) triple."""
@@ -157,6 +150,32 @@ def _edge_inner(a, b, eps: int) -> float:
     return c
 
 
+def _validate(v):
+    """:func:`new_triangle`'s rules, in its order, over stacked triples (..., 3, 3), each raising for
+    its first flagged entry.  Returns the read-only vertices and edge inner products, chi and the
+    swap mask: the fields of :class:`SphericalTriangle`, for one triangle or stacked."""
+    v = unit_vector(v)
+    _reject_degenerate(v, v.take(_NEXT, -2), lambda i, how: f"vertices {i % 3} and {(i + 1) % 3} {how}")
+
+    t = triple(v[..., 0, :], v[..., 1, :], v[..., 2, :])
+    if _first(abs(t) <= DEGENERACY_TOL) is not None:
+        raise CogeodesicError("vertices lie on a common great circle")
+
+    c = dot(*_opposite_edges(v))
+    _reject_too_wide(c, lambda i, ci: f"edge opposite vertex {i % 3} has inner product {ci!r} <= -1/2")
+    i = _first(np.sqrt(1.0 + 2.0 * c) >= SQRT3)  # side_parameters' own expression
+    if i is not None:
+        raise DegenerateError(f"vertices {(i + 1) % 3} and {(i + 2) % 3} coincide: d{i % 3} rounds to sqrt(3)")
+
+    swapped = t < 0.0
+    if _first(swapped) is not None:
+        flip = np.asarray(swapped)[..., None]
+        v = np.where(flip[..., None], v.take([0, 2, 1], -2), v)
+        c = np.where(flip, c.take([0, 2, 1], -1), c)
+    v.flags.writeable = c.flags.writeable = False
+    return v, c, abs(t), swapped
+
+
 def new_triangle(p0, p1, p2) -> SphericalTriangle:
     """Validate three unit vectors as a spherical triangle.
 
@@ -166,29 +185,14 @@ def new_triangle(p0, p1, p2) -> SphericalTriangle:
     triple product vanishes within tolerance, and :class:`TooWideError` when
     some edge has inner product <= -1/2.  If the raw triple product is
     negative, ``p1`` and ``p2`` (and their edge inner products) are swapped so
-    the stored orientation has positive triple product.
+    the stored orientation has positive triple product.  This is
+    :func:`_validate` for one triangle.
     """
-    v = unit_vector((p0, p1, p2))
+    v = np.asarray((p0, p1, p2), dtype=float)
     if v.ndim != 2:
+        unit_vector(v)  # a malformed or non-unit point is reported before the shape
         raise ValueError(f"expected three 3-component points, got shape {v.shape}")
-    _reject_degenerate(v, v.take(_NEXT, 0), lambda i, how: f"vertices {i} and {(i + 1) % 3} {how}")
-
-    t = triple(*v)
-    if abs(t) <= DEGENERACY_TOL:
-        raise CogeodesicError("vertices lie on a common great circle")
-
-    c = dot(*_opposite_edges(v))
-    _reject_too_wide(c, lambda i, ci: f"edge opposite vertex {i} has inner product {ci!r} <= -1/2")
-    i = _first(np.sqrt(1.0 + 2.0 * c) >= SQRT3)  # side_parameters' own expression
-    if i is not None:
-        raise DegenerateError(f"vertices {(i + 1) % 3} and {(i + 2) % 3} coincide: d{i} rounds to sqrt(3)")
-
-    swapped = t < 0.0
-    if swapped:
-        v, c = v[[0, 2, 1]], c[[0, 2, 1]]
-        t = -t
-    v.flags.writeable = c.flags.writeable = False
-    return SphericalTriangle(v, c, chi=t, orientation_swapped=swapped)
+    return SphericalTriangle(*_validate(v))
 
 
 def side_parameters(t: SphericalTriangle) -> SideParameters:

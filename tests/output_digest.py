@@ -1,6 +1,6 @@
 """SHA-256 digests of napsphere's outputs over a fixed set of seeded inputs.
 
-Run as ``PYTHONPATH=src python tests/output_digest.py`` (about 30 s).  It
+Run as ``PYTHONPATH=src python tests/output_digest.py`` (about 40 s).  It
 prints one digest per group of inputs and a total.  A change that must keep
 every output bit for bit is checked by running this one file against both
 source trees and comparing the totals; a group whose digest moves names
@@ -189,7 +189,29 @@ def cli(dg: Digest) -> None:
     dg.add(*_cli(["sample", "--count", "3000", "--seed", "6", "--realize", "--format", "csv"]))
 
 
-GROUPS = [quadric, uniform_vertices, boundary, uniform_d, edges, oracle, cli]
+def sample(dg: Digest) -> None:
+    """480 ``sample`` calls: 120 seeds with counts from 1 to 700, JSON and CSV, with and without ``--realize``."""
+    for seed in range(120):
+        count = 1 + seed * 233 % 700
+        for extra in ([], ["--realize"], ["--format", "csv"], ["--realize", "--format", "csv"]):
+            dg.add(*_cli(["sample", "--count", str(count), "--seed", str(seed), *extra]))
+
+
+def realize_boundary(dg: Digest) -> None:
+    """``realize`` at its Gram-value threshold and with one tiny side parameter, in each position."""
+    for i, value in itertools.product(range(3), (math.sqrt(3.0 - 1e-12), math.sqrt(3.0 - 8e-13), 1e-9, 1e-8, 2e-8, 1e-7)):
+        d = [1.0, 1.0, 1.0]
+        d[i] = value
+        try:
+            t = realize(SideParameters(*d))
+        except NapsphereError as exc:
+            dg.error(exc)
+            continue
+        dg.triangle(t)
+        dg.napoleonisation(napoleonise(t, SIGNS[0]))
+
+
+GROUPS = [quadric, uniform_vertices, boundary, uniform_d, edges, oracle, cli, sample, realize_boundary]
 
 
 def main() -> None:

@@ -165,7 +165,7 @@ def test_criterion_5_inward_impossibility_near_quadric():
             delta = 10.0 ** rng.uniform(-4.0, -2.0)
             direction = rng.normal(size=3)
             direction /= np.linalg.norm(direction)
-            moved = d.as_array() + delta * direction
+            moved = np.array(d.as_tuple()) + delta * direction
             if not np.all((moved > 0.0) & (moved < SQRT3)):
                 continue
             nd = SideParameters(*moved)

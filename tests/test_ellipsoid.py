@@ -14,6 +14,7 @@ from napsphere import (
     d_to_xyz,
     napoleonise,
     new_triangle,
+    quadric_value,
     realize,
     sample_napoleonic_d,
     side_parameters,
@@ -21,7 +22,7 @@ from napsphere import (
 )
 from napsphere import ellipsoid
 from napsphere.ellipsoid import DIAGONAL_MARGIN, ROTATION, sample_napoleonic_d_with_attempts
-from napsphere.errors import OutOfRangeError, SeedExhaustedError
+from napsphere.errors import OutOfRangeError, SeedExhaustedError, TooWideError
 from napsphere.triangle import SideParameters
 
 from conftest import NAPOLEONIC_D
@@ -44,20 +45,20 @@ class TestRotation:
         assert np.allclose(ROTATION @ ROTATION.T, np.eye(3), atol=1e-15)
 
     def test_known_d_lands_on_quadric(self):
-        p = d_to_xyz(SideParameters(*NAPOLEONIC_D))
-        assert p.quadric_value() == pytest.approx(2.0, abs=1e-12)
+        p = d_to_xyz(NAPOLEONIC_D)
+        assert quadric_value(p) == pytest.approx(2.0, abs=1e-12)
 
     def test_symmetric_point_maps_to_axis(self):
         s = 1.0 / math.sqrt(3.0)
-        p = d_to_xyz(SideParameters(s, s, s))
-        assert p.x == pytest.approx(1.0, abs=1e-14)
-        assert p.y == pytest.approx(0.0, abs=1e-14)
-        assert p.z == pytest.approx(0.0, abs=1e-14)
+        x, y, z = d_to_xyz((s, s, s))
+        assert x == pytest.approx(1.0, abs=1e-14)
+        assert y == pytest.approx(0.0, abs=1e-14)
+        assert z == pytest.approx(0.0, abs=1e-14)
 
     def test_round_trip_identity(self):
         rng = np.random.default_rng(40)
         for d in _random_d(rng, 1000):
-            back = ROTATION.T @ np.array(d_to_xyz(d).as_tuple())
+            back = ROTATION.T @ d_to_xyz(d.as_tuple())
             assert tuple(back) == pytest.approx(d.as_tuple(), abs=1e-12)
 
     def test_quadratic_form_equals_condition_value(self):
@@ -65,19 +66,19 @@ class TestRotation:
 
         rng = np.random.default_rng(41)
         for d in _random_d(rng, 200):
-            assert d_to_xyz(d).quadric_value() == pytest.approx(condition_value(d), abs=1e-12)
+            assert quadric_value(d_to_xyz(d.as_tuple())) == pytest.approx(condition_value(d), abs=1e-12)
 
 
 class TestSampler:
     def test_samples_lie_on_quadric(self):
         for d in sample_napoleonic_d(500, seed=42):
-            assert d_to_xyz(d).quadric_value() == pytest.approx(2.0, abs=1e-12)
+            assert quadric_value(d_to_xyz(d.as_tuple())) == pytest.approx(2.0, abs=1e-12)
 
     def test_samples_in_range_and_realizable(self):
         for d in sample_napoleonic_d(500, seed=43):
             assert all(0.0 < v < math.sqrt(3.0) for v in d.as_tuple())
             assert chi_squared(d) > 1e-12
-            arr = d.as_array()
+            arr = np.array(d.as_tuple())
             assert np.linalg.norm(arr - arr.mean()) >= 1e-6
 
     def test_deterministic_per_seed(self):
@@ -127,6 +128,13 @@ class TestSamplerStream:
             samples, got_attempts = sample_napoleonic_d_with_attempts(count, seed)
             assert [d.as_tuple() for d in samples] == expected
             assert got_attempts == attempts
+
+    @pytest.mark.parametrize("f, accepted", [(0.9, False), (1.1, True)])
+    def test_diagonal_margin_boundary(self, f, accepted):
+        # theta = asin(f * 1e-6 / 2) puts the point f * 1e-6 from the diagonal; the margin is
+        # written out, not read from DIAGONAL_MARGIN, so a changed constant fails here
+        _, ok = ellipsoid._quadric_block(np.array([[math.asin(f * 1e-6 / 2.0) / math.pi, 0.3]]))
+        assert ok.tolist() == [accepted]
 
     def test_exhausted_after_max_consecutive_rejections(self, monkeypatch):
         monkeypatch.setattr(ellipsoid, "_MAX_REJECTIONS", 50)
@@ -195,6 +203,36 @@ class TestRealize:
         assert chi_squared(d) < 0.0
         with pytest.raises(UnrealizableError):
             realize(d)
+
+    def test_unrealizable_threshold(self):
+        # Gram value 1.00009e-12 is realized, 7.99e-13 is not
+        assert realize(SideParameters(math.sqrt(3.0 - 1e-12), 1.0, 1.0)).chi > 0.0
+        with pytest.raises(UnrealizableError, match=r"squared triple 7\.99\d*e-13 <= 0"):
+            realize(SideParameters(math.sqrt(3.0 - 8e-13), 1.0, 1.0))
+
+    def test_tiny_side_parameter_is_too_wide(self):
+        with pytest.raises(TooWideError) as exc:
+            realize(SideParameters(1.0, 1e-9, 1.0))
+        assert str(exc.value) == "edge opposite vertex 1 has inner product -0.5000000000000001 <= -1/2"
+        assert realize(SideParameters(2e-8, 1.0, 1.0)).chi > 0.0
+
+    def test_stacked_realize_reports_the_first_failing_row(self):
+        d = np.array([NAPOLEONIC_D, (1.0, 1e-9, 1.0), NAPOLEONIC_D, (1e-9, 1.0, 1.0)])
+        with pytest.raises(TooWideError) as exc:
+            ellipsoid._realized(*d.T)
+        assert str(exc.value) == "edge opposite vertex 1 has inner product -0.5000000000000001 <= -1/2"
+
+    @boundary_ok
+    def test_stacked_realize_matches_one_row_at_a_time_exactly(self):
+        rng = np.random.default_rng(49)
+        ds = sample_napoleonic_d(2000, seed=50)
+        ds += [d for d in map(SideParameters, *rng.uniform(1e-3, 1.73, size=(3, 4000))) if chi_squared(d) > 1e-9]
+        triangles = [realize(d) for d in ds]
+        vertices, edge_inners, chi, swapped = ellipsoid._realized(*np.array([d.as_tuple() for d in ds]).T)
+        assert vertices.tobytes() == np.array([t.vertices for t in triangles]).tobytes()
+        assert edge_inners.tobytes() == np.array([t.edge_inners for t in triangles]).tobytes()
+        assert chi.tolist() == [t.chi for t in triangles]
+        assert not swapped.any()
 
     def test_out_of_range_rejected(self):
         with pytest.raises(OutOfRangeError):

@@ -180,6 +180,14 @@ class TestNapoleonise:
             SignVector(*signs)
 
 
+@pytest.mark.parametrize("field", ["apexes", "centroids"])
+def test_result_arrays_are_read_only(napoleonic_triangle, field):
+    # rr01/rr12/rr20 and the residual are derived from them at construction
+    res = napoleonise(napoleonic_triangle, OUTWARD)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(res, field)[0] = getattr(res, field)[1]
+
+
 def _reference_edge(a, b, eps):
     """Apex and centroid of one edge, written out as the closed forms read."""
     c = float(a @ b)

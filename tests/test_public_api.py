@@ -8,7 +8,6 @@ PUBLIC_NAMES = [
     "ClassificationReport",
     "CogeodesicError",
     "DegenerateError",
-    "EllipsoidPoint",
     "INWARD",
     "NapoleonisationResult",
     "NapsphereError",
@@ -41,6 +40,7 @@ PUBLIC_NAMES = [
     "napoleonise",
     "new_triangle",
     "normalize",
+    "quadric_value",
     "random_triangles",
     "realize",
     "sample_napoleonic_d",
@@ -53,9 +53,10 @@ PUBLIC_NAMES = [
 ]
 
 # Names the package no longer exports: tests-only helpers, single-caller
-# wrappers and a re-export.
+# wrappers, a re-export and a per-row record replaced by stacked arrays.
 REMOVED_NAMES = [
     "BasisCoefficients",
+    "EllipsoidPoint",
     "IndeterminateError",
     "chi_relation_check",
     "clamp",

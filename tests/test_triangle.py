@@ -26,7 +26,7 @@ from napsphere import (
     triple,
 )
 from napsphere.oracle import random_triangles
-from napsphere.triangle import SQRT3, SideParameters
+from napsphere.triangle import SQRT3, SideParameters, _validate
 
 from conftest import NAPOLEONIC_D, SCALENE_VERTICES, equilateral_vertices
 
@@ -115,8 +115,8 @@ class TestNewTriangle:
 
     @pytest.mark.parametrize(
         "points",
-        [(EX, [[0.0, 1.0, 0.0]], EZ), ([EX], [EZ], [[0.0, 1.0, 0.0]]), (1.0, 0.0, 0.0)],
-        ids=["one-nested", "all-nested", "scalars"],
+        [(EX, [[0.0, 1.0, 0.0]], EZ), ([EX], [EZ], [[0.0, 1.0, 0.0]]), (1.0, 0.0, 0.0), (np.eye(3),) * 3],
+        ids=["one-nested", "all-nested", "scalars", "stacked"],
     )
     def test_points_of_wrong_shape_rejected(self, points):
         with pytest.raises(ValueError) as exc:
@@ -237,6 +237,23 @@ def test_stored_edge_inners_are_the_per_pair_products_exactly():
         for i in range(3):
             expected = float(v[(i + 1) % 3] @ v[(i + 2) % 3])
             assert stacked[i] == expected and t.edge_inners[i] == expected
+
+
+def test_stacked_validation_matches_one_triangle_at_a_time_exactly():
+    v = np.array([t.vertices for t in random_triangles(3000, seed=7)])
+    v[1::2] = v[1::2].take([0, 2, 1], axis=1)  # every other triangle entered with the opposite orientation
+    triangles = [new_triangle(*row) for row in v]
+    vertices, edge_inners, chi, swapped = _validate(v)
+    assert vertices.tobytes() == np.array([t.vertices for t in triangles]).tobytes()
+    assert edge_inners.tobytes() == np.array([t.edge_inners for t in triangles]).tobytes()
+    assert chi.tolist() == [t.chi for t in triangles]
+    assert swapped.tolist() == [t.orientation_swapped for t in triangles] == [False, True] * 1500
+
+
+def test_stacked_validation_names_vertices_within_the_first_failing_triangle():
+    v = np.array([SCALENE_VERTICES, (EX, EY, EY), SCALENE_VERTICES, (EX, EX, EZ)])
+    with pytest.raises(DegenerateError, match="^vertices 1 and 2 coincide$"):
+        _validate(v)
 
 
 @pytest.mark.parametrize("field", ["vertices", "edge_inners"])
