@@ -168,6 +168,24 @@ class TestClassify:
                 assert rr == pytest.approx(-1.0 / 3.0, abs=1e-9)
 
 
+class TestClassifyThresholds:
+    # cres = 0.02 and eqf = 0.28 here, so each threshold can be set to the other quantity.
+    D = SideParameters(0.3, 0.5, 0.9)
+
+    def test_equilateral_threshold_is_strict(self):
+        eqf = algebra.equilateral_factor(*self.D.as_tuple())
+        assert classify_d(self.D, tol=eqf).verdict is Verdict.OUTWARD_NAPOLEONIC
+
+    def test_condition_threshold_is_strict(self):
+        cres = algebra.condition(*self.D.as_tuple()) - 2.0
+        assert classify_d(self.D, tol=abs(cres)).verdict is Verdict.NOT_NAPOLEONIC
+
+    def test_unrealizable_d_reports_zero_chi(self):
+        report = classify_d(SideParameters(math.sqrt(2.0), math.sqrt(2.8), math.sqrt(0.4)))
+        assert report.chi == 0.0
+        assert report.verdict is Verdict.NOT_NAPOLEONIC
+
+
 class TestChiRelation:
     def test_known_d(self):
         d = SideParameters(*NAPOLEONIC_D)

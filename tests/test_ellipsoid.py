@@ -156,6 +156,34 @@ class TestSamplerStream:
             sample_napoleonic_d_with_attempts(300, 5)
 
 
+def _stalled_block(n):
+    """A ``_quadric_block`` that skips the trigonometry: every draw maps to one
+    admissible point, and the mask rejects draws 0 ... n-1 of the stream."""
+    seen = 0
+
+    def block(u):
+        nonlocal seen
+        index = np.arange(seen, seen + len(u))
+        seen += len(u)
+        return np.broadcast_to(np.array(NAPOLEONIC_D), (len(u), 3)), index >= n
+
+    return block
+
+
+class TestSamplerStuckGuard:
+    # The limit is written out, not read from _MAX_REJECTIONS, so a changed constant fails here.
+    def test_one_rejection_short_of_the_limit_passes(self, monkeypatch):
+        monkeypatch.setattr(ellipsoid, "_quadric_block", _stalled_block(999_999))
+        samples, attempts = sample_napoleonic_d_with_attempts(3, seed=0)
+        assert attempts == 1_000_002
+        assert [d.as_tuple() for d in samples] == [NAPOLEONIC_D] * 3
+
+    def test_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(ellipsoid, "_quadric_block", _stalled_block(1_000_000))
+        with pytest.raises(SeedExhaustedError, match=r"^1000000 consecutive rejections; sampler stuck$"):
+            sample_napoleonic_d_with_attempts(3, seed=0)
+
+
 class TestRealize:
     def test_known_d_reproduces_edge_inners(self):
         t = realize(SideParameters(*NAPOLEONIC_D))

@@ -214,6 +214,19 @@ def test_napoleonise_matches_one_edge_at_a_time_exactly():
             assert res.centroid_inners == (float(r0 @ r1), float(r1 @ r2), float(r2 @ r0))
 
 
+def test_equilateral_residual_is_the_largest_of_all_three_differences():
+    # In 292 of these 800 cases |rr20 - rr01| alone is the largest, so a
+    # residual built from two of the three differences fails here.
+    third_alone = 0
+    for t in random_triangles(100, seed=5):
+        for s in ALL_SIGNS:
+            res = napoleonise(t, s)
+            diffs = (abs(res.rr01 - res.rr12), abs(res.rr12 - res.rr20), abs(res.rr20 - res.rr01))
+            assert res.equilateral_residual == max(diffs)
+            third_alone += diffs[2] > max(diffs[:2])
+    assert third_alone > 0
+
+
 class TestNearBoundaryFlag:
     def test_flag_and_warning_on_near_boundary_triangle(self):
         c = -0.5 + 5e-7

@@ -1,6 +1,7 @@
 """Triangle validation, side parameters, and the derived scalar invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from napsphere import (
     triple,
 )
 from napsphere.oracle import random_triangles
-from napsphere.triangle import SQRT3, SideParameters, _validate
+from napsphere.triangle import BOUNDARY_BAND, SQRT3, SideParameters, _validate
 
 from conftest import NAPOLEONIC_D, SCALENE_VERTICES, equilateral_vertices
 
@@ -178,6 +179,16 @@ class TestSingleEdgeRule:
     def test_malformed_endpoint_rejected(self, construction, edge, message):
         with pytest.raises(ValueError, match=message):
             construction(*edge, 1)
+
+
+def test_band_edge_is_inclusive():
+    # The band is (-1/2, -1/2 + BOUNDARY_BAND]: its upper end warns, one ulp above it does not.
+    c = -0.5 + BOUNDARY_BAND
+    with pytest.warns(BoundaryConditioningWarning, match=BAND_TEXT):
+        apex(*_edge_at(c), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BoundaryConditioningWarning)
+        apex(*_edge_at(math.nextafter(c, 0.0)), 1)
 
 
 def test_napoleonise_band_warning_matches_single_edge():
