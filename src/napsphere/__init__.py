@@ -15,9 +15,6 @@ from .classify import (
     Verdict,
     classify,
     classify_d,
-    condition_residual,
-    condition_value,
-    equilateral_factor,
     napoleonic_equation_residual,
 )
 from .core import (
@@ -61,8 +58,6 @@ from .oracle import apex_by_rotation, random_triangles, search_equilateral
 from .triangle import (
     SideParameters,
     SphericalTriangle,
-    alpha,
-    chi_squared,
     new_triangle,
     side_parameters,
 )

@@ -206,7 +206,8 @@ def condition(d0, d1, d2):
 
 
 def equilateral_factor(d0, d1, d2):
-    """d0^2 + d1^2 + d2^2 - d0 d1 - d1 d2 - d2 d0."""
+    """d0^2 + d1^2 + d2^2 - d0 d1 - d1 d2 - d2 d0: half the sum of the squared
+    pairwise differences, so >= 0 and zero exactly at equilateral d."""
     return d0 * d0 + d1 * d1 + d2 * d2 - d0 * d1 - d1 * d2 - d2 * d0
 
 

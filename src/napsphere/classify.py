@@ -21,15 +21,12 @@ import math
 from dataclasses import dataclass
 
 from . import algebra
-from .triangle import SideParameters, SphericalTriangle, _check_sign, alpha, chi_squared, side_parameters
+from .triangle import SideParameters, SphericalTriangle, _check_sign, side_parameters
 
 __all__ = [
     "CLASSIFY_TOL",
     "Verdict",
     "ClassificationReport",
-    "condition_value",
-    "condition_residual",
-    "equilateral_factor",
     "napoleonic_equation_residual",
     "classify",
     "classify_d",
@@ -79,31 +76,12 @@ class ClassificationReport:
         return math.acos(self.predicted_rr)
 
 
-def condition_value(d: SideParameters) -> float:
-    """d0^2 + d1^2 + d2^2 + d0 d1 + d0 d2 + d1 d2 (:func:`napsphere.algebra.condition`)."""
-    return algebra.condition(*d.as_tuple())
-
-
-def condition_residual(d: SideParameters) -> float:
-    """Signed distance of the condition value from 2."""
-    return condition_value(d) - 2.0
-
-
-def equilateral_factor(d: SideParameters) -> float:
-    """d0^2 + d1^2 + d2^2 - d0 d1 - d1 d2 - d2 d0, always >= 0.
-
-    Equals half the sum of squared pairwise differences of the d_i, so it
-    vanishes exactly for equilateral side parameters.
-    """
-    return algebra.equilateral_factor(*d.as_tuple())
-
-
 def napoleonic_equation_residual(d: SideParameters, chi: float, eps: int) -> float:
     """alpha (d0+d1+d2 - d0 d1 d2) + eps chi (1 - d0 d1 - d1 d2 - d2 d0).
 
     Vanishes exactly when the uniform-sign Napoleonisation with sign *eps*
     is equilateral (for non-equilateral d).  ``chi`` must be the positive
-    square root of ``chi_squared(d)``.
+    square root of :func:`napsphere.algebra.chi_squared` of *d*.
     """
     _check_sign(eps)
     dv = d.as_tuple()
@@ -113,18 +91,18 @@ def napoleonic_equation_residual(d: SideParameters, chi: float, eps: int) -> flo
 def classify_d(d: SideParameters, tol: float = CLASSIFY_TOL) -> ClassificationReport:
     """Classify side parameters directly (see :func:`classify`).
 
-    Triangle-derived side parameters always have a positive squared triple
-    product; for raw unrealizable inputs the reported ``chi`` falls back to
-    0 (the verdict is then necessarily NotNapoleonic, since every point of
-    the quadric is realizable).
+    The report's diagnostics are the polynomials of :mod:`napsphere.algebra`
+    at *d*; ``condition_residual`` is ``condition - 2``.  Triangle-derived
+    side parameters always have a positive squared triple product; for raw
+    unrealizable inputs the reported ``chi`` falls back to 0 (the verdict is
+    then necessarily NotNapoleonic, since every point of the quadric is
+    realizable).
     """
-    a = alpha(d)
-    chi2 = chi_squared(d)
-    chi = math.sqrt(chi2) if chi2 > 0.0 else 0.0
-    gamma = algebra.gamma(*d.as_tuple())
-    cval = condition_value(d)
+    dv = d.as_tuple()
+    chi2 = algebra.chi_squared(*dv)
+    cval = algebra.condition(*dv)
     cres = cval - 2.0
-    eqf = equilateral_factor(d)
+    eqf = algebra.equilateral_factor(*dv)
 
     verdict = Verdict.NOT_NAPOLEONIC
     predicted_rr = None
@@ -142,9 +120,9 @@ def classify_d(d: SideParameters, tol: float = CLASSIFY_TOL) -> ClassificationRe
 
     return ClassificationReport(
         d=d,
-        alpha=a,
-        chi=chi,
-        gamma=gamma,
+        alpha=algebra.alpha(*dv),
+        chi=math.sqrt(chi2) if chi2 > 0.0 else 0.0,
+        gamma=algebra.gamma(*dv),
         condition_value=cval,
         condition_residual=cres,
         equilateral_factor=eqf,

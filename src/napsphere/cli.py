@@ -32,7 +32,7 @@ import numpy as np
 from . import algebra
 from .classify import CLASSIFY_TOL, ClassificationReport, classify
 from .core import barycentre, normalize, spherical_distance
-from .ellipsoid import _realized, d_to_xyz, quadric_value, realize, sample_napoleonic_d_with_attempts
+from .ellipsoid import _realized, _sampled, d_to_xyz, quadric_value, realize
 from .errors import NapsphereError
 from .napoleon import NapoleonisationResult, SignVector, napoleonise
 from .oracle import search_equilateral
@@ -202,8 +202,7 @@ def cmd_classify(args) -> int:
 def cmd_sample(args) -> int:
     if args.count < 1 or args.seed < 0:
         raise _BadInput("--count must be >= 1 and --seed >= 0")
-    samples, attempts = sample_napoleonic_d_with_attempts(args.count, args.seed)
-    d = np.array([s.as_tuple() for s in samples])
+    d, attempts = _sampled(args.count, args.seed)
     xyz = d_to_xyz(d)
     columns = {"d": d.tolist(), "xyz": xyz.tolist(), "condition_value": quadric_value(xyz).tolist()}
     if args.realize:

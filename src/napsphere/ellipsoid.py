@@ -73,8 +73,8 @@ def sample_napoleonic_d(count: int, seed: int) -> list[SideParameters]:
     The ellipsoid is parametrized by two angles drawn uniformly; each point
     is rotated back to side parameters and rejected unless all d_i lie in
     (0, sqrt(3)), the point is at least ``DIAGONAL_MARGIN`` from the
-    equilateral diagonal, and ``chi_squared(d) > 1e-12`` (realizable).
-    Deterministic per seed.
+    equilateral diagonal, and :func:`napsphere.algebra.chi_squared` of *d*
+    exceeds 1e-12 (realizable).  Deterministic per seed.
     """
     samples, _ = sample_napoleonic_d_with_attempts(count, seed)
     return samples
@@ -95,22 +95,19 @@ def _quadric_block(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, ok & (algebra.chi_squared(*d.T) > 1e-12)
 
 
-def sample_napoleonic_d_with_attempts(count: int, seed: int) -> tuple[list[SideParameters], int]:
-    """Like :func:`sample_napoleonic_d`, also returning the number of draws.
+def _sampled(count: int, seed: int) -> tuple[np.ndarray, int]:
+    """:func:`sample_napoleonic_d`'s samples as one (count, 3) array, and the number of draws.
 
-    The attempt count exposes the empirical rejection rate of the admissible
-    region (which portion of the quadric is admissible is not asserted
-    anywhere, only measured).  Draws are mapped in blocks and accepted in
-    stream order, so samples and attempts do not depend on the block size.
+    Draws are mapped in blocks and accepted in stream order, so samples and
+    attempts do not depend on the block size.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    out: list[SideParameters] = []
-    attempts = 0
+    blocks = []
+    need, attempts = count, 0
     run = 0  # consecutive rejections carried into the next block
-    while len(out) < count:
-        need = count - len(out)
+    while need:
         k = min(8 * need + 64, _MAX_BLOCK)
         d, ok = _quadric_block(rng.random((k, 2)))
         hits = np.flatnonzero(ok)[:need]
@@ -121,8 +118,20 @@ def sample_napoleonic_d_with_attempts(count: int, seed: int) -> tuple[list[SideP
             raise SeedExhaustedError(f"{_MAX_REJECTIONS} consecutive rejections; sampler stuck")
         run = int(gaps[-1])
         attempts += int(hits[-1]) + 1 if done else k
-        out.extend(SideParameters(*row) for row in d[hits].tolist())
-    return out, attempts
+        blocks.append(d[hits])
+        need -= len(hits)
+    return np.concatenate(blocks), attempts
+
+
+def sample_napoleonic_d_with_attempts(count: int, seed: int) -> tuple[list[SideParameters], int]:
+    """Like :func:`sample_napoleonic_d`, also returning the number of draws.
+
+    The attempt count exposes the empirical rejection rate of the admissible
+    region (which portion of the quadric is admissible is not asserted
+    anywhere, only measured).
+    """
+    d, attempts = _sampled(count, seed)
+    return [SideParameters(*row) for row in d.tolist()], attempts
 
 
 def _realized(d0, d1, d2):
@@ -156,9 +165,10 @@ def realize(d: SideParameters) -> SphericalTriangle:
     is placed with positive orientation, so the result needs no vertex swap
     and represents the congruence class of *d*.  Raises
     :class:`UnrealizableError` when the Gram form ``1 - sum c_i^2 + 2 c0 c1 c2``
-    of ``c_i = (d_i^2 - 1)/2`` is <= 1e-12: ``chi_squared(d)`` as a polynomial
-    (``test_gram_determinant_is_chi_squared``), though rounded differently.
-    The placed vertices must pass :func:`new_triangle`'s rules: a d_i below
-    about 1.5e-8 is :class:`TooWideError`.  This is :func:`_realized` for one row.
+    of ``c_i = (d_i^2 - 1)/2`` is <= 1e-12: :func:`napsphere.algebra.chi_squared`
+    as a polynomial (``test_gram_determinant_is_chi_squared``), though rounded
+    differently.  The placed vertices must pass :func:`new_triangle`'s rules: a
+    d_i below about 1.5e-8 is :class:`TooWideError`.  This is :func:`_realized`
+    for one row.
     """
     return SphericalTriangle(*_realized(*d.as_tuple()))

@@ -181,9 +181,9 @@ def napoleonise(t: SphericalTriangle, s: SignVector) -> NapoleonisationResult:
 def centroid_inner_closed_form(d: SideParameters, chi: float, s: SignVector, i: int) -> float:
     """Centroid inner product <R_{i+2}, R_i> from side parameters alone.
 
-    ``chi`` must be the positive square root of ``chi_squared(d)`` and ``s``
-    the signs in the same vertex order as ``d`` (the stored triangle order).
-    Valid for every sign vector, mixed signs included.
+    ``chi`` must be the positive square root of :func:`napsphere.algebra.chi_squared`
+    of *d*, and ``s`` the signs in the same vertex order as ``d`` (the stored
+    triangle order).  Valid for every sign vector, mixed signs included.
     """
     dv = d.as_tuple()
     dj = dv[(i + 1) % 3]

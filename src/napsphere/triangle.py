@@ -14,9 +14,10 @@ and the single-edge constructions; the unit-norm test is ``core.unit_vector``.
 
 Each edge is encoded by a side parameter ``d_i = sqrt(1 + 2<p_{i+1}, p_{i+2}>)``
 in (0, sqrt(3)), a monotone function of the length of the edge opposite
-vertex ``i``.  The quantities ``alpha`` and ``chi_squared`` derived from the
-side parameters reproduce ``1 + <p0,p1> + <p1,p2> + <p2,p0>`` and the squared
-triple product of the vertices.
+vertex ``i``.  :func:`napsphere.algebra.alpha` and
+:func:`napsphere.algebra.chi_squared` of the side parameters reproduce
+``1 + <p0,p1> + <p1,p2> + <p2,p0>`` and the squared triple product of the
+vertices.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra
 from .core import _NEXT, _PREV, _first, dot, triple, unit_vector
 from .errors import BoundaryConditioningWarning, CogeodesicError, DegenerateError, OutOfRangeError, TooWideError
 
@@ -39,8 +39,6 @@ __all__ = [
     "SideParameters",
     "new_triangle",
     "side_parameters",
-    "alpha",
-    "chi_squared",
 ]
 
 # Tolerance for distinctness / antipodality / cogeodesy checks, matching the
@@ -198,15 +196,3 @@ def new_triangle(p0, p1, p2) -> SphericalTriangle:
 def side_parameters(t: SphericalTriangle) -> SideParameters:
     """Side parameters of a validated triangle; each is guaranteed in range."""
     return SideParameters(*np.sqrt(1.0 + 2.0 * t.edge_inners).tolist())
-
-
-def alpha(d: SideParameters) -> float:
-    """:func:`napsphere.algebra.alpha` of *d*, i.e. 1 + the sum of edge inner products."""
-    return algebra.alpha(*d.as_tuple())
-
-
-def chi_squared(d: SideParameters) -> float:
-    """Squared triple product of any triangle realising *d*, from the side
-    parameters alone (:func:`napsphere.algebra.chi_squared`).  May be
-    negative, in which case *d* is not realizable by any spherical triangle."""
-    return algebra.chi_squared(*d.as_tuple())

@@ -26,9 +26,6 @@ from napsphere import (
     OUTWARD,
     SignVector,
     barycentre,
-    chi_squared,
-    condition_value,
-    equilateral_factor,
     napoleonise,
     new_triangle,
     realize,
@@ -37,6 +34,7 @@ from napsphere import (
     spherical_distance,
     triple,
 )
+from napsphere import algebra
 from napsphere.algebra import (
     verify_factorisation,
     verify_final_identity,
@@ -130,9 +128,9 @@ def test_criterion_4_reverse_direction_population():
             except NapsphereError:
                 continue
             d = side_parameters(t)
-            if equilateral_factor(d) <= 1e-3:
+            if algebra.equilateral_factor(*d.as_tuple()) <= 1e-3:
                 continue
-            if abs(condition_value(d) - 2.0) <= 1e-3:
+            if abs(algebra.condition(*d.as_tuple()) - 2.0) <= 1e-3:
                 continue
             kept += 1
             r_out = napoleonise(t, OUTWARD).equilateral_residual
@@ -140,7 +138,9 @@ def test_criterion_4_reverse_direction_population():
             min_out = min(min_out, r_out)
             min_in = min(min_in, r_in)
             if r_out <= 1e-4 or r_in <= 1e-4:
-                violations.append((r_out, r_in, equilateral_factor(d), condition_value(d) - 2.0))
+                violations.append(
+                    (r_out, r_in, algebra.equilateral_factor(*d.as_tuple()), algebra.condition(*d.as_tuple()) - 2.0)
+                )
         assert not violations, (
             f"{len(violations)} of 10000 triangles dipped below the 1e-4 floor "
             f"(min outward {min_out:.3e}, min inward {min_in:.3e}); "
@@ -169,16 +169,16 @@ def test_criterion_5_inward_impossibility_near_quadric():
             if not np.all((moved > 0.0) & (moved < SQRT3)):
                 continue
             nd = SideParameters(*moved)
-            if equilateral_factor(nd) <= 1e-3:  # criterion-4 population margin
+            if algebra.equilateral_factor(*nd.as_tuple()) <= 1e-3:  # criterion-4 population margin
                 continue
-            if chi_squared(nd) <= 1e-12:
+            if algebra.chi_squared(*nd.as_tuple()) <= 1e-12:
                 continue
             kept += 1
             r_in = napoleonise(realize(nd), INWARD).equilateral_residual
             min_in = min(min_in, r_in)
             if r_in < 1e-4:
                 violations.append(
-                    (r_in, equilateral_factor(nd), condition_value(nd) - 2.0, delta)
+                    (r_in, algebra.equilateral_factor(*nd.as_tuple()), algebra.condition(*nd.as_tuple()) - 2.0, delta)
                 )
         assert kept == 1000
         assert not violations, (
@@ -199,7 +199,7 @@ def test_criterion_6_closed_form_consistency():
 
         for t in random_triangles(1000, seed=601):
             d = side_parameters(t)
-            chi2 = chi_squared(d)
+            chi2 = algebra.chi_squared(*d.as_tuple())
             worst_chi = max(worst_chi, abs(chi2 - triple(*t.vertices) ** 2))
             chi = math.sqrt(chi2)
             for s in all_signs:

@@ -9,11 +9,8 @@ from napsphere import (
     INWARD,
     OUTWARD,
     Verdict,
-    chi_squared,
     classify,
     classify_d,
-    condition_value,
-    equilateral_factor,
     napoleonic_equation_residual,
     napoleonise,
     new_triangle,
@@ -31,7 +28,7 @@ SYMMETRIC_POINT = SideParameters(*(1.0 / math.sqrt(3.0),) * 3)
 
 
 def _chi(d: SideParameters) -> float:
-    return math.sqrt(chi_squared(d))
+    return math.sqrt(algebra.chi_squared(*d.as_tuple()))
 
 
 def _epsilon_from_d(d: SideParameters, tol: float = 1e-12) -> int:
@@ -60,17 +57,17 @@ def _chi_relation_check(d: SideParameters, chi: float) -> float:
 
 class TestConditionValue:
     def test_known_napoleonic_d(self):
-        assert condition_value(SideParameters(*NAPOLEONIC_D)) == pytest.approx(2.0, abs=1e-14)
+        assert algebra.condition(*NAPOLEONIC_D) == pytest.approx(2.0, abs=1e-14)
 
     def test_symmetric_point(self):
-        assert condition_value(SYMMETRIC_POINT) == pytest.approx(2.0, abs=1e-14)
+        assert algebra.condition(*SYMMETRIC_POINT.as_tuple()) == pytest.approx(2.0, abs=1e-14)
 
     def test_scalene_triangle_far_from_locus(self):
         d = side_parameters(new_triangle(*SCALENE_VERTICES))
         # hand-derived: squares 2 + sqrt(3)/2, 2, 5/2 plus the three products
         d0, d1, d2 = d.as_tuple()
         expected = (6.5 + math.sqrt(3.0) / 2.0) + d0 * d1 + d0 * d2 + d1 * d2
-        value = condition_value(d)
+        value = algebra.condition(*d.as_tuple())
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(14.67302717825265, abs=1e-10)
         assert value > 2.0 + 1.0
@@ -96,7 +93,7 @@ class TestNapoleonicEquationResidual:
             v = np.abs(rng.normal(size=3))
             v /= np.linalg.norm(v)
             d = SideParameters(*v)
-            if equilateral_factor(d) < 1e-3 or chi_squared(d) <= 1e-12:
+            if algebra.equilateral_factor(*d.as_tuple()) < 1e-3 or algebra.chi_squared(*d.as_tuple()) <= 1e-12:
                 continue
             found += 1
             chi = _chi(d)
@@ -106,7 +103,7 @@ class TestNapoleonicEquationResidual:
     def test_signs_cannot_vanish_simultaneously(self):
         for t in random_triangles(1000, seed=31):
             d = side_parameters(t)
-            if equilateral_factor(d) < 1e-9:
+            if algebra.equilateral_factor(*d.as_tuple()) < 1e-9:
                 continue
             chi = _chi(d)
             r_out = abs(napoleonic_equation_residual(d, chi, -1))
@@ -121,7 +118,7 @@ class TestEpsilonFromD:
 
     def test_locus_points_always_outward(self):
         for d in sample_napoleonic_d(200, seed=32):
-            if equilateral_factor(d) < 1e-6:
+            if algebra.equilateral_factor(*d.as_tuple()) < 1e-6:
                 continue
             assert _epsilon_from_d(d) == -1
 
@@ -158,7 +155,7 @@ class TestClassify:
     @pytest.mark.filterwarnings("ignore::napsphere.errors.BoundaryConditioningWarning")
     def test_outward_verdict_matches_construction(self):
         for d in sample_napoleonic_d(100, seed=33):
-            if equilateral_factor(d) < 1e-6:
+            if algebra.equilateral_factor(*d.as_tuple()) < 1e-6:
                 continue
             t = realize(d)
             report = classify(t)
@@ -216,9 +213,9 @@ def test_reverse_direction_at_safe_margins():
     checked = 0
     for t in random_triangles(2000, seed=36):
         d = side_parameters(t)
-        if equilateral_factor(d) <= 1e-2:
+        if algebra.equilateral_factor(*d.as_tuple()) <= 1e-2:
             continue
-        if abs(condition_value(d) - 2.0) <= 1e-2:
+        if abs(algebra.condition(*d.as_tuple()) - 2.0) <= 1e-2:
             continue
         checked += 1
         assert napoleonise(t, OUTWARD).equilateral_residual > 1e-4

@@ -9,7 +9,6 @@ from napsphere import (
     OUTWARD,
     UnrealizableError,
     Verdict,
-    chi_squared,
     classify,
     d_to_xyz,
     napoleonise,
@@ -20,6 +19,7 @@ from napsphere import (
     side_parameters,
     triple,
 )
+from napsphere import algebra
 from napsphere import ellipsoid
 from napsphere.ellipsoid import DIAGONAL_MARGIN, ROTATION, sample_napoleonic_d_with_attempts
 from napsphere.errors import OutOfRangeError, SeedExhaustedError, TooWideError
@@ -62,11 +62,9 @@ class TestRotation:
             assert tuple(back) == pytest.approx(d.as_tuple(), abs=1e-12)
 
     def test_quadratic_form_equals_condition_value(self):
-        from napsphere import condition_value
-
         rng = np.random.default_rng(41)
         for d in _random_d(rng, 200):
-            assert quadric_value(d_to_xyz(d.as_tuple())) == pytest.approx(condition_value(d), abs=1e-12)
+            assert quadric_value(d_to_xyz(d.as_tuple())) == pytest.approx(algebra.condition(*d.as_tuple()), abs=1e-12)
 
 
 class TestSampler:
@@ -77,7 +75,7 @@ class TestSampler:
     def test_samples_in_range_and_realizable(self):
         for d in sample_napoleonic_d(500, seed=43):
             assert all(0.0 < v < math.sqrt(3.0) for v in d.as_tuple())
-            assert chi_squared(d) > 1e-12
+            assert algebra.chi_squared(*d.as_tuple()) > 1e-12
             arr = np.array(d.as_tuple())
             assert np.linalg.norm(arr - arr.mean()) >= 1e-6
 
@@ -109,7 +107,7 @@ def _reference_sampler(count, seed):
         d = ROTATION.T @ np.array(p)
         if np.all(d > 0.0) and np.all(d < math.sqrt(3.0)) and np.linalg.norm(d - float(d.mean())) >= DIAGONAL_MARGIN:
             sp = SideParameters(*map(float, d))
-            if chi_squared(sp) > 1e-12:
+            if algebra.chi_squared(*sp.as_tuple()) > 1e-12:
                 out.append(sp.as_tuple())
                 run = 0
                 continue
@@ -228,7 +226,7 @@ class TestRealize:
     def test_unrealizable_rejected(self):
         # admissible box but negative squared triple product
         d = SideParameters(math.sqrt(2.0), math.sqrt(2.8), math.sqrt(0.4))
-        assert chi_squared(d) < 0.0
+        assert algebra.chi_squared(*d.as_tuple()) < 0.0
         with pytest.raises(UnrealizableError):
             realize(d)
 
@@ -254,7 +252,10 @@ class TestRealize:
     def test_stacked_realize_matches_one_row_at_a_time_exactly(self):
         rng = np.random.default_rng(49)
         ds = sample_napoleonic_d(2000, seed=50)
-        ds += [d for d in map(SideParameters, *rng.uniform(1e-3, 1.73, size=(3, 4000))) if chi_squared(d) > 1e-9]
+        ds += [
+            d for d in map(SideParameters, *rng.uniform(1e-3, 1.73, size=(3, 4000)))
+            if algebra.chi_squared(*d.as_tuple()) > 1e-9
+        ]
         triangles = [realize(d) for d in ds]
         vertices, edge_inners, chi, swapped = ellipsoid._realized(*np.array([d.as_tuple() for d in ds]).T)
         assert vertices.tobytes() == np.array([t.vertices for t in triangles]).tobytes()
@@ -274,7 +275,7 @@ class TestRealize:
         while count < 1000:
             v = rng.uniform(1e-3, math.sqrt(3.0) - 1e-3, size=3)
             d = SideParameters(*v)
-            if chi_squared(d) <= 1e-12:
+            if algebra.chi_squared(*d.as_tuple()) <= 1e-12:
                 continue
             count += 1
             t = realize(d)

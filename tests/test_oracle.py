@@ -14,12 +14,11 @@ from napsphere import (
     apex,
     apex_by_rotation,
     classify,
-    condition_value,
-    equilateral_factor,
     new_triangle,
     search_equilateral,
     side_parameters,
 )
+from napsphere import algebra
 from napsphere.oracle import random_triangles
 
 from conftest import NAPOLEONIC_APEXES, NAPOLEONIC_VERTICES, equilateral_vertices
@@ -100,9 +99,9 @@ def test_search_and_classification_agree_on_uniform_signs():
     checked = 0
     for t in random_triangles(10000, seed=61):
         d = side_parameters(t)
-        if 1e-8 < abs(condition_value(d) - 2.0) < 1e-4:
+        if 1e-8 < abs(algebra.condition(*d.as_tuple()) - 2.0) < 1e-4:
             continue
-        if 1e-8 < equilateral_factor(d) < 1e-3:
+        if 1e-8 < algebra.equilateral_factor(*d.as_tuple()) < 1e-3:
             continue
         report = classify(t, tol=1e-6)
         hits = search_equilateral(t, tol=1e-6)

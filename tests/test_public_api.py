@@ -21,21 +21,16 @@ PUBLIC_NAMES = [
     "UnrealizableError",
     "Verdict",
     "ZeroSumError",
-    "alpha",
     "apex",
     "apex_by_rotation",
     "barycentre",
     "centroid_inner_closed_form",
-    "chi_squared",
     "classify",
     "classify_d",
-    "condition_residual",
-    "condition_value",
     "cross",
     "d_to_xyz",
     "dot",
     "edge_centroid",
-    "equilateral_factor",
     "napoleonic_equation_residual",
     "napoleonise",
     "new_triangle",
@@ -53,14 +48,20 @@ PUBLIC_NAMES = [
 ]
 
 # Names the package no longer exports: tests-only helpers, single-caller
-# wrappers, a re-export and a per-row record replaced by stacked arrays.
+# wrappers, a re-export, a per-row record replaced by stacked arrays, and the
+# SideParameters adapters of polynomials that napsphere.algebra defines.
 REMOVED_NAMES = [
     "BasisCoefficients",
     "EllipsoidPoint",
     "IndeterminateError",
+    "alpha",
     "chi_relation_check",
+    "chi_squared",
     "clamp",
+    "condition_residual",
+    "condition_value",
     "epsilon_from_d",
+    "equilateral_factor",
     "norm",
     "quadratic_form",
     "random_triangle",
