@@ -64,7 +64,9 @@ from .triangle import (
 
 __version__ = "0.1.0"
 
-# Everything imported above, and nothing else, is the public API.
+# Everything imported above, and nothing else, is the public API; the modules
+# flattened here declare no __all__ of their own.  The submodules algebra and
+# cli are not flattened, so each declares its surface in its own __all__.
 __all__ = [
     name for name, value in list(globals().items()) if not (name.startswith("_") or isinstance(value, _types.ModuleType))
 ]

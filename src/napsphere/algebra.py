@@ -262,22 +262,14 @@ def _check(name: str, lhs: RationalPolynomial, rhs: RationalPolynomial) -> Ident
     return IdentityCheck(name=name, holds=diff.is_zero(), difference=diff)
 
 
-def verify_factorisation(
-    chi_sq: RationalPolynomial | None = None,
-) -> IdentityCheck:
+def verify_factorisation() -> IdentityCheck:
     """The product N+ N- of the two uniform-sign residuals
     N+- = alpha (sum d - prod d) +- chi (1 - sum dd), built from the functions
     ``napoleonic_equation_residual`` evaluates, factorises as
-    (gamma/12) (equilateral factor) (condition - 2).
-
-    *chi_sq* defaults to the derived chi^2 polynomial; passing a perturbed
-    polynomial is useful for mutation testing.
-    """
-    if chi_sq is None:
-        chi_sq = chi_squared(D0, D1, D2)
+    (gamma/12) (equilateral factor) (condition - 2)."""
     n = alpha(D0, D1, D2) * sum_minus_product(D0, D1, D2)
     m = one_minus_pairs(D0, D1, D2)
-    lhs = n * n - chi_sq * m * m
+    lhs = n * n - chi_squared(D0, D1, D2) * m * m
     rhs = gamma(D0, D1, D2) / 12 * equilateral_factor(D0, D1, D2) * (condition(D0, D1, D2) - 2)
     return _check("product-of-residuals factorisation", lhs, rhs)
 

@@ -23,15 +23,6 @@ from dataclasses import dataclass
 from . import algebra
 from .triangle import SideParameters, SphericalTriangle, _check_sign, side_parameters
 
-__all__ = [
-    "CLASSIFY_TOL",
-    "Verdict",
-    "ClassificationReport",
-    "napoleonic_equation_residual",
-    "classify",
-    "classify_d",
-]
-
 # Default tolerance on the condition residual and the equilateral factor:
 # inputs are unit vectors known to ~1e-12 and both quantities are quadratic
 # in the side parameters.

@@ -13,25 +13,8 @@ import numpy as np
 
 from .errors import DegenerateError, ZeroSumError
 
-__all__ = [
-    "UNIT_NORM_TOL",
-    "Vector3",
-    "UnitVector",
-    "vector3",
-    "unit_vector",
-    "normalize",
-    "dot",
-    "cross",
-    "triple",
-    "spherical_distance",
-    "barycentre",
-]
-
 # |x^2+y^2+z^2 - 1| allowed on construction of a unit vector.
 UNIT_NORM_TOL = 1e-9
-
-Vector3 = np.ndarray
-UnitVector = np.ndarray
 
 # Cyclic successor and predecessor of each of the indices 0, 1, 2.
 _NEXT = np.array([1, 2, 0])
@@ -47,7 +30,7 @@ def _first(flags) -> int | None:
     return i if flags[i] else None
 
 
-def vector3(v) -> Vector3:
+def vector3(v) -> np.ndarray:
     """Coerce *v* to a float array of 3-vectors (stacked on the last axis), requiring finite entries."""
     a = np.asarray(v, dtype=float)
     if a.shape[-1:] != (3,):
@@ -57,7 +40,7 @@ def vector3(v) -> Vector3:
     return a
 
 
-def unit_vector(v) -> UnitVector:
+def unit_vector(v) -> np.ndarray:
     """Validate *v* as a point (or stack of points) of the unit sphere and re-normalise it once.
 
     Raises ``ValueError`` when a squared norm deviates from 1 by more than
@@ -72,7 +55,7 @@ def unit_vector(v) -> UnitVector:
     return a / np.sqrt(nsq)[..., None]
 
 
-def normalize(v) -> UnitVector:
+def normalize(v) -> np.ndarray:
     """Unit vector in the direction of *v* (of each vector stacked on the last axis).
 
     Raises :class:`DegenerateError` when a norm is below 1e-12.
@@ -94,7 +77,7 @@ def dot(a, b):
     return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
-def cross(a, b) -> Vector3:
+def cross(a, b) -> np.ndarray:
     """Right-handed cross product over the last axis (``np.cross``'s arithmetic, less set-up)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -113,7 +96,7 @@ def spherical_distance(p, q) -> float:
     return math.acos(-1.0 if x < -1.0 else 1.0 if x > 1.0 else x)
 
 
-def barycentre(p0, p1, p2) -> UnitVector:
+def barycentre(p0, p1, p2) -> np.ndarray:
     """Normalised vertex sum (spherical centroid direction) of three points.
 
     Stacked points give one barycentre per triple.  Raises

@@ -27,15 +27,6 @@ from .core import _first, dot
 from .errors import SeedExhaustedError, UnrealizableError
 from .triangle import SQRT3, SideParameters, SphericalTriangle, _validate
 
-__all__ = [
-    "ROTATION",
-    "d_to_xyz",
-    "quadric_value",
-    "sample_napoleonic_d",
-    "sample_napoleonic_d_with_attempts",
-    "realize",
-]
-
 # Orthogonal rotation taking (d0, d1, d2) to (X, Y, Z); rows are orthonormal,
 # so the inverse is the transpose.
 ROTATION = np.array(

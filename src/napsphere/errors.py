@@ -8,18 +8,6 @@ to exit code 2 and prints the kind verbatim.
 
 from __future__ import annotations
 
-__all__ = [
-    "NapsphereError",
-    "DegenerateError",
-    "TooWideError",
-    "CogeodesicError",
-    "ZeroSumError",
-    "UnrealizableError",
-    "OutOfRangeError",
-    "SeedExhaustedError",
-    "BoundaryConditioningWarning",
-]
-
 
 class NapsphereError(ValueError):
     """Base class for all validation errors raised by this package."""

@@ -30,20 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .core import _NEXT, UnitVector, cross, dot
+from .core import _NEXT, cross, dot
 from .triangle import SQRT3, SideParameters, SphericalTriangle
 from .triangle import _check_sign, _edge_inner, _near_boundary, _opposite_edges
 
-__all__ = [
-    "SignVector",
-    "OUTWARD",
-    "INWARD",
-    "NapoleonisationResult",
-    "apex",
-    "edge_centroid",
-    "napoleonise",
-    "centroid_inner_closed_form",
-]
 
 @dataclass(frozen=True)
 class SignVector:
@@ -135,7 +125,7 @@ def _construct(a, b, c, eps):
     return q, r
 
 
-def apex(a, b, eps: int) -> UnitVector:
+def apex(a, b, eps: int) -> np.ndarray:
     """Apex of the equilateral spherical triangle erected on edge (a, b).
 
     The result Q is a unit vector with <Q,a> = <Q,b> = <a,b>; ``eps=+1``
@@ -144,7 +134,7 @@ def apex(a, b, eps: int) -> UnitVector:
     return _construct(a, b, _edge_inner(a, b, eps), eps)[0]
 
 
-def edge_centroid(a, b, eps: int) -> UnitVector:
+def edge_centroid(a, b, eps: int) -> np.ndarray:
     """Spherical centroid of the equilateral triangle (a, b, apex(a, b, eps)).
 
     Equals ``barycentre(a, b, apex(a, b, eps))`` but is evaluated in closed

@@ -23,16 +23,10 @@ import math
 
 import numpy as np
 
-from .core import _NEXT, UnitVector, barycentre, cross, dot
+from .core import _NEXT, barycentre, cross, dot
 from .errors import NapsphereError
 from .napoleon import SignVector
 from .triangle import SphericalTriangle, _edge_inner, _opposite_edges, new_triangle
-
-__all__ = [
-    "apex_by_rotation",
-    "search_equilateral",
-    "random_triangles",
-]
 
 
 # Sign vectors in search order: e0 varies slowest, each from -1 to +1.
@@ -46,7 +40,7 @@ def _rotate(v, axis, angle):
     return v * cos + cross(axis, v) * sin + axis * (np.expand_dims(dot(axis, v), -1) * (1.0 - cos))
 
 
-def apex_by_rotation(a, b, eps: int) -> UnitVector:
+def apex_by_rotation(a, b, eps: int) -> np.ndarray:
     """Equilateral apex on edge (a, b) built by rotating *b* about *a*.
 
     The rotation angle is the vertex angle of an equilateral spherical

@@ -31,16 +31,6 @@ import numpy as np
 from .core import _NEXT, _PREV, _first, dot, triple, unit_vector
 from .errors import BoundaryConditioningWarning, CogeodesicError, DegenerateError, OutOfRangeError, TooWideError
 
-__all__ = [
-    "DEGENERACY_TOL",
-    "BOUNDARY_BAND",
-    "SQRT3",
-    "SphericalTriangle",
-    "SideParameters",
-    "new_triangle",
-    "side_parameters",
-]
-
 # Tolerance for distinctness / antipodality / cogeodesy checks, matching the
 # unit-norm tolerance scale of core.unit_vector.
 DEGENERACY_TOL = 1e-9

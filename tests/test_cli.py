@@ -108,6 +108,14 @@ class TestNapoleonise:
         assert code == 0
         assert "renormalised" in err
 
+    @pytest.mark.parametrize("length, warns", [(1.0 + 5e-6, True), (1.0 + 5e-7, False)])
+    def test_renormalisation_warning_threshold(self, tmp_path, capsys, length, warns):
+        doc = _vertices_doc(NAPOLEONIC_VERTICES)
+        doc["vertices"][0] = [length, 0.0, 0.0]
+        code, _, err = _run(capsys, ["classify", _write(tmp_path, doc)])
+        assert code == 0
+        assert err.startswith("warning: vertex 0 renormalised") is warns
+
     def test_stdin_input(self, capsys, monkeypatch):
         import io
 
@@ -203,13 +211,14 @@ class TestVerifyIdentities:
 
     def test_failure_exit_1_with_difference(self, capsys, monkeypatch):
         from napsphere import algebra
-        from napsphere.algebra import D0, D1, D2, chi_squared, verify_factorisation
 
-        perturbed = chi_squared(D0, D1, D2) + D0 / 3
-        monkeypatch.setattr(algebra, "verify_all", lambda: [verify_factorisation(chi_sq=perturbed)])
+        chi_squared = algebra.chi_squared
+        monkeypatch.setattr(algebra, "chi_squared", lambda d0, d1, d2: chi_squared(d0, d1, d2) + d0 / 3)
         code, out, err = _run(capsys, ["verify-identities"])
         assert code == 1
-        assert out == "FAIL  product-of-residuals factorisation\n"
+        lines = out.splitlines()
+        assert lines[0] == "FAIL  product-of-residuals factorisation"
+        assert len(lines) == 6 and all(line.startswith("PASS") for line in lines[1:])
         assert err == (
             "      difference: -1/3 d0^3 d1^2 + -2/3 d0^3 d1 d2 + -1/3 d0^3 d2^2 + -2/3 d0^2 d1^2 d2"
             " + -2/3 d0^2 d1 d2^2 + -1/3 d0 d1^2 d2^2 + 2/3 d0^2 d1 + 2/3 d0^2 d2 + 2/3 d0 d1 d2"
@@ -310,6 +319,7 @@ class TestErrors:
             '{"vertices": [[NaN, 0, 0], [0, 1, 0], [0, 0, 1]]}',
             '{"vertices": [[1e400, 0, 0], [0, 1, 0], [0, 0, 1]]}',
             '{"vertices": [[1e200, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+            '{"vertices": [[1e160, 0, 0], [0, 1, 0], [0, 0, 1]]}',
             '{"vertices": [[true, 0, 0], [0, 1, 0], [0, 0, 1]]}',
             '{"d": [0.5, 0.5, "0.5"]}',
             '{"d": [Infinity, 0.5, 0.5]}',
@@ -319,7 +329,8 @@ class TestErrors:
             b'\xff{"d": [0.5, 0.5, 0.5]}',
             '{"d": [5, 5, 5], "d": [0.5, 0.6, 0.7]}',
         ],
-        ids=["vertex-nan", "vertex-overflow", "vertex-norm-overflow", "vertex-boolean", "d-string",
+        ids=["vertex-nan", "vertex-overflow", "vertex-norm-overflow",
+             "vertex-square-overflow", "vertex-boolean", "d-string",
              "d-infinity", "d-huge-integer", "d-and-vertices", "deep-nesting", "not-utf8", "repeated-key"],
     )
     def test_malformed_document_exit_1(self, tmp_path, capsys, text):
@@ -330,6 +341,14 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_vertex_with_finite_squared_norm_is_renormalised(self, tmp_path, capsys):
+        # The length cut is on the squared norm (vertex-square-overflow above).
+        path = _write(tmp_path, {"vertices": [[1e150, 0, 0], [0, 1, 0], [0, 0, 1]]})
+        code, out, err = _run(capsys, ["classify", path])
+        assert code == 0
+        assert json.loads(out)["verdict"] == "Equilateral"
+        assert err.startswith("warning: vertex 0 renormalised")
 
     @pytest.mark.parametrize(
         "argv",

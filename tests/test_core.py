@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from napsphere import (
+    DegenerateError,
     ZeroSumError,
     barycentre,
     cross,
@@ -136,6 +137,23 @@ class TestBarycentre:
         with pytest.raises(ZeroSumError):
             barycentre(EX, p1, p2)
 
+    def test_small_vertex_sum_still_has_a_direction(self):
+        # Unit vertices whose sum has norm 1e-8, ten times the 1e-9 cut-off.
+        c = -0.5 + 5e-9
+        s = math.sqrt(1.0 - c * c)
+        p1, p2 = np.array([c, s, 0.0]), np.array([c, -s, 0.0])
+        assert np.sqrt(dot(EX + p1 + p2, EX + p1 + p2)) == pytest.approx(1e-8, rel=1e-6)
+        assert np.array_equal(barycentre(EX, p1, p2), EX)
+
+
+class TestNormalize:
+    def test_tiny_vector_normalises(self):
+        assert np.array_equal(normalize((1e-11, 0.0, 0.0)), EX)
+
+    def test_vector_below_cut_off_rejected(self):
+        with pytest.raises(DegenerateError):
+            normalize((1e-13, 0.0, 0.0))
+
 
 class TestUnitVector:
     def test_accepts_and_renormalises(self):
@@ -145,6 +163,11 @@ class TestUnitVector:
     def test_rejects_far_from_unit(self):
         with pytest.raises(ValueError):
             unit_vector((1.1, 0.0, 0.0))
+
+    def test_tolerance_is_on_the_squared_norm(self):
+        assert np.array_equal(unit_vector((math.sqrt(1.0 + 5e-10), 0.0, 0.0)), EX)
+        with pytest.raises(ValueError, match="not a unit vector"):
+            unit_vector((math.sqrt(1.0 + 5e-9), 0.0, 0.0))
 
     def test_stacked_points_match_one_at_a_time(self):
         v = _unit_vectors(np.random.default_rng(5), 4) * (1.0 + 1e-10)

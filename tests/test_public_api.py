@@ -1,6 +1,8 @@
 """The public surface of the package: adding or removing a name is deliberate."""
 
 import napsphere
+import napsphere.algebra
+import napsphere.cli
 
 PUBLIC_NAMES = [
     "BoundaryConditioningWarning",
@@ -47,6 +49,33 @@ PUBLIC_NAMES = [
     "unit_vector",
 ]
 
+# The submodules the package does not flatten; each keeps its own __all__.
+ALGEBRA_NAMES = [
+    "RationalPolynomial",
+    "D0",
+    "D1",
+    "D2",
+    "ONE",
+    "alpha",
+    "chi_squared",
+    "gamma",
+    "condition",
+    "equilateral_factor",
+    "sum_minus_product",
+    "one_minus_pairs",
+    "centroid_bracket",
+    "IdentityCheck",
+    "verify_factorisation",
+    "verify_sum_of_squares",
+    "verify_final_identity",
+    "verify_rotation_quadratic",
+    "verify_all",
+]
+
+# The modules whose public names napsphere.__all__ re-exports; the package's
+# imports are their only declaration.
+FLATTENED_MODULES = ["classify", "core", "ellipsoid", "errors", "napoleon", "oracle", "triangle"]
+
 # Names the package no longer exports: tests-only helpers, single-caller
 # wrappers, a re-export, a per-row record replaced by stacked arrays, and the
 # SideParameters adapters of polynomials that napsphere.algebra defines.
@@ -77,3 +106,16 @@ def test_public_names_are_exactly_the_listed_ones():
 def test_removed_names_are_not_attributes():
     for name in REMOVED_NAMES:
         assert not hasattr(napsphere, name), name
+
+
+def test_algebra_surface_is_exactly_the_listed_names():
+    assert napsphere.algebra.__all__ == ALGEBRA_NAMES
+
+
+def test_cli_surface_is_main_alone():
+    assert napsphere.cli.__all__ == ["main"]
+
+
+def test_flattened_modules_declare_no_second_surface():
+    for name in FLATTENED_MODULES:
+        assert "__all__" not in vars(getattr(napsphere, name)), name

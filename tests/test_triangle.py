@@ -53,6 +53,12 @@ class TestNewTriangle:
         with pytest.raises(CogeodesicError):
             new_triangle(p0, p1, p2)
 
+    def test_cogeodesic_bound_is_inclusive(self):
+        # After validation the triple product is exactly the tolerance, 1e-9.
+        with pytest.raises(CogeodesicError):
+            new_triangle((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.6, 0.8, 1e-9))
+        assert new_triangle((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.6, 0.8, 2e-9)).chi == 2e-9
+
     def test_too_wide_rejected(self):
         with pytest.raises(TooWideError):
             new_triangle((1.0, 0.0, 0.0), (-0.6, 0.8, 0.0), (0.0, 0.0, 1.0))
