@@ -12,9 +12,7 @@ Inputs are JSON documents, either ``{"vertices": [[x,y,z], ...]}`` (three
 vertices, normalised on ingestion) or ``{"d": [d0, d1, d2]}`` (side
 parameters, realized as a canonical triangle).  Exit codes: 0 success,
 1 malformed input or usage error, 2 geometric validation failure (the
-error kind is printed as JSON).  For ``classify`` and ``search`` the
-environment variable ``NAPOLEON_TOL`` overrides the default tolerance;
-``--tol`` beats both.
+error kind is printed as JSON).
 
 See FORMATS.md for the exact output schemas.
 """
@@ -24,13 +22,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import algebra
-from .classify import CLASSIFY_TOL, ClassificationReport, classify
+from .classify import CLASSIFY_TOL, classify
 from .core import barycentre, normalize, spherical_distance
 from .ellipsoid import _realized, _sampled, d_to_xyz, quadric_value, realize
 from .errors import NapsphereError
@@ -46,16 +43,6 @@ NORMALISE_WARN = 1e-6
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_INVALID = 2
-
-
-def _default_tol() -> float:
-    env = os.environ.get("NAPOLEON_TOL")
-    if env is None:
-        return CLASSIFY_TOL
-    try:
-        return float(env)
-    except ValueError:
-        raise _BadInput(f"NAPOLEON_TOL is not a number: {env!r}")
 
 
 def _dump(obj) -> str:
@@ -159,26 +146,7 @@ def _point_cloud_csv(doc: dict) -> str:
     return "\n".join(["kind,index,x,y,z", *rows]) + "\n"
 
 
-def _report_dict(report: ClassificationReport) -> dict:
-    return {
-        "d": list(report.d.as_tuple()),
-        "alpha": report.alpha,
-        "chi": report.chi,
-        "gamma": report.gamma,
-        "condition_value": report.condition_value,
-        "condition_residual": report.condition_residual,
-        "equilateral_factor": report.equilateral_factor,
-        "verdict": str(report.verdict),
-        "predicted_rr": report.predicted_rr,
-        "predicted_side": report.predicted_side,
-        "epsilon_sign": report.epsilon_sign,
-        "note": report.note,
-    }
-
-
-def cmd_napoleonise(args) -> int:
-    doc = _read_input(args.input)
-    t = _triangle_from_doc(doc)
+def cmd_napoleonise(args, t: SphericalTriangle) -> int:
     try:
         signs = SignVector.parse(args.signs)
     except ValueError as exc:
@@ -191,11 +159,15 @@ def cmd_napoleonise(args) -> int:
     return EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    doc = _read_input(args.input)
-    t = _triangle_from_doc(doc)
+def cmd_classify(args, t: SphericalTriangle) -> int:
     report = classify(t, tol=args.tol)
-    print(_dump(_report_dict(report)))
+    doc = {
+        **vars(report),
+        "d": list(report.d.as_tuple()),
+        "verdict": str(report.verdict),
+        "predicted_side": report.predicted_side,
+    }
+    print(_dump(doc))
     return EXIT_OK
 
 
@@ -222,9 +194,7 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def cmd_search(args) -> int:
-    doc = _read_input(args.input)
-    t = _triangle_from_doc(doc)
+def cmd_search(args, t: SphericalTriangle) -> int:
     hits = search_equilateral(t, tol=args.tol)
     print(
         _dump(
@@ -276,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a triangle")
     p.add_argument("input", help="JSON file with 'vertices' or 'd' ('-' for stdin)")
-    p.add_argument("--tol", type=float, default=None, help="classification tolerance (default 1e-9 or NAPOLEON_TOL)")
+    p.add_argument("--tol", type=float, default=CLASSIFY_TOL, help="classification tolerance (default 1e-9)")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("sample", help="sample side parameters from the Napoleonic quadric")
@@ -288,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="brute-force all eight sign vectors")
     p.add_argument("input", help="JSON file with 'vertices' or 'd' ('-' for stdin)")
-    p.add_argument("--tol", type=float, default=None, help="equilaterality tolerance (default 1e-9 or NAPOLEON_TOL)")
+    p.add_argument("--tol", type=float, default=CLASSIFY_TOL, help="equilaterality tolerance (default 1e-9)")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify-identities", help="run the exact polynomial identity checks")
@@ -300,11 +270,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if hasattr(args, "tol"):  # classify and search
-            if args.tol is None:
-                args.tol = _default_tol()
-            if not (math.isfinite(args.tol) and args.tol >= 0.0):
-                raise _BadInput(f"tolerance must be finite and >= 0, got {args.tol!r}")
+        if hasattr(args, "tol") and not (math.isfinite(args.tol) and args.tol >= 0.0):  # classify and search
+            raise _BadInput(f"tolerance must be finite and >= 0, got {args.tol!r}")
+        if hasattr(args, "input"):  # napoleonise, classify and search
+            return args.func(args, _triangle_from_doc(_read_input(args.input)))
         return args.func(args)
     except _BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,10 +29,12 @@ MUTANTS = [
     ("classify.py", "elif abs(cres) < tol:", "elif abs(cres) <= tol:"),
     ("classify.py", "if chi2 > 0.0 else 0.0", "if chi2 > 0.0 else -1.0"),
     ("cli.py", "NORMALISE_WARN = 1e-6", "NORMALISE_WARN = 1e-5"),
+    ("cli.py", "args.tol >= 0.0", "args.tol > 0.0"),
     ("core.py", "UNIT_NORM_TOL = 1e-9", "UNIT_NORM_TOL = 1e-8"),
     ("core.py", "if _first(n < 1e-12) is not None:", "if _first(n < 1e-10) is not None:"),
     ("core.py", "if np.any(n < 1e-9):", "if np.any(n < 1e-6):"),
     ("ellipsoid.py", "_MAX_REJECTIONS = 10**6", "_MAX_REJECTIONS = 10**5"),
+    ("ellipsoid.py", "np.sqrt(dot(off, off)) >= DIAGONAL_MARGIN", "np.sqrt(dot(off, off)) > DIAGONAL_MARGIN"),
     (
         "napoleon.py",
         "max(abs(rr01 - rr12), abs(rr12 - rr20), abs(rr20 - rr01))",

@@ -148,21 +148,6 @@ class TestClassify:
         assert doc["verdict"] == "Equilateral"
         assert doc["note"]
 
-    def test_env_tolerance_override(self, tmp_path, capsys, monkeypatch):
-        # a huge tolerance makes everything look equilateral
-        monkeypatch.setenv("NAPOLEON_TOL", "100")
-        path = _write(tmp_path, _vertices_doc(SCALENE_VERTICES))
-        code, out, _ = _run(capsys, ["classify", path])
-        assert code == 0
-        assert json.loads(out)["verdict"] == "Equilateral"
-
-    def test_explicit_tol_beats_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("NAPOLEON_TOL", "100")
-        path = _write(tmp_path, _vertices_doc(SCALENE_VERTICES))
-        code, out, _ = _run(capsys, ["classify", path, "--tol", "1e-9"])
-        assert code == 0
-        assert json.loads(out)["verdict"] == "NotNapoleonic"
-
 
 class TestSample:
     def test_deterministic_output(self, capsys):
@@ -304,15 +289,6 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ")
 
-    @pytest.mark.parametrize("value", ["nan", "-1e-9", "inf", "not-a-number"])
-    def test_bad_env_tolerance_exit_1(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("NAPOLEON_TOL", value)
-        path = _write(tmp_path, _vertices_doc(equilateral_vertices(-1.0 / 3.0)))
-        code, out, err = _run(capsys, ["classify", path])
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: ")
-
     @pytest.mark.parametrize(
         "text",
         [
@@ -361,6 +337,22 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert "error: " in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["classify", None, "--tol", "nan"], "error: tolerance must be finite"),
+            (["napoleonise", None, "--signs", "++"], "error: input is not valid JSON"),
+        ],
+        ids=["tolerance-before-document", "document-before-signs"],
+    )
+    def test_first_bad_input_names_the_error(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        code, out, err = _run(capsys, [str(path) if a is None else a for a in argv])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(message)
 
     def test_help_exit_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -21,6 +21,7 @@ from napsphere import (
 )
 from napsphere import algebra
 from napsphere import ellipsoid
+from napsphere.core import dot
 from napsphere.ellipsoid import DIAGONAL_MARGIN, ROTATION, sample_napoleonic_d_with_attempts
 from napsphere.errors import OutOfRangeError, SeedExhaustedError, TooWideError
 from napsphere.triangle import SideParameters
@@ -132,6 +133,19 @@ class TestSamplerStream:
         # theta = asin(f * 1e-6 / 2) puts the point f * 1e-6 from the diagonal; the margin is
         # written out, not read from DIAGONAL_MARGIN, so a changed constant fails here
         _, ok = ellipsoid._quadric_block(np.array([[math.asin(f * 1e-6 / 2.0) / math.pi, 0.3]]))
+        assert ok.tolist() == [accepted]
+
+    @pytest.mark.parametrize(
+        "u0, distance, accepted",
+        [(1.591549430871888e-07, 1e-06, True), (1.5915494307678878e-07, 9.999999999125211e-07, False)],
+    )
+    def test_diagonal_margin_equality(self, u0, distance, accepted):
+        # A draw whose rounded distance from the diagonal is exactly 1e-6 is
+        # accepted. The distance is asserted first: a host whose sin/cos round
+        # differently fails here instead of passing on another point.
+        d, ok = ellipsoid._quadric_block(np.array([[u0, 0.5940539167324691]]))
+        off = d - d.mean(axis=1, keepdims=True)
+        assert np.sqrt(dot(off, off)).tolist() == [distance]
         assert ok.tolist() == [accepted]
 
     def test_exhausted_after_max_consecutive_rejections(self, monkeypatch):
