@@ -25,9 +25,9 @@ def _first(flags) -> int | None:
     """Index of the first true entry of *flags* (one or stacked), or None."""
     if isinstance(flags, bool):  # one check on Python floats needs no array
         return 0 if flags else None
-    flags = np.asarray(flags).ravel()
-    i = int(flags.argmax())
-    return i if flags[i] else None
+    if not np.count_nonzero(flags):  # the common case, all clear, in one cheap call
+        return None
+    return int(np.asarray(flags).argmax())
 
 
 def vector3(v) -> np.ndarray:
@@ -105,6 +105,6 @@ def barycentre(p0, p1, p2) -> np.ndarray:
     """
     s = np.asarray(p0, dtype=float) + np.asarray(p1, dtype=float) + np.asarray(p2, dtype=float)
     n = np.sqrt(dot(s, s))
-    if np.any(n < 1e-9):
+    if _first(n < 1e-9) is not None:
         raise ZeroSumError("vertex sum is (near-)zero; barycentre undefined")
-    return s / np.expand_dims(n, -1)
+    return s / n[..., None]

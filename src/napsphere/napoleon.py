@@ -19,6 +19,12 @@ vertices to normalise orientation, the signs are remapped internally
 (negate all three and exchange the entries opposite the swapped vertices)
 so the construction is anchored to the caller's labelling.
 
+Both formulas read only the edge's frame: the sum a + b, the normal a x b,
+c and sqrt(1 + 2c).  :func:`napoleonise` takes the normals, inner products
+and side parameters that ``new_triangle`` stored on the triangle; the
+single-edge :func:`apex` and :func:`edge_centroid` get the same frame for
+their edge from :mod:`napsphere.triangle`, and all three call one kernel.
+
 Single edges and their signs are admitted in :mod:`napsphere.triangle`, by the
 rule ``new_triangle`` applies; only :class:`SignVector` checks signs here.
 """
@@ -30,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .core import _NEXT, cross, dot
+from .core import _NEXT, dot
 from .triangle import SQRT3, SideParameters, SphericalTriangle
-from .triangle import _check_sign, _edge_inner, _near_boundary, _opposite_edges
+from .triangle import _check_sign, _edge, _near_boundary, _opposite_edges
 
 
 @dataclass(frozen=True)
@@ -110,18 +116,15 @@ class NapoleonisationResult:
         return min(self.rr01, self.rr12, self.rr20) > 1.0 - 1e-9
 
 
-def _construct(a, b, c, eps):
-    """Apexes and centroids of stacked admissible edges (a, b), with the inner
-    products *c* validation computed for them and one sign each; every edge
-    of a stack comes out bit for bit as alone."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.expand_dims(c, -1)
-    e = np.expand_dims(np.asarray(eps, dtype=float), -1)
-    h = np.sqrt(1.0 + 2.0 * c)
-    w = cross(a, b)
-    q = (c * (a + b) + e * h * w) / (1.0 + c)
-    r = (h * (a + b) + e * w) / (SQRT3 * (1.0 + c))
+def _construct(s, w, c, h, eps):
+    """Apexes and centroids of stacked admissible edges (a, b) from the frame
+    validation built for them: the sums ``s = a + b``, normals ``w = a x b``,
+    inner products *c*, side parameters ``h = sqrt(1 + 2c)``, and one sign
+    each; every edge of a stack comes out bit for bit as alone."""
+    c, h = np.asarray(c)[..., None], np.asarray(h)[..., None]
+    e = np.asarray(eps, dtype=float)[..., None]
+    q = (c * s + e * h * w) / (1.0 + c)
+    r = (h * s + e * w) / (SQRT3 * (1.0 + c))
     return q, r
 
 
@@ -131,7 +134,8 @@ def apex(a, b, eps: int) -> np.ndarray:
     The result Q is a unit vector with <Q,a> = <Q,b> = <a,b>; ``eps=+1``
     places it on the positive side of a x b, ``eps=-1`` on the negative side.
     """
-    return _construct(a, b, _edge_inner(a, b, eps), eps)[0]
+    a, b, w, c, h = _edge(a, b, eps)
+    return _construct(a + b, w, c, h, eps)[0]
 
 
 def edge_centroid(a, b, eps: int) -> np.ndarray:
@@ -140,7 +144,8 @@ def edge_centroid(a, b, eps: int) -> np.ndarray:
     Equals ``barycentre(a, b, apex(a, b, eps))`` but is evaluated in closed
     form.
     """
-    return _construct(a, b, _edge_inner(a, b, eps), eps)[1]
+    a, b, w, c, h = _edge(a, b, eps)
+    return _construct(a + b, w, c, h, eps)[1]
 
 
 def napoleonise(t: SphericalTriangle, s: SignVector) -> NapoleonisationResult:
@@ -150,12 +155,14 @@ def napoleonise(t: SphericalTriangle, s: SignVector) -> NapoleonisationResult:
     ``new_triangle``; apex and centroid ``i`` are indexed opposite the stored
     vertex ``i``.  Centroids need not be distinct: the inward construction on
     an equilateral triangle collapses all three onto the triangle's centre.
-    The edges and their inner products come from ``new_triangle``; only the
-    boundary band is checked here, once for all three edges.
+    The edges and their frame (normals, inner products and side parameters)
+    come from ``new_triangle``; only the boundary band is checked here, once
+    for all three edges.
     """
     eff = s.oriented(t.orientation_swapped)
     near = _near_boundary(t.edge_inners, stacklevel=2)
-    q, r = _construct(*_opposite_edges(t.vertices), t.edge_inners, eff.as_tuple())
+    a, b = _opposite_edges(t.vertices)
+    q, r = _construct(a + b, t.edge_normals, t.edge_inners, t.d, eff.as_tuple())
     q.flags.writeable = r.flags.writeable = False
     rr01, rr12, rr20 = dot(r, r.take(_NEXT, 0)).tolist()
     residual = max(abs(rr01 - rr12), abs(rr12 - rr20), abs(rr20 - rr01))

@@ -5,13 +5,17 @@ principles: the apex lies at the common edge distance from both endpoints,
 so it is the image of one endpoint under a rotation about the other by the
 equilateral vertex angle ``arccos(c / (1 + c))``.  No coefficient formula
 from the construction module is used; agreement between the two routes is a
-strong cross-check.
+strong cross-check.  What the two routes share is the validated edge frame:
+Rodrigues' formula needs ``axis x v`` and ``<axis, v>``, which for a rotation
+of b about a are the edge normal a x b and inner product <a, b> that
+validation already computed.
 
 :func:`search_equilateral` enumerates all eight sign vectors, constructing
 each Napoleonisation from rotation-based apexes and plain barycentres, and
 reports every sign vector whose centroid triangle is equilateral within a
 tolerance.  Rotations use Rodrigues' formula, evaluated for all eight sign
-vectors and three edges at once.
+vectors and three edges at once, on the triangle's stored normals and inner
+products.
 
 :func:`random_triangles` draws seeded uniform triangles to check against.
 """
@@ -23,21 +27,22 @@ import math
 
 import numpy as np
 
-from .core import _NEXT, barycentre, cross, dot
+from .core import _NEXT, barycentre, dot
 from .errors import NapsphereError
 from .napoleon import SignVector
-from .triangle import SphericalTriangle, _edge_inner, _opposite_edges, new_triangle
+from .triangle import SphericalTriangle, _edge, _opposite_edges, new_triangle
 
 
 # Sign vectors in search order: e0 varies slowest, each from -1 to +1.
 _SIGNS = [SignVector(*e) for e in itertools.product((-1, +1), repeat=3)]
 
 
-def _rotate(v, axis, angle):
-    """Rodrigues' rotation of *v* about the unit *axis* by *angle* (all stackable)."""
-    cos = np.expand_dims(np.cos(angle), -1)
-    sin = np.expand_dims(np.sin(angle), -1)
-    return v * cos + cross(axis, v) * sin + axis * (np.expand_dims(dot(axis, v), -1) * (1.0 - cos))
+def _rotate(v, axis, w, c, angle):
+    """Rodrigues' rotation of *v* about the unit *axis* by *angle*, given the
+    frame ``w = axis x v`` and ``c = <axis, v>`` (all stackable)."""
+    cos = np.cos(angle)[..., None]
+    sin = np.sin(angle)[..., None]
+    return v * cos + w * sin + axis * (np.asarray(c)[..., None] * (1.0 - cos))
 
 
 def apex_by_rotation(a, b, eps: int) -> np.ndarray:
@@ -48,8 +53,8 @@ def apex_by_rotation(a, b, eps: int) -> np.ndarray:
     Raises the same errors as the closed-form construction and degrades (with
     a conditioning warning) near the width boundary.
     """
-    c = _edge_inner(a, b, eps)
-    return _rotate(np.asarray(b, dtype=float), np.asarray(a, dtype=float), eps * math.acos(c / (1.0 + c)))
+    a, b, w, c, _ = _edge(a, b, eps)
+    return _rotate(b, a, w, c, eps * math.acos(c / (1.0 + c)))
 
 
 def search_equilateral(t: SphericalTriangle, tol: float) -> list[tuple[SignVector, float]]:
@@ -64,7 +69,7 @@ def search_equilateral(t: SphericalTriangle, tol: float) -> list[tuple[SignVecto
     a, b = _opposite_edges(t.vertices)
     c = t.edge_inners
     angles = np.array([s.as_tuple() for s in _SIGNS]) * np.arccos(c / (1.0 + c))
-    r = barycentre(a, b, _rotate(b, a, angles))  # (8 signs, 3 edges, 3)
+    r = barycentre(a, b, _rotate(b, a, t.edge_normals, c, angles))  # (8 signs, 3 edges, 3)
     rr = dot(r, r.take(_NEXT, 1))
     residuals = np.abs(rr - rr.take(_NEXT, 1)).max(axis=1).tolist()
     hits = [(s, res) for s, res in zip(_SIGNS, residuals) if res < tol]

@@ -18,6 +18,13 @@ vertex ``i``.  :func:`napsphere.algebra.alpha` and
 :func:`napsphere.algebra.chi_squared` of the side parameters reproduce
 ``1 + <p0,p1> + <p1,p2> + <p2,p0>`` and the squared triple product of the
 vertices.
+
+Validation builds every edge's frame once, for all three edges (or a stack
+of triangles) together: the normals ``p_{i+1} x p_{i+2}`` with one cross
+product, whose first row gives the triple product, the inner products, and
+the side parameters with one square root, which the rounds-to-sqrt(3) check
+reads.  The record stores the frame and every construction reads it; the
+single-edge constructions get the same frame for their edge from ``_edge``.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _NEXT, _PREV, _first, dot, triple, unit_vector
+from .core import _NEXT, _PREV, _first, cross, dot, unit_vector
 from .errors import BoundaryConditioningWarning, CogeodesicError, DegenerateError, OutOfRangeError, TooWideError
 
 # Tolerance for distinctness / antipodality / cogeodesy checks, matching the
@@ -41,21 +48,29 @@ BOUNDARY_BAND = 1e-6
 
 SQRT3 = math.sqrt(3.0)
 
+# Vertex order with vertices 1 and 2 exchanged; it also exchanges the edges opposite them.
+_SWAP = np.array([0, 2, 1])
+
 
 @dataclass(frozen=True, eq=False)
 class SphericalTriangle:
     """Admissible, orientation-normalised vertex triple on the unit sphere.
 
-    ``vertices`` is a read-only (3, 3) array, one stored vertex per row, and
-    ``edge_inners`` the read-only (3,) array of the inner products of the edges
-    opposite them, computed once by :func:`new_triangle` and read by everything
-    downstream.  ``chi`` is the (positive) triple product of the vertices.
-    ``orientation_swapped`` records whether vertices 1 and 2 were exchanged
-    relative to the constructor input, to map indices back to that labelling.
+    ``vertices`` is a read-only (3, 3) array, one stored vertex per row.  The
+    edge frame is read-only too: ``edge_inners`` (3,) holds the inner products
+    ``<P_{i+1}, P_{i+2}>`` of the edges opposite the vertices, ``edge_normals``
+    (3, 3) their cross products ``P_{i+1} x P_{i+2}`` row by row, and ``d`` (3,)
+    the side parameters ``sqrt(1 + 2 edge_inners)``.  :func:`new_triangle`
+    computes them once and everything downstream reads them.  ``chi`` is the
+    (positive) triple product of the vertices.  ``orientation_swapped`` records
+    whether vertices 1 and 2 were exchanged relative to the constructor input,
+    to map indices back to that labelling.
     """
 
     vertices: np.ndarray
     edge_inners: np.ndarray
+    edge_normals: np.ndarray
+    d: np.ndarray
     chi: float
     orientation_swapped: bool = False
 
@@ -121,11 +136,13 @@ def _check_sign(value, name: str = "eps") -> None:
         raise ValueError(f"{name} must be -1 or +1")
 
 
-def _edge_inner(a, b, eps: int) -> float:
-    """Inner product of one edge (a, b) given from outside the package, for a
-    construction with sign *eps*: checks the sign, that each endpoint is one
-    finite unit 3-vector and :func:`new_triangle`'s rule for edges; warns for
-    the caller's caller.  The constructions use the caller's *a* and *b* as given."""
+def _edge(a, b, eps: int):
+    """One edge (a, b) given from outside the package, for a construction with
+    sign *eps*: checks the sign, that each endpoint is one finite unit 3-vector
+    and :func:`new_triangle`'s rule for edges; warns for the caller's caller.
+    Returns the caller's *a* and *b* as given (float arrays, not re-normalised)
+    and the edge's frame as :func:`_validate` builds it for a triangle's edges:
+    the normal a x b, the inner product <a, b> and d = sqrt(1 + 2<a, b>)."""
     _check_sign(eps)
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != (3,) or b.shape != (3,):
@@ -135,33 +152,41 @@ def _edge_inner(a, b, eps: int) -> float:
     c = dot(a, b)
     _reject_too_wide(c, lambda i, ci: f"no equilateral triangle on edge with inner product {ci!r} <= -1/2")
     _near_boundary(c, stacklevel=3)
-    return c
+    return a, b, cross(a, b), c, np.sqrt(1.0 + 2.0 * c)
 
 
 def _validate(v):
     """:func:`new_triangle`'s rules, in its order, over stacked triples (..., 3, 3), each raising for
-    its first flagged entry.  Returns the read-only vertices and edge inner products, chi and the
-    swap mask: the fields of :class:`SphericalTriangle`, for one triangle or stacked."""
+    its first flagged entry.  Returns the read-only vertices, edge inner products, edge normals and
+    side parameters, chi and the swap mask: the fields of :class:`SphericalTriangle`, for one
+    triangle or stacked."""
     v = unit_vector(v)
-    _reject_degenerate(v, v.take(_NEXT, -2), lambda i, how: f"vertices {i % 3} and {(i + 1) % 3} {how}")
+    a, b = _opposite_edges(v)
+    _reject_degenerate(v, a, lambda i, how: f"vertices {i % 3} and {(i + 1) % 3} {how}")
 
-    t = triple(v[..., 0, :], v[..., 1, :], v[..., 2, :])
+    w = cross(a, b)
+    t = dot(v[..., 0, :], w[..., 0, :])  # the triple product <P0, P1 x P2>
     if _first(abs(t) <= DEGENERACY_TOL) is not None:
         raise CogeodesicError("vertices lie on a common great circle")
 
-    c = dot(*_opposite_edges(v))
+    c = dot(a, b)
     _reject_too_wide(c, lambda i, ci: f"edge opposite vertex {i % 3} has inner product {ci!r} <= -1/2")
-    i = _first(np.sqrt(1.0 + 2.0 * c) >= SQRT3)  # side_parameters' own expression
+    d = np.sqrt(1.0 + 2.0 * c)
+    i = _first(d >= SQRT3)
     if i is not None:
         raise DegenerateError(f"vertices {(i + 1) % 3} and {(i + 2) % 3} coincide: d{i % 3} rounds to sqrt(3)")
 
     swapped = t < 0.0
     if _first(swapped) is not None:
         flip = np.asarray(swapped)[..., None]
-        v = np.where(flip[..., None], v.take([0, 2, 1], -2), v)
-        c = np.where(flip, c.take([0, 2, 1], -1), c)
-    v.flags.writeable = c.flags.writeable = False
-    return v, c, abs(t), swapped
+        v = np.where(flip[..., None], v.take(_SWAP, -2), v)
+        c = np.where(flip, c.take(_SWAP, -1), c)
+        d = np.where(flip, d.take(_SWAP, -1), d)
+        # Recomputed, not -w permuted: b x a and -(a x b) differ in the sign of an exact zero.
+        w = cross(*_opposite_edges(v))
+    for field in (v, c, w, d):
+        field.flags.writeable = False
+    return v, c, w, d, abs(t), swapped
 
 
 def new_triangle(p0, p1, p2) -> SphericalTriangle:
@@ -185,4 +210,4 @@ def new_triangle(p0, p1, p2) -> SphericalTriangle:
 
 def side_parameters(t: SphericalTriangle) -> SideParameters:
     """Side parameters of a validated triangle; each is guaranteed in range."""
-    return SideParameters(*np.sqrt(1.0 + 2.0 * t.edge_inners).tolist())
+    return SideParameters(*t.d.tolist())

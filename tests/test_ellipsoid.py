@@ -271,9 +271,12 @@ class TestRealize:
             if algebra.chi_squared(*d.as_tuple()) > 1e-9
         ]
         triangles = [realize(d) for d in ds]
-        vertices, edge_inners, chi, swapped = ellipsoid._realized(*np.array([d.as_tuple() for d in ds]).T)
+        columns = np.array([d.as_tuple() for d in ds]).T
+        vertices, edge_inners, edge_normals, d, chi, swapped = ellipsoid._realized(*columns)
         assert vertices.tobytes() == np.array([t.vertices for t in triangles]).tobytes()
         assert edge_inners.tobytes() == np.array([t.edge_inners for t in triangles]).tobytes()
+        assert edge_normals.tobytes() == np.array([t.edge_normals for t in triangles]).tobytes()
+        assert d.tobytes() == np.array([t.d for t in triangles]).tobytes()
         assert chi.tolist() == [t.chi for t in triangles]
         assert not swapped.any()
 

@@ -17,16 +17,19 @@ from napsphere import (
     Verdict,
     apex_by_rotation,
     classify,
+    cross,
     dot,
     edge_centroid,
     napoleonise,
     new_triangle,
+    realize,
+    sample_napoleonic_d,
     side_parameters,
     triple,
 )
 from napsphere import algebra
 from napsphere.oracle import random_triangles
-from napsphere.triangle import BOUNDARY_BAND, SQRT3, SideParameters, _validate
+from napsphere.triangle import BOUNDARY_BAND, SQRT3, SideParameters, _opposite_edges, _validate
 
 from conftest import NAPOLEONIC_D, SCALENE_VERTICES, equilateral_vertices
 
@@ -259,9 +262,11 @@ def test_stacked_validation_matches_one_triangle_at_a_time_exactly():
     v = np.array([t.vertices for t in random_triangles(3000, seed=7)])
     v[1::2] = v[1::2].take([0, 2, 1], axis=1)  # every other triangle entered with the opposite orientation
     triangles = [new_triangle(*row) for row in v]
-    vertices, edge_inners, chi, swapped = _validate(v)
+    vertices, edge_inners, edge_normals, d, chi, swapped = _validate(v)
     assert vertices.tobytes() == np.array([t.vertices for t in triangles]).tobytes()
     assert edge_inners.tobytes() == np.array([t.edge_inners for t in triangles]).tobytes()
+    assert edge_normals.tobytes() == np.array([t.edge_normals for t in triangles]).tobytes()
+    assert d.tobytes() == np.array([t.d for t in triangles]).tobytes()
     assert chi.tolist() == [t.chi for t in triangles]
     assert swapped.tolist() == [t.orientation_swapped for t in triangles] == [False, True] * 1500
 
@@ -270,6 +275,24 @@ def test_stacked_validation_names_vertices_within_the_first_failing_triangle():
     v = np.array([SCALENE_VERTICES, (EX, EY, EY), SCALENE_VERTICES, (EX, EX, EZ)])
     with pytest.raises(DegenerateError, match="^vertices 1 and 2 coincide$"):
         _validate(v)
+
+
+def test_stored_edge_frame_is_built_from_the_stored_vertices_exactly():
+    # The constructions read edge_normals and d instead of recomputing them, so
+    # each must be its stored edge's cross product and side parameter bit for
+    # bit, signed zeros included: realize's canonical vertices hold exact zeros,
+    # and after a swap b x a must not become -(a x b).
+    realized = [realize(d) for d in sample_napoleonic_d(100, seed=28)]
+    uniform = random_triangles(100, seed=29)
+    entered = [t.vertices for t in realized + uniform]
+    triangles = realized + [new_triangle(*v) for v in entered] + [new_triangle(*v[[0, 2, 1]]) for v in entered]
+    assert [t.orientation_swapped for t in triangles] == [False] * 300 + [True] * 200
+    for t in triangles:
+        assert t.edge_normals.tobytes() == cross(*_opposite_edges(t.vertices)).tobytes()
+        assert t.d.tobytes() == np.sqrt(1.0 + 2.0 * t.edge_inners).tobytes()
+        for field in (t.edge_normals, t.d):
+            with pytest.raises(ValueError, match="read-only"):
+                field[0] = 0.0
 
 
 @pytest.mark.parametrize("field", ["vertices", "edge_inners"])
