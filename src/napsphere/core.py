@@ -47,12 +47,16 @@ def unit_vector(v) -> np.ndarray:
     ``UNIT_NORM_TOL``.  Callers that accept unnormalised input (e.g. the CLI)
     should call :func:`normalize` first.
     """
-    a = vector3(v)
+    a = np.asarray(v, dtype=float)
+    if a.shape[-1:] == (3,):
+        nsq = dot(a, a)
+        # A non-finite component makes its squared norm inf or NaN, which fails this test too.
+        if _first(~(np.abs(nsq - 1.0) <= UNIT_NORM_TOL)) is None:
+            return a / np.sqrt(nsq)[..., None]
+    a = vector3(a)  # a wrong shape or a non-finite component is reported first
     nsq = dot(a, a)
     i = _first(np.abs(nsq - 1.0) > UNIT_NORM_TOL)
-    if i is not None:
-        raise ValueError(f"not a unit vector: |v|^2 = {float(np.ravel(nsq)[i])!r}")
-    return a / np.sqrt(nsq)[..., None]
+    raise ValueError(f"not a unit vector: |v|^2 = {float(np.ravel(nsq)[i])!r}")
 
 
 def normalize(v) -> np.ndarray:

@@ -35,6 +35,8 @@ from .triangle import SphericalTriangle, _edge, _opposite_edges, new_triangle
 
 # Sign vectors in search order: e0 varies slowest, each from -1 to +1.
 _SIGNS = [SignVector(*e) for e in itertools.product((-1, +1), repeat=3)]
+# The same signs as one (8, 3) float table; each +-1 converts exactly, so the angles keep their bits.
+_SIGN_TABLE = np.array([s.as_tuple() for s in _SIGNS], dtype=float)
 
 
 def _rotate(v, axis, w, c, angle):
@@ -68,7 +70,7 @@ def search_equilateral(t: SphericalTriangle, tol: float) -> list[tuple[SignVecto
     """
     a, b = _opposite_edges(t.vertices)
     c = t.edge_inners
-    angles = np.array([s.as_tuple() for s in _SIGNS]) * np.arccos(c / (1.0 + c))
+    angles = _SIGN_TABLE * np.arccos(c / (1.0 + c))
     r = barycentre(a, b, _rotate(b, a, t.edge_normals, c, angles))  # (8 signs, 3 edges, 3)
     rr = dot(r, r.take(_NEXT, 1))
     residuals = np.abs(rr - rr.take(_NEXT, 1)).max(axis=1).tolist()

@@ -20,11 +20,33 @@ vertex ``i``.  :func:`napsphere.algebra.alpha` and
 vertices.
 
 Validation builds every edge's frame once, for all three edges (or a stack
-of triangles) together: the normals ``p_{i+1} x p_{i+2}`` with one cross
-product, whose first row gives the triple product, the inner products, and
-the side parameters with one square root, which the rounds-to-sqrt(3) check
-reads.  The record stores the frame and every construction reads it; the
-single-edge constructions get the same frame for their edge from ``_edge``.
+of triangles) together: the inner products, the normals ``p_{i+1} x p_{i+2}``
+with one cross product, whose first row gives the triple product, and the side
+parameters with one square root.  A triangle that is swapped gets the frame
+rebuilt from its stored vertices.  The record stores the frame and every
+construction reads it; the single-edge constructions get the same frame for
+their edge from ``_edge``.
+
+Two exact tests can fire only near ``|c| = 1``: the coincidence/antipodality
+test ``sqrt(<a-+b, a-+b>) <= DEGENERACY_TOL`` and the rounds-to-sqrt(3) test.
+:func:`_validate` runs both, unchanged and in their place in the rule order,
+when some edge inner product of its input has ``|c| >= 1 - DEGENERACY_TOL``,
+and skips them otherwise, because then neither can fire.  With ``u = 2**-53``
+and the forward error bound of a floating-point inner product (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2nd ed., section 3.1):
+
+* The rescaled vertices have ``|a|**2 = 1`` within about ``6u``, and the
+  computed ``c`` is within ``3u`` of ``<a, b>``.  So ``|a-+b|**2 = |a|**2 +
+  |b|**2 -+ 2<a, b>`` exceeds ``2 DEGENERACY_TOL`` less about ``1e-15``, and
+  its computed value, good to a few ``u`` relative, exceeds ``1.9e-9``.  Every
+  separation is then above ``4e-5``, far above ``DEGENERACY_TOL = 1e-9``.
+* ``1 + 2c < 3 - 2 DEGENERACY_TOL`` puts ``d`` below ``sqrt(3) - 5.7e-10``,
+  and the rounding of the sum and the square root moves it by about ``4e-16``,
+  so ``d < SQRT3``.
+
+The bound needs vertices that are unit to rounding, as ``unit_vector``'s
+rescaling leaves them.  ``_edge`` takes its endpoints as given, unit only
+within ``UNIT_NORM_TOL``, so it runs its pair test on every edge.
 """
 
 from __future__ import annotations
@@ -162,28 +184,31 @@ def _validate(v):
     triangle or stacked."""
     v = unit_vector(v)
     a, b = _opposite_edges(v)
-    _reject_degenerate(v, a, lambda i, how: f"vertices {i % 3} and {(i + 1) % 3} {how}")
+    c = dot(a, b)
+    # The two exact tests below can fire only near |c| = 1 (see the module docstring).
+    near = _first(abs(c) >= 1.0 - DEGENERACY_TOL) is not None
+    if near:
+        _reject_degenerate(v, a, lambda i, how: f"vertices {i % 3} and {(i + 1) % 3} {how}")
 
     w = cross(a, b)
     t = dot(v[..., 0, :], w[..., 0, :])  # the triple product <P0, P1 x P2>
     if _first(abs(t) <= DEGENERACY_TOL) is not None:
         raise CogeodesicError("vertices lie on a common great circle")
 
-    c = dot(a, b)
     _reject_too_wide(c, lambda i, ci: f"edge opposite vertex {i % 3} has inner product {ci!r} <= -1/2")
-    d = np.sqrt(1.0 + 2.0 * c)
-    i = _first(d >= SQRT3)
-    if i is not None:
-        raise DegenerateError(f"vertices {(i + 1) % 3} and {(i + 2) % 3} coincide: d{i % 3} rounds to sqrt(3)")
+    if near:
+        i = _first(np.sqrt(1.0 + 2.0 * c) >= SQRT3)
+        if i is not None:
+            raise DegenerateError(f"vertices {(i + 1) % 3} and {(i + 2) % 3} coincide: d{i % 3} rounds to sqrt(3)")
 
     swapped = t < 0.0
     if _first(swapped) is not None:
-        flip = np.asarray(swapped)[..., None]
-        v = np.where(flip[..., None], v.take(_SWAP, -2), v)
-        c = np.where(flip, c.take(_SWAP, -1), c)
-        d = np.where(flip, d.take(_SWAP, -1), d)
-        # Recomputed, not -w permuted: b x a and -(a x b) differ in the sign of an exact zero.
-        w = cross(*_opposite_edges(v))
+        v = np.where(np.asarray(swapped)[..., None, None], v.take(_SWAP, -2), v)
+        # The frame rebuilt from the stored vertices: b x a and -(a x b) differ in the sign of an
+        # exact zero, and dot(b, a) has the bits of dot(a, b), which a test pins.
+        a, b = _opposite_edges(v)
+        w, c = cross(a, b), dot(a, b)
+    d = np.sqrt(1.0 + 2.0 * c)
     for field in (v, c, w, d):
         field.flags.writeable = False
     return v, c, w, d, abs(t), swapped

@@ -43,7 +43,8 @@ MUTANTS = [
     ("napoleon.py", "t.edge_inners, t.d, eff", "t.edge_inners, t.edge_inners, eff"),
     ("triangle.py", "_first(c <= -0.5 + BOUNDARY_BAND)", "_first(c < -0.5 + BOUNDARY_BAND)"),
     ("triangle.py", "_first(abs(t) <= DEGENERACY_TOL)", "_first(abs(t) < DEGENERACY_TOL)"),
-    ("triangle.py", "w = cross(*_opposite_edges(v))", "w = w"),
+    ("triangle.py", "w, c = cross(a, b), dot(a, b)", "c = dot(a, b)"),
+    ("triangle.py", "_first(abs(c) >= 1.0 - DEGENERACY_TOL)", "_first(abs(c) > 1.0)"),
 ]
 
 KNOWN_FAILURES = [

@@ -1,5 +1,6 @@
 """Triangle validation, side parameters, and the derived scalar invariants."""
 
+import itertools
 import math
 import warnings
 
@@ -29,7 +30,17 @@ from napsphere import (
 )
 from napsphere import algebra
 from napsphere.oracle import random_triangles
-from napsphere.triangle import BOUNDARY_BAND, SQRT3, SideParameters, _opposite_edges, _validate
+from napsphere.core import _first, unit_vector
+from napsphere.triangle import (
+    BOUNDARY_BAND,
+    DEGENERACY_TOL,
+    SQRT3,
+    SideParameters,
+    _opposite_edges,
+    _reject_degenerate,
+    _reject_too_wide,
+    _validate,
+)
 
 from conftest import NAPOLEONIC_D, SCALENE_VERTICES, equilateral_vertices
 
@@ -293,6 +304,93 @@ def test_stored_edge_frame_is_built_from_the_stored_vertices_exactly():
         for field in (t.edge_normals, t.d):
             with pytest.raises(ValueError, match="read-only"):
                 field[0] = 0.0
+
+
+def test_swapped_input_gives_the_record_of_the_stored_order_exactly():
+    # After a swap the frame is rebuilt from the stored vertices, where before
+    # the inner products of the entered pairs were permuted; both give the same
+    # bits only if core.dot(a, b) rounds exactly like core.dot(b, a).  A host
+    # whose matmul breaks that symmetry fails here instead of changing outputs.
+    v = np.array([t.vertices for t in random_triangles(500, seed=31)])
+    stored, entered = _validate(v), _validate(v.take([0, 2, 1], axis=1))
+    assert not stored[5].any() and entered[5].all()
+    for a, b in zip(stored[:5], entered[:5]):
+        assert a.tobytes() == b.tobytes()
+    for row in v[:50]:
+        a, b = new_triangle(*row), new_triangle(*row[[0, 2, 1]])
+        for field in ("vertices", "edge_inners", "edge_normals", "d"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert a.chi == b.chi
+    a, b = _opposite_edges(v)
+    assert dot(a, b).tobytes() == dot(b, a).tobytes()
+
+
+def _ungated_validate(v):
+    """Reference: :func:`_validate`'s rules in their order, with the coincidence/antipodality
+    test and the rounds-to-sqrt(3) test run on every input, and the swap as a gather."""
+    v = unit_vector(v)
+    a, b = _opposite_edges(v)
+    _reject_degenerate(v, a, lambda i, how: f"vertices {i % 3} and {(i + 1) % 3} {how}")
+    w = cross(a, b)
+    t = dot(v[..., 0, :], w[..., 0, :])
+    if _first(abs(t) <= DEGENERACY_TOL) is not None:
+        raise CogeodesicError("vertices lie on a common great circle")
+    c = dot(a, b)
+    _reject_too_wide(c, lambda i, ci: f"edge opposite vertex {i % 3} has inner product {ci!r} <= -1/2")
+    d = np.sqrt(1.0 + 2.0 * c)
+    i = _first(d >= SQRT3)
+    if i is not None:
+        raise DegenerateError(f"vertices {(i + 1) % 3} and {(i + 2) % 3} coincide: d{i % 3} rounds to sqrt(3)")
+    flip = np.asarray(t < 0.0)[..., None]
+    v = np.where(flip[..., None], v.take([0, 2, 1], -2), v)
+    c = np.where(flip, c.take([0, 2, 1], -1), c)
+    d = np.where(flip, d.take([0, 2, 1], -1), d)
+    return v, c, cross(*_opposite_edges(v)), d, abs(t), t < 0.0
+
+
+def _outcome(validate, v):
+    """The error kind and message *validate* raises for *v*, or the bytes of its record."""
+    try:
+        record = validate(v)
+    except NapsphereError as exc:
+        return exc.kind, str(exc)
+    return tuple(np.asarray(field).tobytes() for field in record)
+
+
+def _near_pairs():
+    """Triples with one vertex pair 1e-12 to 1e-3 apart or that far from antipodal, at each
+    position and in both orientations, rotated at random; and one pair 5e-9 apart, far
+    enough for the coincidence test, whose side parameter rounds to sqrt(3)."""
+    rng = np.random.default_rng(32)
+    triples = []
+    for sep in [10.0**-k for k in range(3, 13)] + [5e-9]:
+        for sign in (1.0, -1.0) if sep != 5e-9 else (1.0,):
+            rot = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            p, q = np.array([1.0, 0.0, 0.0]), sign * np.array([math.cos(sep), math.sin(sep), 0.0])
+            r = np.array([0.2, -0.3, 1.0]) / math.sqrt(1.13)
+            base = np.array([p, q, r]) @ rot.T
+            for order in itertools.permutations(range(3)):
+                triples.append(base[list(order)])
+    return triples
+
+
+def test_gate_changes_no_outcome_near_coincident_or_antipodal_pairs():
+    # The exact tests run only where some |c| >= 1 - DEGENERACY_TOL; there and
+    # everywhere else, every error and record must be the ungated reference's.
+    triples = _near_pairs()
+    kinds = set()
+    for v in triples:
+        expected = _outcome(_ungated_validate, v)
+        assert _outcome(_validate, v) == expected
+        kinds.add(expected[0] if isinstance(expected[0], str) else "accepted")
+    assert kinds == {"Degenerate", "TooWide", "accepted"}
+    assert any("rounds to sqrt(3)" in str(_outcome(_validate, v)[1]) for v in triples)
+    # Stacks in which only one row is near: the gate opens for the whole stack.
+    rows = np.array([t.vertices for t in random_triangles(9, seed=33)])
+    for k, v in enumerate(triples):
+        stack = rows.copy()
+        stack[k % 9] = v
+        assert _outcome(_validate, stack) == _outcome(_ungated_validate, stack)
 
 
 @pytest.mark.parametrize("field", ["vertices", "edge_inners"])
