@@ -53,8 +53,7 @@ def unit_vector(v) -> np.ndarray:
         # A non-finite component makes its squared norm inf or NaN, which fails this test too.
         if _first(~(np.abs(nsq - 1.0) <= UNIT_NORM_TOL)) is None:
             return a / np.sqrt(nsq)[..., None]
-    a = vector3(a)  # a wrong shape or a non-finite component is reported first
-    nsq = dot(a, a)
+    vector3(a)  # raises for a wrong shape or a non-finite component; else some nsq is off
     i = _first(np.abs(nsq - 1.0) > UNIT_NORM_TOL)
     raise ValueError(f"not a unit vector: |v|^2 = {float(np.ravel(nsq)[i])!r}")
 

@@ -307,10 +307,10 @@ def test_stored_edge_frame_is_built_from_the_stored_vertices_exactly():
 
 
 def test_swapped_input_gives_the_record_of_the_stored_order_exactly():
-    # After a swap the frame is rebuilt from the stored vertices, where before
-    # the inner products of the entered pairs were permuted; both give the same
-    # bits only if core.dot(a, b) rounds exactly like core.dot(b, a).  A host
-    # whose matmul breaks that symmetry fails here instead of changing outputs.
+    # After a swap the frame is rebuilt from the stored vertices, so a record
+    # must not depend on the order in which vertices 1 and 2 were entered; that
+    # needs core.dot(a, b) to round exactly like core.dot(b, a).  A host whose
+    # matmul breaks that symmetry fails here instead of changing outputs.
     v = np.array([t.vertices for t in random_triangles(500, seed=31)])
     stored, entered = _validate(v), _validate(v.take([0, 2, 1], axis=1))
     assert not stored[5].any() and entered[5].all()
@@ -378,13 +378,11 @@ def test_gate_changes_no_outcome_near_coincident_or_antipodal_pairs():
     # The exact tests run only where some |c| >= 1 - DEGENERACY_TOL; there and
     # everywhere else, every error and record must be the ungated reference's.
     triples = _near_pairs()
-    kinds = set()
-    for v in triples:
-        expected = _outcome(_ungated_validate, v)
+    outcomes = [_outcome(_ungated_validate, v) for v in triples]
+    for v, expected in zip(triples, outcomes):
         assert _outcome(_validate, v) == expected
-        kinds.add(expected[0] if isinstance(expected[0], str) else "accepted")
-    assert kinds == {"Degenerate", "TooWide", "accepted"}
-    assert any("rounds to sqrt(3)" in str(_outcome(_validate, v)[1]) for v in triples)
+    assert {o[0] if isinstance(o[0], str) else "accepted" for o in outcomes} == {"Degenerate", "TooWide", "accepted"}
+    assert any("rounds to sqrt(3)" in str(o[1]) for o in outcomes)
     # Stacks in which only one row is near: the gate opens for the whole stack.
     rows = np.array([t.vertices for t in random_triangles(9, seed=33)])
     for k, v in enumerate(triples):
