@@ -5,8 +5,10 @@ centroid inner-product bracket are each defined once here, with ring
 operations and integer constants only.  The float path (classifier, sampler,
 closed forms) calls them on floats and NumPy arrays and relies on the
 evaluation order written here; the ``verify_*`` checks call them on
-:class:`RationalPolynomial` arguments, integer numerators ``{(i, j, k): int}``
-for the monomials d0^i d1^j d2^k over one common denominator.  So the
+:class:`RationalPolynomial` arguments: integer numerators of the monomials
+d0^i d1^j d2^k over one common denominator, each monomial under the packed
+int key ``i | j << 21 | k << 42`` (every exponent below 2**20), and at most
+one gcd per ring operation to keep them in lowest terms.  So the
 identities are proved for the expressions the classifier evaluates, and a
 ``True`` is still an exact, coefficient-by-coefficient proof, with no
 floating point involved.
@@ -19,7 +21,9 @@ involves bare chi is verified after substituting the relation
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -49,38 +53,66 @@ __all__ = [
 Exponents = tuple[int, int, int]
 Scalar = Union[int, Fraction]
 
+# The monomial d0^i d1^j d2^k is stored under the key i | j << 21 | k << 42.
+# Every stored exponent is below 2**20, so the sum of two keys adds each pair
+# of exponents in its own field without a carry into the next one, and a field
+# of the sum reaches 2**20 exactly when its top bit, a bit of _CARRY, is set.
+# A fourth variable would take the next field, << 63.
+_SHIFT = 21
+_EXP_LIMIT = 1 << 20
+_FIELD = (1 << _SHIFT) - 1
+_CARRY = _EXP_LIMIT * (1 | 1 << _SHIFT | 1 << 2 * _SHIFT)
+
+
+def _key(exps) -> int:
+    """The packed key of an exponent triple; ValueError unless three integers in [0, 2**20)."""
+    try:
+        fields = [operator.index(e) for e in exps]
+    except TypeError:
+        fields = []
+    if len(fields) != 3 or not all(0 <= f < _EXP_LIMIT for f in fields):
+        raise ValueError(f"exponents must be three integers in [0, 2**20), not {exps!r}")
+    i, j, k = fields
+    return i | j << _SHIFT | k << 2 * _SHIFT
+
+
+def _exponents(key: int) -> Exponents:
+    return key & _FIELD, key >> _SHIFT & _FIELD, key >> 2 * _SHIFT & _FIELD
+
 
 class RationalPolynomial:
     """Sparse multivariate polynomial in d0, d1, d2 with rational coefficients.
 
-    Stored as integer numerators ``{(i, j, k): int}`` over one positive common
+    Stored as integer numerators ``{key: int}`` over one positive common
     denominator, in lowest terms and without zero numerators, so equal
-    polynomials have equal representations.  Arithmetic runs on Python ints
-    with one gcd reduction per result (Knuth, TAOCP Vol. 2, 4.5.1).  Immutable
-    in practice: all arithmetic returns new instances.
+    polynomials have equal representations.  The key of d0^i d1^j d2^k packs
+    its exponents into one int, ``i | j << 21 | k << 42``, so a product of two
+    monomials is one integer addition; every exponent must stay below 2**20
+    (the constructor raises ``ValueError`` and ``*`` raises ``OverflowError``
+    otherwise).  Arithmetic runs on Python ints with at most one gcd per result
+    (Knuth, TAOCP Vol. 2, 4.5.1): operands over equal denominators add without
+    rescaling, an ``int`` or ``Fraction`` operand scales the numerators (or,
+    for a positive ``int`` divisor, the denominator), and a result over
+    denominator 1 needs none.  Immutable in practice: all arithmetic returns
+    new instances.
     """
 
     __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Mapping[Exponents, Scalar] | None = None):
-        fracs = {tuple(int(e) for e in exps): q for exps, c in (coeffs or {}).items() if (q := Fraction(c))}
+        fracs = {}
+        for exps, c in (coeffs or {}).items():
+            key = _key(exps)
+            if q := Fraction(c):
+                fracs[key] = q
         # Over the lcm of reduced denominators the numerators share no factor with it.
         self._den = math.lcm(*(q.denominator for q in fracs.values()))
         self._num = {e: q.numerator * (self._den // q.denominator) for e, q in fracs.items()}
 
-    @classmethod
-    def _make(cls, num: dict[Exponents, int], den: int) -> "RationalPolynomial":
-        """Trusted constructor: num/den (den > 0) in lowest terms, without zero numerators."""
-        num = {e: n for e, n in num.items() if n}
-        g = math.gcd(den, *num.values())
-        p = object.__new__(cls)
-        p._num, p._den = ({e: n // g for e, n in num.items()} if g != 1 else num), den // g
-        return p
-
     @property
     def coeffs(self) -> dict[Exponents, Fraction]:
         """The coefficients, as a fresh ``{exponents: Fraction}`` map."""
-        return {e: Fraction(n, self._den) for e, n in self._num.items()}
+        return {_exponents(e): Fraction(n, self._den) for e, n in self._num.items()}
 
     @classmethod
     def constant(cls, c: Scalar) -> "RationalPolynomial":
@@ -90,52 +122,65 @@ class RationalPolynomial:
     def variable(cls, index: int) -> "RationalPolynomial":
         return cls({tuple(int(i == index) for i in range(3)): 1})
 
-    def _coerce(self, other) -> "RationalPolynomial":
-        if isinstance(other, RationalPolynomial):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RationalPolynomial._make({(0, 0, 0): other.numerator}, other.denominator)
-        return NotImplemented
-
-    def __add__(self, other) -> "RationalPolynomial":
-        other = self._coerce(other)
+    def _merge(self, other, sign: int = 1) -> "RationalPolynomial":
+        """self + sign * other, for sign = +-1."""
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        g = math.gcd(self._den, other._den)
-        sa, sb = other._den // g, self._den // g
-        out = {e: n * sa for e, n in self._num.items()}
+        a, b = self._den, other._den
+        if a == b:
+            out, sb = dict(self._num), sign
+        else:
+            g = math.gcd(a, b)
+            sa, sb = b // g, a // g * sign
+            out, a = {e: n * sa for e, n in self._num.items()}, a * sa
+        get = out.get
         for e, n in other._num.items():
-            out[e] = out.get(e, 0) + n * sb
-        return RationalPolynomial._make(out, self._den * sa)
+            out[e] = get(e, 0) + n * sb
+        return _make(out, a)
 
-    __radd__ = __add__
+    __add__ = __radd__ = _merge
 
     def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial._make({e: -n for e, n in self._num.items()}, self._den)
+        return _wrap({e: -n for e, n in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "RationalPolynomial":
-        other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else self + (-other)
+        return self._merge(other, -1)
 
     def __rsub__(self, other) -> "RationalPolynomial":
-        return self._coerce(other) - self
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else other._merge(self, -1)
 
     def __mul__(self, other) -> "RationalPolynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[Exponents, int] = {}
-        for (i1, j1, k1), n1 in self._num.items():
-            for (i2, j2, k2), n2 in other._num.items():
-                e = (i1 + i2, j1 + j2, k1 + k2)
-                out[e] = out.get(e, 0) + n1 * n2
-        return RationalPolynomial._make(out, self._den * other._den)
+        if not isinstance(other, RationalPolynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            a, b = other.numerator, other.denominator
+            if b == 1:
+                # num/den in lowest terms: only the factors a shares with den cancel.
+                g = math.gcd(a, self._den)
+                a //= g
+                return _wrap({e: n * a for e, n in self._num.items()} if a else {}, self._den // g)
+            return _make({e: n * a for e, n in self._num.items()}, self._den * b)
+        out: dict[int, int] = {}
+        get = out.get
+        for e1, n1 in self._num.items():
+            for e2, n2 in other._num.items():
+                e = e1 + e2
+                out[e] = get(e, 0) + n1 * n2
+        if functools.reduce(operator.or_, out, 0) & _CARRY:
+            raise OverflowError("an exponent of the product reaches 2**20")
+        return _make(out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RationalPolynomial":
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
+        if isinstance(other, int) and other > 0:
+            # The numerators share no factor with den: only those they share with other cancel.
+            g = math.gcd(other, *self._num.values())
+            return _wrap({e: n // g for e, n in self._num.items()}, self._den * (other // g))
         return self * (1 / Fraction(other))
 
     def __pow__(self, n: int) -> "RationalPolynomial":
@@ -144,15 +189,15 @@ class RationalPolynomial:
         return math.prod([self] * n, start=ONE)
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
         # A constant hashes like the int or Fraction it equals, as == requires.
-        if self._num.keys() <= {(0, 0, 0)}:
-            return hash(Fraction(self._num.get((0, 0, 0), 0), self._den))
+        if self._num.keys() <= {0}:
+            return hash(Fraction(self._num.get(0, 0), self._den))
         return hash((self._den, frozenset(self._num.items())))
 
     def is_zero(self) -> bool:
@@ -173,6 +218,33 @@ class RationalPolynomial:
             mono = " ".join(f"d{i}^{e}" if e > 1 else f"d{i}" for i, e in enumerate(exps) if e)
             parts.append(f"{coeffs[exps]}" + (f" {mono}" if mono else ""))
         return " + ".join(parts) or "0"
+
+
+def _wrap(num: dict[int, int], den: int) -> RationalPolynomial:
+    """Trusted constructor: num/den (den > 0) already in lowest terms, without zero numerators."""
+    p = object.__new__(RationalPolynomial)
+    p._num, p._den = num, den
+    return p
+
+
+def _make(num: dict[int, int], den: int) -> RationalPolynomial:
+    """num/den (den > 0) brought to lowest terms, without zero numerators; one gcd unless den is 1."""
+    if 0 in num.values():
+        num = {e: n for e, n in num.items() if n}
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num, den = {e: n // g for e, n in num.items()}, den // g
+    return _wrap(num, den)
+
+
+def _coerce(other) -> RationalPolynomial:
+    """*other* as a polynomial, for a polynomial, ``int`` or ``Fraction``; else NotImplemented."""
+    if isinstance(other, RationalPolynomial):
+        return other
+    if isinstance(other, (int, Fraction)):
+        return _make({0: other.numerator}, other.denominator)
+    return NotImplemented
 
 
 D0 = RationalPolynomial.variable(0)

@@ -25,6 +25,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # (file in src/napsphere, source text, its replacement)
 MUTANTS = [
+    ("algebra.py", "return self._merge(other, -1)", "return self._merge(other, 1)"),
+    ("algebra.py", "_CARRY = _EXP_LIMIT * (", "_CARRY = 2 * _EXP_LIMIT * ("),
     ("classify.py", "if eqf < tol:", "if eqf <= tol:"),
     ("classify.py", "elif abs(cres) < tol:", "elif abs(cres) <= tol:"),
     ("classify.py", "if chi2 > 0.0 else 0.0", "if chi2 > 0.0 else -1.0"),

@@ -1,6 +1,7 @@
 """Exact rational polynomial arithmetic and the identity checks."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,46 @@ class TestRingOperations:
         assert (D0 + 1) / 2 == (D0 + 1) * Fraction(1, 2)
         with pytest.raises(TypeError):
             D0 / 2.0
+
+    @pytest.mark.parametrize("other", [1.5, "a"])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    def test_unsupported_operands_raise_type_error(self, op, other):
+        with pytest.raises(TypeError):
+            op(other, D0)  # the reflected operator
+        with pytest.raises(TypeError):
+            op(D0, other)
+
+
+class TestPackedExponents:
+    """Each monomial is one int key with a 21-bit field per exponent; every
+    exponent stays below 2**20, so no field can carry into the next."""
+
+    @pytest.mark.parametrize(
+        "exps", [(1, 2), (1, 2, 3, 4), (), (-1, 0, 0), (0, 0, -1), (2**20, 0, 0), (0, 2**20, 0), (0, 0, 2**21), (1.5, 0, 0)]
+    )
+    def test_constructor_rejects_bad_exponents(self, exps):
+        with pytest.raises(ValueError):
+            RationalPolynomial({exps: 1})
+
+    @pytest.mark.parametrize("var", [D0, D1, D2])
+    def test_product_reaching_the_exponent_bound_overflows(self, var):
+        p = var
+        for _ in range(19):
+            p = p * p
+        assert list(p.coeffs.values()) == [1] and sum(next(iter(p.coeffs))) == 2**19
+        with pytest.raises(OverflowError):
+            p * p
+        with pytest.raises(OverflowError):
+            p * (p + 1)
+
+    def test_largest_exponent_round_trips(self):
+        exps = (0, 2**20 - 1, 3)
+        p = RationalPolynomial({exps: Fraction(-2, 3), (1, 0, 0): 5})
+        assert list(p.coeffs.items()) == [(exps, Fraction(-2, 3)), ((1, 0, 0), 5)]
+        assert repr(p) == "-2/3 d1^1048575 d2^3 + 5 d0"
+        assert (p * D0).coeffs == {(1, 2**20 - 1, 3): Fraction(-2, 3), (2, 0, 0): 5}
+        with pytest.raises(OverflowError):
+            p * D1
 
 
 class TestSeparateFloatForms:
@@ -243,20 +284,39 @@ def _ref_evaluate(ref, point):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_coefficient_maps, _coefficient_maps, _rationals.filter(bool), _points)
-def test_ring_operations_match_fraction_reference(a, b, k, point):
-    p, q = RationalPolynomial(a), RationalPolynomial(b)
-    neg_b = {e: -c for e, c in b.items()}
-    expected = {
-        "p+q": (p + q, _ref_add(a, b)),
-        "p-q": (p - q, _ref_add(a, neg_b)),
-        "p*q": (p * q, _ref_mul(a, b)),
-        "p/k": (p / k, _clean({e: c / k for e, c in a.items()})),
-        "-p": (-p, _clean({e: -c for e, c in a.items()})),
-        "p**2": (p**2, _ref_mul(a, a)),
-    }
+@given(_coefficient_maps, _coefficient_maps, _rationals.filter(bool), st.integers(1, 12), _points)
+def test_ring_operations_match_fraction_reference(a, b, k, n, point):
+    expected = {}
+    # The numerators of a and b (never a multiple of 7) over 7 and over 1 make
+    # pairs with equal denominators.
+    for den in (None, 7, 1):
+        x, y = ({e: Fraction(c.numerator, den) for e, c in m.items()} if den else m for m in (a, b))
+        p, q = RationalPolynomial(x), RationalPolynomial(y)
+        tag = f"/{den}" if den else ""
+        expected[f"p+q{tag}"] = (p + q, _ref_add(x, y))
+        expected[f"p-q{tag}"] = (p - q, _ref_add(x, {e: -c for e, c in y.items()}))
+        expected[f"q-p{tag}"] = (q - p, _ref_add(y, {e: -c for e, c in x.items()}))
+        expected[f"p*q{tag}"] = (p * q, _ref_mul(x, y))
+    p = RationalPolynomial(a)
+    neg_a = {e: -c for e, c in a.items()}
+    for c in (k, n, -n, 0):
+        const = {(0, 0, 0): Fraction(c)}
+        expected[f"p+{c}"] = (p + c, _ref_add(a, const))
+        expected[f"{c}+p"] = (c + p, _ref_add(const, a))
+        expected[f"p-{c}"] = (p - c, _ref_add(a, {(0, 0, 0): -Fraction(c)}))
+        expected[f"{c}-p"] = (c - p, _ref_add(const, neg_a))
+        expected[f"p*{c}"] = (p * c, _ref_mul(a, const))
+        expected[f"{c}*p"] = (c * p, _ref_mul(const, a))
+        if c:
+            expected[f"p/{c}"] = (p / c, _clean({e: x / c for e, x in a.items()}))
+    expected["-p"] = (-p, _clean(neg_a))
+    expected["p**2"] = (p**2, _ref_mul(a, a))
     for name, (poly, ref) in expected.items():
         assert poly.coeffs == ref, name
+        # == compares the stored numerators and denominator, so this also checks lowest terms.
+        assert poly == RationalPolynomial(ref), name
+    for name in ("p+q", "p-q", "p*q", f"p/{k}", "-p", "p**2"):
+        poly, ref = expected[name]
         assert poly.evaluate(point) == _ref_evaluate(ref, point), name
     assert (p - p).is_zero()
     assert p.coeffs == _clean(a)
