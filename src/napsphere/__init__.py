@@ -23,7 +23,6 @@ from .core import (
     dot,
     normalize,
     spherical_distance,
-    triple,
     unit_vector,
 )
 from .ellipsoid import (
@@ -54,7 +53,7 @@ from .napoleon import (
     edge_centroid,
     napoleonise,
 )
-from .oracle import apex_by_rotation, random_triangles, search_equilateral
+from .oracle import apex_by_rotation, search_equilateral
 from .triangle import (
     SideParameters,
     SphericalTriangle,

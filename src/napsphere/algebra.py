@@ -93,8 +93,9 @@ class RationalPolynomial:
     (Knuth, TAOCP Vol. 2, 4.5.1): operands over equal denominators add without
     rescaling, an ``int`` or ``Fraction`` operand scales the numerators (or,
     for a positive ``int`` divisor, the denominator), and a result over
-    denominator 1 needs none.  Immutable in practice: all arithmetic returns
-    new instances.
+    denominator 1 needs none.  A constant equals the ``int``, ``Fraction`` or
+    finite ``float`` of its value, but a ``float`` operand is a ``TypeError``.
+    Immutable in practice: all arithmetic returns new instances.
     """
 
     __slots__ = ("_num", "_den")
@@ -189,13 +190,17 @@ class RationalPolynomial:
         return math.prod([self] * n, start=ONE)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, float):  # equal to the constant of its exact value, as to that Fraction
+            if not math.isfinite(other):
+                return False
+            other = Fraction(other)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        # A constant hashes like the int or Fraction it equals, as == requires.
+        # A constant hashes like the int, Fraction or float it equals, as == requires.
         if self._num.keys() <= {0}:
             return hash(Fraction(self._num.get(0, 0), self._den))
         return hash((self._den, frozenset(self._num.items())))

@@ -12,6 +12,9 @@ A triangle with side parameters d = (d0, d1, d2) is
   inner products equal to -1/3 (side pi - arccos(1/3)),
 * ``NotNapoleonic``      otherwise; neither uniform-sign construction is
   equilateral, and no non-equilateral triangle is ever inward-Napoleonic.
+
+:func:`classify_d` checks the range of any three floats once; :func:`classify`
+reads a validated triangle's ``d`` and checks nothing again.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from . import algebra
-from .triangle import SideParameters, SphericalTriangle, _check_sign, side_parameters
+from .triangle import SideParameters, SphericalTriangle, _check_sign, _checked
 
 # Default tolerance on the condition residual and the equilateral factor:
 # inputs are unit vectors known to ~1e-12 and both quantities are quadratic
@@ -67,29 +70,35 @@ class ClassificationReport:
         return math.acos(self.predicted_rr)
 
 
-def napoleonic_equation_residual(d: SideParameters, chi: float, eps: int) -> float:
+def napoleonic_equation_residual(d, chi: float, eps: int) -> float:
     """alpha (d0+d1+d2 - d0 d1 d2) + eps chi (1 - d0 d1 - d1 d2 - d2 d0).
 
     Vanishes exactly when the uniform-sign Napoleonisation with sign *eps*
-    is equilateral (for non-equilateral d).  ``chi`` must be the positive
-    square root of :func:`napsphere.algebra.chi_squared` of *d*.
+    is equilateral (for non-equilateral d).  *d* is any three floats in
+    (0, sqrt(3)), and ``chi`` must be the positive square root of
+    :func:`napsphere.algebra.chi_squared` of *d*.
     """
     _check_sign(eps)
-    dv = d.as_tuple()
+    dv = _checked(*map(float, d))
     return algebra.alpha(*dv) * algebra.sum_minus_product(*dv) + eps * chi * algebra.one_minus_pairs(*dv)
 
 
-def classify_d(d: SideParameters, tol: float = CLASSIFY_TOL) -> ClassificationReport:
+def classify_d(d, tol: float = CLASSIFY_TOL) -> ClassificationReport:
     """Classify side parameters directly (see :func:`classify`).
 
-    The report's diagnostics are the polynomials of :mod:`napsphere.algebra`
-    at *d*; ``condition_residual`` is ``condition - 2``.  Triangle-derived
-    side parameters always have a positive squared triple product; for raw
-    unrealizable inputs the reported ``chi`` falls back to 0 (the verdict is
-    then necessarily NotNapoleonic, since every point of the quadric is
-    realizable).
+    *d* is any three floats; :class:`OutOfRangeError` names the first outside
+    (0, sqrt(3)).  The report's diagnostics are the polynomials of
+    :mod:`napsphere.algebra` at *d*; ``condition_residual`` is ``condition - 2``.
+    Triangle-derived side parameters always have a positive squared triple
+    product; for raw unrealizable inputs the reported ``chi`` falls back to 0
+    (the verdict is then necessarily NotNapoleonic, since every point of the
+    quadric is realizable).
     """
-    dv = d.as_tuple()
+    return _report(*_checked(*map(float, d)), tol=tol)
+
+
+def _report(*dv: float, tol: float) -> ClassificationReport:
+    """:func:`classify_d` of three in-range Python floats."""
     chi2 = algebra.chi_squared(*dv)
     cval = algebra.condition(*dv)
     cres = cval - 2.0
@@ -110,7 +119,7 @@ def classify_d(d: SideParameters, tol: float = CLASSIFY_TOL) -> ClassificationRe
         epsilon_sign = -1
 
     return ClassificationReport(
-        d=d,
+        d=SideParameters(*dv),
         alpha=algebra.alpha(*dv),
         chi=math.sqrt(chi2) if chi2 > 0.0 else 0.0,
         gamma=algebra.gamma(*dv),
@@ -130,4 +139,4 @@ def classify(t: SphericalTriangle, tol: float = CLASSIFY_TOL) -> ClassificationR
     An inward-Napoleonic verdict is never reported for non-equilateral
     triangles; for equilateral ones it is implied by the verdict itself.
     """
-    return classify_d(side_parameters(t), tol=tol)
+    return _report(*t.d.tolist(), tol=tol)

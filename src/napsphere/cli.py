@@ -33,7 +33,7 @@ from .ellipsoid import _realized, _sampled, d_to_xyz, quadric_value, realize
 from .errors import NapsphereError
 from .napoleon import NapoleonisationResult, SignVector, napoleonise
 from .oracle import search_equilateral
-from .triangle import SideParameters, SphericalTriangle, new_triangle
+from .triangle import SphericalTriangle, new_triangle
 
 __all__ = ["main"]
 
@@ -83,7 +83,7 @@ def _triangle_from_doc(doc: dict) -> SphericalTriangle:
     if ("vertices" in doc) == ("d" in doc):
         raise _BadInput('input must contain exactly one of "vertices" and "d"')
     if "d" in doc:
-        return realize(SideParameters(*_finite_triple(doc["d"], '"d"')))
+        return realize(_finite_triple(doc["d"], '"d"'))
     verts = doc["vertices"]
     if not (isinstance(verts, list) and len(verts) == 3):
         raise _BadInput('"vertices" must be a list of three [x, y, z] triples')
@@ -163,7 +163,7 @@ def cmd_classify(args, t: SphericalTriangle) -> int:
     report = classify(t, tol=args.tol)
     doc = {
         **vars(report),
-        "d": list(report.d.as_tuple()),
+        "d": list(report.d),
         "verdict": str(report.verdict),
         "predicted_side": report.predicted_side,
     }

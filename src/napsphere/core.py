@@ -87,11 +87,6 @@ def cross(a, b) -> np.ndarray:
     return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
 
 
-def triple(a, b, c) -> float:
-    """Scalar triple product <a, b x c>; invariant under cyclic permutation."""
-    return dot(a, cross(b, c))
-
-
 def spherical_distance(p, q) -> float:
     """Great-circle distance in [0, pi] between two unit vectors."""
     x = dot(p, q)

@@ -13,7 +13,9 @@ polynomials in d.  :func:`d_to_xyz` rotates side parameters stacked on the
 last axis to plain (..., 3) arrays and :func:`quadric_value` evaluates the
 left side per row; the samplers draw admissible side parameters from this
 surface, and :func:`realize` places any realizable side parameters as a
-canonical triangle on the unit sphere (``_realized`` places a stack).
+canonical triangle on the unit sphere (``_realized`` places a stack).  Side
+parameters are plain triples, (count, 3) arrays for the sampler core; only
+the row wrappers kept for existing callers build :class:`SideParameters`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from . import algebra
 from .core import _first, dot
 from .errors import SeedExhaustedError, UnrealizableError
-from .triangle import SQRT3, SideParameters, SphericalTriangle, _validate
+from .triangle import SideParameters, SphericalTriangle, _checked, _in_range, _validate
 
 # Orthogonal rotation taking (d0, d1, d2) to (X, Y, Z); rows are orthonormal,
 # so the inverse is the transpose.
@@ -82,7 +84,7 @@ def _quadric_block(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p = np.stack((np.cos(theta), 2.0 * sin_theta * np.cos(phi), 2.0 * sin_theta * np.sin(phi)), axis=-1)
     d = (ROTATION.T @ p[..., None])[..., 0]
     off = d - d.mean(axis=1, keepdims=True)
-    ok = (d > 0.0).all(axis=1) & (d < SQRT3).all(axis=1) & (np.sqrt(dot(off, off)) >= DIAGONAL_MARGIN)
+    ok = _in_range(d).all(axis=1) & (np.sqrt(dot(off, off)) >= DIAGONAL_MARGIN)
     return d, ok & (algebra.chi_squared(*d.T) > 1e-12)
 
 
@@ -149,8 +151,8 @@ def _realized(d0, d1, d2):
     return _validate(v)
 
 
-def realize(d: SideParameters) -> SphericalTriangle:
-    """Canonical triangle on the unit sphere with side parameters *d*.
+def realize(d) -> SphericalTriangle:
+    """Canonical triangle on the unit sphere with side parameters *d*, any three floats.
 
     P0 = (1,0,0), P1 lies in the upper xy half-plane, and the third vertex
     is placed with positive orientation, so the result needs no vertex swap
@@ -159,7 +161,7 @@ def realize(d: SideParameters) -> SphericalTriangle:
     of ``c_i = (d_i^2 - 1)/2`` is <= 1e-12: :func:`napsphere.algebra.chi_squared`
     as a polynomial (``test_gram_determinant_is_chi_squared``), though rounded
     differently.  The placed vertices must pass :func:`new_triangle`'s rules: a
-    d_i below about 1.5e-8 is :class:`TooWideError`.  This is :func:`_realized`
-    for one row.
+    d_i below about 1.5e-8 is :class:`TooWideError`.  A d_i outside (0, sqrt(3))
+    is :class:`OutOfRangeError` first.  This is :func:`_realized` for one row.
     """
-    return SphericalTriangle(*_realized(*d.as_tuple()))
+    return SphericalTriangle(*_realized(*_checked(*map(float, d))))

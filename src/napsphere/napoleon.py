@@ -37,8 +37,8 @@ import numpy as np
 
 from . import algebra
 from .core import _NEXT, dot
-from .triangle import SQRT3, SideParameters, SphericalTriangle
-from .triangle import _check_sign, _edge, _near_boundary, _opposite_edges
+from .triangle import SQRT3, SphericalTriangle
+from .triangle import _check_sign, _checked, _edge, _near_boundary, _opposite_edges
 
 
 @dataclass(frozen=True)
@@ -175,13 +175,14 @@ def napoleonise(t: SphericalTriangle, s: SignVector) -> NapoleonisationResult:
     )
 
 
-def centroid_inner_closed_form(d: SideParameters, chi: float, s: SignVector, i: int) -> float:
+def centroid_inner_closed_form(d, chi: float, s: SignVector, i: int) -> float:
     """Centroid inner product <R_{i+2}, R_i> from side parameters alone.
 
-    ``chi`` must be the positive square root of :func:`napsphere.algebra.chi_squared`
-    of *d*, and ``s`` the signs in the same vertex order as ``d`` (the stored
-    triangle order).  Valid for every sign vector, mixed signs included.
+    *d* is any three floats in (0, sqrt(3)).  ``chi`` must be the positive
+    square root of :func:`napsphere.algebra.chi_squared` of *d*, and ``s`` the
+    signs in the same vertex order as ``d`` (the stored triangle order).  Valid
+    for every sign vector, mixed signs included.
     """
-    dv = d.as_tuple()
+    dv = _checked(*map(float, d))
     dj = dv[(i + 1) % 3]
     return (dj * dj + 1) / algebra.gamma(*dv) * algebra.centroid_bracket(dv, chi, s.as_tuple(), i)

@@ -16,8 +16,6 @@ reports every sign vector whose centroid triangle is equilateral within a
 tolerance.  Rotations use Rodrigues' formula, evaluated for all eight sign
 vectors and three edges at once, on the triangle's stored normals and inner
 products.
-
-:func:`random_triangles` draws seeded uniform triangles to check against.
 """
 
 from __future__ import annotations
@@ -28,9 +26,8 @@ import math
 import numpy as np
 
 from .core import _NEXT, barycentre, dot
-from .errors import NapsphereError
 from .napoleon import SignVector
-from .triangle import SphericalTriangle, _edge, _opposite_edges, new_triangle
+from .triangle import SphericalTriangle, _edge, _opposite_edges
 
 
 # Sign vectors in search order: e0 varies slowest, each from -1 to +1.
@@ -77,26 +74,3 @@ def search_equilateral(t: SphericalTriangle, tol: float) -> list[tuple[SignVecto
     hits = [(s, res) for s, res in zip(_SIGNS, residuals) if res < tol]
     hits.sort(key=lambda pair: pair[1])
     return hits
-
-
-def random_triangles(count: int, seed: int) -> list[SphericalTriangle]:
-    """Deterministic batch of uniformly random valid triangles for a given seed.
-
-    Vertices are independent uniform points of the sphere (normalised
-    Gaussian triples); candidates violating the triangle invariants are
-    rejected.  Each result is rebuilt in its orientation-normalised vertex
-    order, so ``orientation_swapped`` is always False.
-    """
-    rng = np.random.default_rng(seed)
-    out: list[SphericalTriangle] = []
-    while len(out) < count:
-        v = rng.normal(size=(3, 3))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        try:
-            t = new_triangle(v[0], v[1], v[2])
-        except NapsphereError:
-            continue
-        if t.orientation_swapped:
-            t = new_triangle(*t.vertices)
-        out.append(t)
-    return out

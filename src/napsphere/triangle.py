@@ -17,7 +17,9 @@ in (0, sqrt(3)), a monotone function of the length of the edge opposite
 vertex ``i``.  :func:`napsphere.algebra.alpha` and
 :func:`napsphere.algebra.chi_squared` of the side parameters reproduce
 ``1 + <p0,p1> + <p1,p2> + <p2,p0>`` and the squared triple product of the
-vertices.
+vertices.  Side parameters are plain triples.  A validated triangle's ``d`` is
+in range by construction; any three floats given from outside pass the one
+range rule, :func:`_checked`, once where they enter.
 
 Validation builds every edge's frame once, for all three edges (or a stack
 of triangles) together: the inner products, the normals ``p_{i+1} x p_{i+2}``
@@ -54,6 +56,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,22 +100,32 @@ class SphericalTriangle:
     orientation_swapped: bool = False
 
 
-@dataclass(frozen=True)
-class SideParameters:
-    """Edge encoding d_i = sqrt(1 + 2<p_{i+1}, p_{i+2}>), each in (0, sqrt(3))."""
+class SideParameters(NamedTuple):
+    """Edge encoding d_i = sqrt(1 + 2<p_{i+1}, p_{i+2}>), as three named floats; no check of its own."""
 
     d0: float
     d1: float
     d2: float
 
-    def __post_init__(self):
-        for name in ("d0", "d1", "d2"):
-            v = getattr(self, name)
-            if not (0.0 < v < SQRT3):
-                raise OutOfRangeError(f"{name} = {v!r} outside the open interval (0, sqrt(3))")
-
     def as_tuple(self) -> tuple[float, float, float]:
-        return (self.d0, self.d1, self.d2)
+        return tuple(self)
+
+
+def _in_range(d):
+    """The open-interval rule ``0 < d < sqrt(3)`` of side parameters, on floats or arrays; NaN fails it."""
+    return (d > 0.0) & (d < SQRT3)
+
+
+def _checked(d0, d1, d2):
+    """Side parameters from outside the package, floats or columns (N,), returned as given; raises
+    :class:`OutOfRangeError` for the first entry of d0, then d1, then d2 failing :func:`_in_range`.
+    Floats in range cost no NumPy call; ``^ True`` negates a bool and a bool array alike."""
+    if (_in_range(d0) & _in_range(d1) & _in_range(d2)) is not True:
+        for i, x in enumerate((d0, d1, d2)):
+            j = _first(_in_range(x) ^ True)
+            if j is not None:
+                raise OutOfRangeError(f"d{i} = {float(np.ravel(x)[j])!r} outside the open interval (0, sqrt(3))")
+    return d0, d1, d2
 
 
 def _opposite_edges(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,5 +247,5 @@ def new_triangle(p0, p1, p2) -> SphericalTriangle:
 
 
 def side_parameters(t: SphericalTriangle) -> SideParameters:
-    """Side parameters of a validated triangle; each is guaranteed in range."""
+    """``t.d`` as named Python floats; each is in range by validation."""
     return SideParameters(*t.d.tolist())

@@ -5,7 +5,8 @@ exact algebraic coordinates; its apexes, centroids, and barycentres are
 closed-form values that every construction routine must reproduce.
 ``SCALENE_*`` is a small scalene triangle that is not Napoleonic; the
 centroid distances of its outward construction are a fixed regression
-target.
+target.  :func:`random_triangles` draws seeded uniform triangles to check
+against.
 """
 
 import math
@@ -71,6 +72,31 @@ def equilateral_vertices(inner: float = -1.0 / 3.0):
     b = math.sqrt((1.0 - (a0 * a0 + a1 * a1 + 2.0 * a0 * a1 * c)) / (1.0 - c * c))
     p2 = a0 * p0 + a1 * p1 + b * np.cross(p0, p1)
     return (p0, p1, p2 / np.linalg.norm(p2))
+
+
+def random_triangles(count: int, seed: int):
+    """Deterministic list of *count* uniformly random valid triangles for *seed*.
+
+    Vertices are independent uniform points of the sphere (normalised
+    Gaussian triples); candidates that ``new_triangle`` rejects are skipped.
+    Each result is rebuilt in its orientation-normalised vertex order, so
+    ``orientation_swapped`` is always False.
+    """
+    from napsphere import NapsphereError, new_triangle
+
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        v = rng.normal(size=(3, 3))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        try:
+            t = new_triangle(v[0], v[1], v[2])
+        except NapsphereError:
+            continue
+        if t.orientation_swapped:
+            t = new_triangle(*t.vertices)
+        out.append(t)
+    return out
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 """Mutation check: does the test suite notice small changes to napsphere?
 
-Run as ``python tests/mutation.py`` from any directory (about 4 minutes on a
+Run as ``python tests/mutation.py`` from any directory (about 6 minutes on a
 2-vCPU machine).  Each mutant is one textual edit of a file in
 ``src/napsphere/``, applied in its own temporary copy of ``src/`` and
 ``tests/``; the copy's suite then runs with ``pytest -x``, leaving out
@@ -26,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # (file in src/napsphere, source text, its replacement)
 MUTANTS = [
     ("algebra.py", "return self._merge(other, -1)", "return self._merge(other, 1)"),
+    ("algebra.py", "if not math.isfinite(other):", "if math.isnan(other):"),
     ("algebra.py", "_CARRY = _EXP_LIMIT * (", "_CARRY = 2 * _EXP_LIMIT * ("),
     ("classify.py", "if eqf < tol:", "if eqf <= tol:"),
     ("classify.py", "elif abs(cres) < tol:", "elif abs(cres) <= tol:"),
@@ -37,6 +38,7 @@ MUTANTS = [
     ("core.py", "if _first(n < 1e-9) is not None:", "if _first(n < 1e-6) is not None:"),
     ("ellipsoid.py", "_MAX_REJECTIONS = 10**6", "_MAX_REJECTIONS = 10**5"),
     ("ellipsoid.py", "np.sqrt(dot(off, off)) >= DIAGONAL_MARGIN", "np.sqrt(dot(off, off)) > DIAGONAL_MARGIN"),
+    ("ellipsoid.py", "ok = _in_range(d).all(axis=1)", "ok = _in_range(d).any(axis=1)"),
     (
         "napoleon.py",
         "max(abs(rr01 - rr12), abs(rr12 - rr20), abs(rr20 - rr01))",
@@ -47,6 +49,10 @@ MUTANTS = [
     ("triangle.py", "_first(abs(t) <= DEGENERACY_TOL)", "_first(abs(t) < DEGENERACY_TOL)"),
     ("triangle.py", "w, c = cross(a, b), dot(a, b)", "c = dot(a, b)"),
     ("triangle.py", "_first(abs(c) >= 1.0 - DEGENERACY_TOL)", "_first(abs(c) > 1.0)"),
+    ("triangle.py", "return (d > 0.0) & (d < SQRT3)", "return (d > 0.0) & (d <= SQRT3)"),
+    ("triangle.py", "return (d > 0.0) & (d < SQRT3)", "return (d >= 0.0) & (d < SQRT3)"),
+    ("triangle.py", "return (d > 0.0) & (d < SQRT3)", "return (d > 0.0) & (d < SQRT3) | (d != d)"),
+    ("triangle.py", "(_in_range(d0) & _in_range(d1) & _in_range(d2))", "(_in_range(d0) & _in_range(d1))"),
 ]
 
 KNOWN_FAILURES = [

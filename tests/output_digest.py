@@ -10,7 +10,8 @@ point, as the golden corpus does.
 Every float is hashed exactly (array bytes, or the shortest round-trip repr
 of a scalar); every rejection by its error type and message; every warning
 by its category and message.  Only attributes present in both the old and
-the new triangle record are read: the vertices and apexes are iterated.
+the new triangle record are read: the vertices and apexes are iterated.  The
+seeded uniform triangles come from ``random_triangles`` in ``conftest.py``.
 pytest does not collect this file.
 """
 
@@ -39,13 +40,14 @@ from napsphere import (
     edge_centroid,
     napoleonise,
     new_triangle,
-    random_triangles,
     realize,
     sample_napoleonic_d,
     search_equilateral,
     side_parameters,
 )
 from napsphere.cli import main as cli_main
+
+from conftest import random_triangles
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cases.json"
 SIGNS = [SignVector(*s) for s in itertools.product((-1, 1), repeat=3)]

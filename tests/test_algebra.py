@@ -84,6 +84,17 @@ class TestRingOperations:
         with pytest.raises(TypeError):
             op(D0, other)
 
+    def test_constants_equal_finite_floats_of_their_value(self):
+        assert ONE == 1.0 and 1.0 == ONE
+        assert ONE / 2 == 0.5
+        assert hash(ONE / 2) == hash(0.5)
+        assert D0 != 1.0
+        assert RationalPolynomial() == 0.0
+        assert ONE / 3 != 1.0 / 3.0  # the float is a nearby binary fraction, not 1/3
+        for value in (math.nan, math.inf, -math.inf):
+            assert ONE != value
+            assert not ONE == value
+
 
 class TestPackedExponents:
     """Each monomial is one int key with a 21-bit field per exponent; every

@@ -19,10 +19,9 @@ from napsphere import (
     side_parameters,
 )
 from napsphere import algebra
-from napsphere.oracle import random_triangles
 from napsphere.triangle import SideParameters
 
-from conftest import NAPOLEONIC_D, SCALENE_VERTICES, equilateral_vertices
+from conftest import NAPOLEONIC_D, SCALENE_VERTICES, equilateral_vertices, random_triangles
 
 SYMMETRIC_POINT = SideParameters(*(1.0 / math.sqrt(3.0),) * 3)
 

@@ -14,7 +14,6 @@ from napsphere import (
     dot,
     normalize,
     spherical_distance,
-    triple,
     unit_vector,
 )
 
@@ -29,6 +28,11 @@ from conftest import (
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
 EZ = np.array([0.0, 0.0, 1.0])
+
+
+def triple(a, b, c) -> float:
+    """Scalar triple product <a, b x c>, from the package's dot and cross."""
+    return dot(a, cross(b, c))
 
 
 def _unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:

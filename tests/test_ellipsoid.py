@@ -17,11 +17,10 @@ from napsphere import (
     realize,
     sample_napoleonic_d,
     side_parameters,
-    triple,
 )
 from napsphere import algebra
 from napsphere import ellipsoid
-from napsphere.core import dot
+from napsphere.core import cross, dot
 from napsphere.ellipsoid import DIAGONAL_MARGIN, ROTATION, sample_napoleonic_d_with_attempts
 from napsphere.errors import OutOfRangeError, SeedExhaustedError, TooWideError
 from napsphere.triangle import SideParameters
@@ -228,7 +227,7 @@ class TestRealize:
             t2 = new_triangle(*t.vertices)
             assert not t2.orientation_swapped
             assert t2.chi == pytest.approx(t.chi, abs=1e-12)
-            assert t.chi == pytest.approx(triple(*t.vertices), abs=1e-12)
+            assert t.chi == pytest.approx(dot(t.vertices[0], cross(t.vertices[1], t.vertices[2])), abs=1e-12)
 
     @boundary_ok
     def test_congruent_napoleonisations_on_locus(self):
@@ -281,8 +280,8 @@ class TestRealize:
         assert not swapped.any()
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(OutOfRangeError):
-            SideParameters(2.0, 1.0, 1.0)
+        with pytest.raises(OutOfRangeError, match=r"^d0 = 2\.0 outside the open interval \(0, sqrt\(3\)\)$"):
+            realize(SideParameters(2.0, 1.0, 1.0))
 
     def test_random_realizable_d_round_trip(self):
         # The third-vertex formula is proved exactly in

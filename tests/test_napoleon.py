@@ -26,7 +26,6 @@ from napsphere import (
     spherical_distance,
 )
 from napsphere import algebra
-from napsphere.oracle import random_triangles
 
 from conftest import (
     NAPOLEONIC_APEXES,
@@ -36,6 +35,7 @@ from conftest import (
     SCALENE_CENTROID_DISTANCES,
     SCALENE_VERTICES,
     equilateral_vertices,
+    random_triangles,
 )
 
 ALL_SIGNS = [SignVector(*e) for e in itertools.product((-1, 1), repeat=3)]

@@ -19,9 +19,8 @@ from napsphere import (
     side_parameters,
 )
 from napsphere import algebra
-from napsphere.oracle import random_triangles
 
-from conftest import NAPOLEONIC_APEXES, NAPOLEONIC_VERTICES, equilateral_vertices
+from conftest import NAPOLEONIC_APEXES, NAPOLEONIC_VERTICES, equilateral_vertices, random_triangles
 
 
 def _admissible_pairs(count, seed):

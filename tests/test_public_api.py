@@ -1,8 +1,24 @@
 """The public surface of the package: adding or removing a name is deliberate."""
 
+import numpy as np
+
 import napsphere
 import napsphere.algebra
 import napsphere.cli
+from napsphere import (
+    INWARD,
+    OUTWARD,
+    SideParameters,
+    centroid_inner_closed_form,
+    classify,
+    classify_d,
+    realize,
+    sample_napoleonic_d,
+    sample_napoleonic_d_with_attempts,
+    side_parameters,
+)
+
+from conftest import random_triangles
 
 PUBLIC_NAMES = [
     "BoundaryConditioningWarning",
@@ -38,14 +54,12 @@ PUBLIC_NAMES = [
     "new_triangle",
     "normalize",
     "quadric_value",
-    "random_triangles",
     "realize",
     "sample_napoleonic_d",
     "sample_napoleonic_d_with_attempts",
     "search_equilateral",
     "side_parameters",
     "spherical_distance",
-    "triple",
     "unit_vector",
 ]
 
@@ -79,6 +93,7 @@ FLATTENED_MODULES = ["classify", "core", "ellipsoid", "errors", "napoleon", "ora
 # Names the package no longer exports: tests-only helpers, single-caller
 # wrappers, a re-export, a per-row record replaced by stacked arrays, and the
 # SideParameters adapters of polynomials that napsphere.algebra defines.
+# random_triangles now lives in tests/conftest.py; triple is dot(a, cross(b, c)).
 REMOVED_NAMES = [
     "BasisCoefficients",
     "EllipsoidPoint",
@@ -94,7 +109,9 @@ REMOVED_NAMES = [
     "norm",
     "quadratic_form",
     "random_triangle",
+    "random_triangles",
     "third_vertex_coefficients",
+    "triple",
     "xyz_to_d",
 ]
 
@@ -119,3 +136,41 @@ def test_cli_surface_is_main_alone():
 def test_flattened_modules_declare_no_second_surface():
     for name in FLATTENED_MODULES:
         assert "__all__" not in vars(getattr(napsphere, name)), name
+
+
+# SideParameters, side_parameters and the two row samplers stay public because
+# the benchmark under perfbench/ uses them as below.
+
+
+def test_sampler_rows_are_side_parameters():
+    rows, attempts = sample_napoleonic_d_with_attempts(50, 3)
+    assert rows == sample_napoleonic_d(50, 3) and attempts >= 50
+    for row in rows:
+        assert type(row) is SideParameters
+        assert type(row.as_tuple()) is tuple and row.as_tuple() == (row.d0, row.d1, row.d2)
+        assert all(type(x) is float for x in row)
+
+
+def test_entry_points_give_the_same_bits_for_every_kind_of_triple():
+    for d in sample_napoleonic_d(20, 4) + [SideParameters(0.3, 0.5, 0.9)]:
+        kinds = [d, d.as_tuple(), list(d), np.array(d)]
+        triangles = [realize(x) for x in kinds]
+        for t in triangles[1:]:
+            assert t.vertices.tobytes() == triangles[0].vertices.tobytes()
+            assert t.d.tobytes() == triangles[0].d.tobytes() and t.chi == triangles[0].chi
+        reports = [repr(classify_d(x)) for x in kinds]
+        assert reports == [reports[0]] * 4
+        chi = triangles[0].chi
+        for s in (OUTWARD, INWARD):
+            for i in range(3):
+                inners = [centroid_inner_closed_form(x, chi, s, i) for x in kinds]
+                assert all(type(x) is float for x in inners)
+                assert [x.hex() for x in inners] == [inners[0].hex()] * 4
+
+
+def test_classify_is_classify_d_of_the_stored_d():
+    for t in random_triangles(200, 5) + [realize(d) for d in sample_napoleonic_d(200, 6)]:
+        report, direct = classify(t), classify_d(t.d.tolist())
+        assert report == direct and repr(report) == repr(direct)
+        assert report.d == side_parameters(t) and type(report.d) is SideParameters
+        assert all(type(x) is float for x in report.d)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,36 +14,40 @@ from napsphere import (
     CogeodesicError,
     DegenerateError,
     NapsphereError,
+    OutOfRangeError,
+    SideParameters,
     TooWideError,
     apex,
     Verdict,
     apex_by_rotation,
+    centroid_inner_closed_form,
     classify,
+    classify_d,
     cross,
     dot,
     edge_centroid,
+    napoleonic_equation_residual,
     napoleonise,
     new_triangle,
     realize,
     sample_napoleonic_d,
     side_parameters,
-    triple,
 )
 from napsphere import algebra
-from napsphere.oracle import random_triangles
 from napsphere.core import _first, unit_vector
 from napsphere.triangle import (
     BOUNDARY_BAND,
     DEGENERACY_TOL,
     SQRT3,
-    SideParameters,
+    _checked,
+    _in_range,
     _opposite_edges,
     _reject_degenerate,
     _reject_too_wide,
     _validate,
 )
 
-from conftest import NAPOLEONIC_D, SCALENE_VERTICES, equilateral_vertices
+from conftest import NAPOLEONIC_D, SCALENE_VERTICES, equilateral_vertices, random_triangles
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -239,10 +244,11 @@ class TestSideParameters:
         )
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(Exception):
-            SideParameters(0.0, 1.0, 1.0)
-        with pytest.raises(Exception):
-            SideParameters(1.0, 1.0, SQRT3)
+        # SideParameters holds any three floats; the range rule runs where d enters.
+        for d, bad in (((0.0, 1.0, 1.0), "d0 = 0.0"), ((1.0, 1.0, SQRT3), f"d2 = {SQRT3!r}")):
+            assert SideParameters(*d).as_tuple() == d
+            with pytest.raises(OutOfRangeError, match=re.escape(f"{bad} outside the open interval (0, sqrt(3))")):
+                classify_d(SideParameters(*d))
 
     def test_swap_invariance_up_to_transposition(self):
         t_raw = new_triangle(*SCALENE_VERTICES)
@@ -417,7 +423,7 @@ class TestChiSquared:
         # (2*1*1 + 3/9 + 1/27) / 4 = 16/27
         assert algebra.chi_squared(s, s, s) == pytest.approx(16.0 / 27.0, abs=1e-15)
         t = new_triangle(*equilateral_vertices(-1.0 / 3.0))
-        assert triple(*t.vertices) ** 2 == pytest.approx(16.0 / 27.0, abs=1e-12)
+        assert dot(t.vertices[0], cross(t.vertices[1], t.vertices[2])) ** 2 == pytest.approx(16.0 / 27.0, abs=1e-12)
 
     def test_matches_triple_product_on_random_triangles(self):
         for t in random_triangles(1000, seed=10):
@@ -429,3 +435,56 @@ class TestChiSquared:
         chi = math.sqrt(algebra.chi_squared(*d.as_tuple()))
         d0, d1, d2 = d.as_tuple()
         assert 2.0 * chi == pytest.approx(d0 + d1 + d2 - d0 * d1 * d2, abs=1e-12)
+
+
+# The open-interval rule at each entry point that takes side parameters from outside.
+RANGE_ENTRY_POINTS = {
+    "realize": realize,
+    "classify_d": classify_d,
+    "centroid_inner_closed_form": lambda d: centroid_inner_closed_form(d, 0.5, OUTWARD, 0),
+    "napoleonic_equation_residual": lambda d: napoleonic_equation_residual(d, 0.5, -1),
+}
+RANGE_INPUT_KINDS = {"list": list, "tuple": tuple, "array": np.array, "SideParameters": lambda d: SideParameters(*d)}
+OUTSIDE = (0.0, -0.0, SQRT3, math.nan, math.inf, -math.inf, -1.0, 2.0)
+ONE_ULP_INSIDE = (math.nextafter(0.0, 1.0), math.nextafter(SQRT3, 0.0))
+
+
+@pytest.mark.parametrize("kind", RANGE_INPUT_KINDS)
+@pytest.mark.parametrize("entry", RANGE_ENTRY_POINTS)
+def test_range_rule_at_every_entry_point(entry, kind):
+    call, make = RANGE_ENTRY_POINTS[entry], RANGE_INPUT_KINDS[kind]
+    for i in range(3):
+        for value in OUTSIDE:
+            d = [0.9, 0.9, 0.9]
+            d[i] = value
+            message = f"d{i} = {value!r} outside the open interval (0, sqrt(3))"
+            with pytest.raises(OutOfRangeError, match=f"^{re.escape(message)}$"):
+                call(make(d))
+        for value in ONE_ULP_INSIDE:
+            d = [0.9, 0.9, 0.9]
+            d[i] = value
+            try:
+                call(make(d))
+            except OutOfRangeError:
+                pytest.fail(f"{entry} rejected the in-range d{i} = {value!r}")
+            except NapsphereError:  # realize may still find such a d too wide or unrealizable
+                pass
+
+
+def test_range_rule_names_the_first_failing_entry():
+    with pytest.raises(OutOfRangeError, match=r"^d1 = nan "):
+        classify_d([1.0, math.nan, 2.0])
+    with pytest.raises(OutOfRangeError, match=r"^d0 = 2\.0 "):
+        realize((2.0, math.nan, 0.0))
+
+
+def test_range_rule_over_columns_is_the_sampler_mask():
+    d = np.array([[0.5, 1.0, 1.5], [0.5, SQRT3, 1.5], [0.5, 1.0, math.nan], [-0.0, 1.0, 1.0]])
+    assert _in_range(d).all(axis=1).tolist() == [True, False, False, False]
+    assert [_in_range(x) for x in d[0].tolist()] == [True, True, True]
+    columns = tuple(d[:1].T)
+    assert all(c is x for c, x in zip(_checked(*columns), columns))
+    with pytest.raises(OutOfRangeError, match=r"^d0 = -0\.0 "):
+        _checked(*d.T)
+    with pytest.raises(OutOfRangeError, match=f"^d1 = {SQRT3!r} "):
+        _checked(*d[:3].T)
