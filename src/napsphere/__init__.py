@@ -15,13 +15,11 @@ from .classify import (
     Verdict,
     classify,
     classify_d,
-    napoleonic_equation_residual,
 )
 from .core import (
     barycentre,
     cross,
     dot,
-    normalize,
     spherical_distance,
     unit_vector,
 )

@@ -341,9 +341,11 @@ def _check(name: str, lhs: RationalPolynomial, rhs: RationalPolynomial) -> Ident
 
 def verify_factorisation() -> IdentityCheck:
     """The product N+ N- of the two uniform-sign residuals
-    N+- = alpha (sum d - prod d) +- chi (1 - sum dd), built from the functions
-    ``napoleonic_equation_residual`` evaluates, factorises as
-    (gamma/12) (equilateral factor) (condition - 2)."""
+    N+- = alpha (sum d - prod d) +- chi (1 - sum dd), built from :func:`alpha`,
+    :func:`sum_minus_product` and :func:`one_minus_pairs`, factorises as
+    (gamma/12) (equilateral factor) (condition - 2).  For non-equilateral d, N+-
+    vanishes exactly when the uniform-sign Napoleonisation with sign +-1 is
+    equilateral."""
     n = alpha(D0, D1, D2) * sum_minus_product(D0, D1, D2)
     m = one_minus_pairs(D0, D1, D2)
     lhs = n * n - chi_squared(D0, D1, D2) * m * m

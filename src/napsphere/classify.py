@@ -13,8 +13,9 @@ A triangle with side parameters d = (d0, d1, d2) is
 * ``NotNapoleonic``      otherwise; neither uniform-sign construction is
   equilateral, and no non-equilateral triangle is ever inward-Napoleonic.
 
-:func:`classify_d` checks the range of any three floats once; :func:`classify`
-reads a validated triangle's ``d`` and checks nothing again.
+:func:`classify_d` checks a triple from outside once; :func:`classify` reads a
+validated triangle's ``d`` and checks nothing again.  Both check the tolerance:
+NaN or a negative value is ``ValueError``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from . import algebra
-from .triangle import SideParameters, SphericalTriangle, _check_sign, _checked
+from .triangle import SideParameters, SphericalTriangle, _check_tol, _checked
 
 # Default tolerance on the condition residual and the equilateral factor:
 # inputs are unit vectors known to ~1e-12 and both quantities are quadratic
@@ -70,31 +71,19 @@ class ClassificationReport:
         return math.acos(self.predicted_rr)
 
 
-def napoleonic_equation_residual(d, chi: float, eps: int) -> float:
-    """alpha (d0+d1+d2 - d0 d1 d2) + eps chi (1 - d0 d1 - d1 d2 - d2 d0).
-
-    Vanishes exactly when the uniform-sign Napoleonisation with sign *eps*
-    is equilateral (for non-equilateral d).  *d* is any three floats in
-    (0, sqrt(3)), and ``chi`` must be the positive square root of
-    :func:`napsphere.algebra.chi_squared` of *d*.
-    """
-    _check_sign(eps)
-    dv = _checked(*map(float, d))
-    return algebra.alpha(*dv) * algebra.sum_minus_product(*dv) + eps * chi * algebra.one_minus_pairs(*dv)
-
-
 def classify_d(d, tol: float = CLASSIFY_TOL) -> ClassificationReport:
     """Classify side parameters directly (see :func:`classify`).
 
-    *d* is any three floats; :class:`OutOfRangeError` names the first outside
-    (0, sqrt(3)).  The report's diagnostics are the polynomials of
-    :mod:`napsphere.algebra` at *d*; ``condition_residual`` is ``condition - 2``.
+    *d* is any three numbers (another count is ``ValueError``);
+    :class:`OutOfRangeError` names the first outside (0, sqrt(3)).  The report's
+    diagnostics are the polynomials of :mod:`napsphere.algebra` at *d*;
+    ``condition_residual`` is ``condition - 2``.
     Triangle-derived side parameters always have a positive squared triple
     product; for raw unrealizable inputs the reported ``chi`` falls back to 0
     (the verdict is then necessarily NotNapoleonic, since every point of the
     quadric is realizable).
     """
-    return _report(*_checked(*map(float, d)), tol=tol)
+    return _report(*_checked(d), tol=_check_tol(tol))
 
 
 def _report(*dv: float, tol: float) -> ClassificationReport:
@@ -139,4 +128,4 @@ def classify(t: SphericalTriangle, tol: float = CLASSIFY_TOL) -> ClassificationR
     An inward-Napoleonic verdict is never reported for non-equilateral
     triangles; for equilateral ones it is implied by the verdict itself.
     """
-    return _report(*t.d.tolist(), tol=tol)
+    return _report(*t.d.tolist(), tol=_check_tol(tol))

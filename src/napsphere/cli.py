@@ -28,9 +28,9 @@ import numpy as np
 
 from . import algebra
 from .classify import CLASSIFY_TOL, classify
-from .core import barycentre, normalize, spherical_distance
+from .core import barycentre, spherical_distance
 from .ellipsoid import _realized, _sampled, d_to_xyz, quadric_value, realize
-from .errors import NapsphereError
+from .errors import DegenerateError, NapsphereError
 from .napoleon import NapoleonisationResult, SignVector, napoleonise
 from .oracle import search_equilateral
 from .triangle import SphericalTriangle, new_triangle
@@ -99,7 +99,9 @@ def _triangle_from_doc(doc: dict) -> SphericalTriangle:
                 f"warning: vertex {k} renormalised (|v| deviated from 1 by {abs(n - 1.0):.3e})",
                 file=sys.stderr,
             )
-        normed.append(normalize(v))
+        if n < 1e-12:
+            raise DegenerateError("cannot normalise a (near-)zero vector")
+        normed.append(v / n)
     return new_triangle(*normed)
 
 

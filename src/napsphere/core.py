@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateError, ZeroSumError
+from .errors import ZeroSumError
 
 # |x^2+y^2+z^2 - 1| allowed on construction of a unit vector.
 UNIT_NORM_TOL = 1e-9
@@ -30,44 +30,25 @@ def _first(flags) -> int | None:
     return int(np.asarray(flags).argmax())
 
 
-def vector3(v) -> np.ndarray:
-    """Coerce *v* to a float array of 3-vectors (stacked on the last axis), requiring finite entries."""
-    a = np.asarray(v, dtype=float)
-    if a.shape[-1:] != (3,):
-        raise ValueError(f"expected 3 components, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("vector components must be finite")
-    return a
-
-
 def unit_vector(v) -> np.ndarray:
     """Validate *v* as a point (or stack of points) of the unit sphere and re-normalise it once.
 
-    Raises ``ValueError`` when a squared norm deviates from 1 by more than
+    Raises ``ValueError`` for a shape other than (..., 3), a non-finite
+    component, or a squared norm that deviates from 1 by more than
     ``UNIT_NORM_TOL``.  Callers that accept unnormalised input (e.g. the CLI)
-    should call :func:`normalize` first.
+    divide by the norm first.
     """
     a = np.asarray(v, dtype=float)
-    if a.shape[-1:] == (3,):
-        nsq = dot(a, a)
-        # A non-finite component makes its squared norm inf or NaN, which fails this test too.
-        if _first(~(np.abs(nsq - 1.0) <= UNIT_NORM_TOL)) is None:
-            return a / np.sqrt(nsq)[..., None]
-    vector3(a)  # raises for a wrong shape or a non-finite component; else some nsq is off
+    if a.shape[-1:] != (3,):
+        raise ValueError(f"expected 3 components, got shape {a.shape}")
+    nsq = dot(a, a)
+    # A non-finite component makes its squared norm inf or NaN, which fails this test too.
+    if _first(~(np.abs(nsq - 1.0) <= UNIT_NORM_TOL)) is None:
+        return a / np.sqrt(nsq)[..., None]
+    if not np.isfinite(a).all():
+        raise ValueError("vector components must be finite")
     i = _first(np.abs(nsq - 1.0) > UNIT_NORM_TOL)
     raise ValueError(f"not a unit vector: |v|^2 = {float(np.ravel(nsq)[i])!r}")
-
-
-def normalize(v) -> np.ndarray:
-    """Unit vector in the direction of *v* (of each vector stacked on the last axis).
-
-    Raises :class:`DegenerateError` when a norm is below 1e-12.
-    """
-    a = vector3(v)
-    n = np.sqrt(dot(a, a))
-    if _first(n < 1e-12) is not None:
-        raise DegenerateError("cannot normalise a (near-)zero vector")
-    return a / n[..., None]
 
 
 def dot(a, b):

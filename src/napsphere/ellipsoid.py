@@ -152,7 +152,7 @@ def _realized(d0, d1, d2):
 
 
 def realize(d) -> SphericalTriangle:
-    """Canonical triangle on the unit sphere with side parameters *d*, any three floats.
+    """Canonical triangle on the unit sphere with side parameters *d*, any three numbers.
 
     P0 = (1,0,0), P1 lies in the upper xy half-plane, and the third vertex
     is placed with positive orientation, so the result needs no vertex swap
@@ -161,7 +161,8 @@ def realize(d) -> SphericalTriangle:
     of ``c_i = (d_i^2 - 1)/2`` is <= 1e-12: :func:`napsphere.algebra.chi_squared`
     as a polynomial (``test_gram_determinant_is_chi_squared``), though rounded
     differently.  The placed vertices must pass :func:`new_triangle`'s rules: a
-    d_i below about 1.5e-8 is :class:`TooWideError`.  A d_i outside (0, sqrt(3))
-    is :class:`OutOfRangeError` first.  This is :func:`_realized` for one row.
+    d_i below about 1.5e-8 is :class:`TooWideError`.  Before all that, another
+    count than three is ``ValueError`` and a d_i outside (0, sqrt(3)) is
+    :class:`OutOfRangeError`.  This is :func:`_realized` for one row.
     """
-    return SphericalTriangle(*_realized(*_checked(*map(float, d))))
+    return SphericalTriangle(*_realized(*_checked(d)))

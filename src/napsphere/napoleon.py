@@ -178,11 +178,11 @@ def napoleonise(t: SphericalTriangle, s: SignVector) -> NapoleonisationResult:
 def centroid_inner_closed_form(d, chi: float, s: SignVector, i: int) -> float:
     """Centroid inner product <R_{i+2}, R_i> from side parameters alone.
 
-    *d* is any three floats in (0, sqrt(3)).  ``chi`` must be the positive
+    *d* is any three numbers in (0, sqrt(3)).  ``chi`` must be the positive
     square root of :func:`napsphere.algebra.chi_squared` of *d*, and ``s`` the
     signs in the same vertex order as ``d`` (the stored triangle order).  Valid
     for every sign vector, mixed signs included.
     """
-    dv = _checked(*map(float, d))
+    dv = _checked(d)
     dj = dv[(i + 1) % 3]
     return (dj * dj + 1) / algebra.gamma(*dv) * algebra.centroid_bracket(dv, chi, s.as_tuple(), i)

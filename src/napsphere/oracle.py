@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import _NEXT, barycentre, dot
 from .napoleon import SignVector
-from .triangle import SphericalTriangle, _edge, _opposite_edges
+from .triangle import SphericalTriangle, _check_tol, _edge, _opposite_edges
 
 
 # Sign vectors in search order: e0 varies slowest, each from -1 to +1.
@@ -63,8 +63,10 @@ def search_equilateral(t: SphericalTriangle, tol: float) -> list[tuple[SignVecto
     closed-form centroid or inner-product formulas).  Signs are interpreted
     in the stored vertex order of *t*.  Returns (sign vector, residual)
     pairs sorted by residual; an empty list means no equilateral
-    Napoleonisation exists at this tolerance.
+    Napoleonisation exists at this tolerance; ``inf`` lists all eight.  NaN
+    or a negative *tol* is ``ValueError``.
     """
+    _check_tol(tol)
     a, b = _opposite_edges(t.vertices)
     c = t.edge_inners
     angles = _SIGN_TABLE * np.arccos(c / (1.0 + c))

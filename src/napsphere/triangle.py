@@ -18,8 +18,9 @@ vertex ``i``.  :func:`napsphere.algebra.alpha` and
 :func:`napsphere.algebra.chi_squared` of the side parameters reproduce
 ``1 + <p0,p1> + <p1,p2> + <p2,p0>`` and the squared triple product of the
 vertices.  Side parameters are plain triples.  A validated triangle's ``d`` is
-in range by construction; any three floats given from outside pass the one
-range rule, :func:`_checked`, once where they enter.
+in range by construction.  A triple given from outside is checked once where
+it enters, by :func:`_checked`: it must hold three numbers, each in the open
+interval.  A tolerance given from outside is checked by :func:`_check_tol`.
 
 Validation builds every edge's frame once, for all three edges (or a stack
 of triangles) together: the inner products, the normals ``p_{i+1} x p_{i+2}``
@@ -116,16 +117,16 @@ def _in_range(d):
     return (d > 0.0) & (d < SQRT3)
 
 
-def _checked(d0, d1, d2):
-    """Side parameters from outside the package, floats or columns (N,), returned as given; raises
-    :class:`OutOfRangeError` for the first entry of d0, then d1, then d2 failing :func:`_in_range`.
-    Floats in range cost no NumPy call; ``^ True`` negates a bool and a bool array alike."""
-    if (_in_range(d0) & _in_range(d1) & _in_range(d2)) is not True:
-        for i, x in enumerate((d0, d1, d2)):
-            j = _first(_in_range(x) ^ True)
-            if j is not None:
-                raise OutOfRangeError(f"d{i} = {float(np.ravel(x)[j])!r} outside the open interval (0, sqrt(3))")
-    return d0, d1, d2
+def _checked(d) -> tuple[float, float, float]:
+    """Side parameters *d* from outside the package, as three Python floats; raises ``ValueError`` for
+    another count and :class:`OutOfRangeError` for the first entry failing :func:`_in_range`."""
+    dv = tuple(map(float, d))
+    if len(dv) != 3:
+        raise ValueError(f"expected three side parameters, got {len(dv)}")
+    if not (_in_range(dv[0]) and _in_range(dv[1]) and _in_range(dv[2])):
+        i = next(i for i, x in enumerate(dv) if not _in_range(x))
+        raise OutOfRangeError(f"d{i} = {dv[i]!r} outside the open interval (0, sqrt(3))")
+    return dv
 
 
 def _opposite_edges(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,6 +170,13 @@ def _check_sign(value, name: str = "eps") -> None:
     """Raise ``ValueError`` unless *value*, the construction sign *name*, is -1 or +1."""
     if value not in (-1, +1):
         raise ValueError(f"{name} must be -1 or +1")
+
+
+def _check_tol(tol: float) -> float:
+    """Raise ``ValueError`` unless the tolerance *tol* is >= 0 (``inf`` included); returns *tol*."""
+    if not tol >= 0.0:  # NaN fails too
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    return tol
 
 
 def _edge(a, b, eps: int):

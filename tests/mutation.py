@@ -2,10 +2,10 @@
 
 Run as ``python tests/mutation.py`` from any directory (about 6 minutes on a
 2-vCPU machine).  Each mutant is one textual edit of a file in
-``src/napsphere/``, applied in its own temporary copy of ``src/`` and
-``tests/``; the copy's suite then runs with ``pytest -x``, leaving out
-acceptance criteria 4 and 5, which fail as stated.  A mutant is *killed* when
-some test fails and *survives* when every test passes.  The unmutated copy
+``src/napsphere/``, applied in its own temporary copy of ``src/``,
+``tests/`` and ``perfbench/``; the copy's suite then runs with ``pytest -x``,
+leaving out acceptance criteria 4 and 5, which fail as stated.  A mutant is
+*killed* when some test fails and *survives* when every test passes.  The unmutated copy
 runs first and must pass, and a mutant whose source text is not found exactly
 once stops the script, so a stale list cannot pass as a score.  The copies run
 one after another.  Prints one line per mutant and the score; exits 1 if any
@@ -33,8 +33,8 @@ MUTANTS = [
     ("classify.py", "if chi2 > 0.0 else 0.0", "if chi2 > 0.0 else -1.0"),
     ("cli.py", "NORMALISE_WARN = 1e-6", "NORMALISE_WARN = 1e-5"),
     ("cli.py", "args.tol >= 0.0", "args.tol > 0.0"),
+    ("cli.py", "if n < 1e-12:", "if n < 1e-10:"),
     ("core.py", "UNIT_NORM_TOL = 1e-9", "UNIT_NORM_TOL = 1e-8"),
-    ("core.py", "if _first(n < 1e-12) is not None:", "if _first(n < 1e-10) is not None:"),
     ("core.py", "if _first(n < 1e-9) is not None:", "if _first(n < 1e-6) is not None:"),
     ("ellipsoid.py", "_MAX_REJECTIONS = 10**6", "_MAX_REJECTIONS = 10**5"),
     ("ellipsoid.py", "np.sqrt(dot(off, off)) >= DIAGONAL_MARGIN", "np.sqrt(dot(off, off)) > DIAGONAL_MARGIN"),
@@ -52,7 +52,10 @@ MUTANTS = [
     ("triangle.py", "return (d > 0.0) & (d < SQRT3)", "return (d > 0.0) & (d <= SQRT3)"),
     ("triangle.py", "return (d > 0.0) & (d < SQRT3)", "return (d >= 0.0) & (d < SQRT3)"),
     ("triangle.py", "return (d > 0.0) & (d < SQRT3)", "return (d > 0.0) & (d < SQRT3) | (d != d)"),
-    ("triangle.py", "(_in_range(d0) & _in_range(d1) & _in_range(d2))", "(_in_range(d0) & _in_range(d1))"),
+    ("triangle.py", "_in_range(dv[1]) and _in_range(dv[2])", "_in_range(dv[1])"),
+    ("triangle.py", "if len(dv) != 3:", "if len(dv) < 3:"),
+    ("triangle.py", "if not tol >= 0.0:", "if tol < 0.0:"),
+    ("triangle.py", "if not tol >= 0.0:", "if not tol > 0.0:"),
 ]
 
 KNOWN_FAILURES = [
@@ -66,7 +69,7 @@ def run_suite(mutant=None) -> bool:
     with tempfile.TemporaryDirectory(prefix="napsphere-mutant-") as tmp:
         work = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info")
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "perfbench"):  # a test reads perfbench/workloads.py
             shutil.copytree(ROOT / part, work / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", work)
         if mutant is not None:

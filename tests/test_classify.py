@@ -11,7 +11,6 @@ from napsphere import (
     Verdict,
     classify,
     classify_d,
-    napoleonic_equation_residual,
     napoleonise,
     new_triangle,
     realize,
@@ -28,6 +27,13 @@ SYMMETRIC_POINT = SideParameters(*(1.0 / math.sqrt(3.0),) * 3)
 
 def _chi(d: SideParameters) -> float:
     return math.sqrt(algebra.chi_squared(*d.as_tuple()))
+
+
+def _uniform_sign_residual(d, chi: float, eps: int) -> float:
+    """N+- = alpha (d0+d1+d2 - d0 d1 d2) + eps chi (1 - d0 d1 - d1 d2 - d2 d0), which vanishes
+    exactly when the uniform-sign Napoleonisation with sign *eps* is equilateral (for
+    non-equilateral d); ``algebra.verify_factorisation`` proves the product N+ N- exactly."""
+    return algebra.alpha(*d) * algebra.sum_minus_product(*d) + eps * chi * algebra.one_minus_pairs(*d)
 
 
 def _epsilon_from_d(d: SideParameters, tol: float = 1e-12) -> int:
@@ -75,13 +81,11 @@ class TestConditionValue:
 class TestNapoleonicEquationResidual:
     def test_known_d_vanishes_for_outward_sign(self):
         d = SideParameters(*NAPOLEONIC_D)
-        assert napoleonic_equation_residual(d, _chi(d), -1) == pytest.approx(0.0, abs=1e-12)
+        assert _uniform_sign_residual(d, _chi(d), -1) == pytest.approx(0.0, abs=1e-12)
 
     def test_known_d_nonzero_for_inward_sign(self):
         d = SideParameters(*NAPOLEONIC_D)
-        assert abs(napoleonic_equation_residual(d, _chi(d), +1)) > 1e-3
-        with pytest.raises(ValueError, match=r"^eps must be -1 or \+1$"):
-            napoleonic_equation_residual(d, _chi(d), 0)
+        assert abs(_uniform_sign_residual(d, _chi(d), +1)) > 1e-3
 
     def test_nonzero_on_unit_sphere_of_d(self):
         # points with sum of squares = 1 cannot satisfy the equation for
@@ -96,8 +100,8 @@ class TestNapoleonicEquationResidual:
                 continue
             found += 1
             chi = _chi(d)
-            assert abs(napoleonic_equation_residual(d, chi, -1)) > 1e-12
-            assert abs(napoleonic_equation_residual(d, chi, +1)) > 1e-12
+            assert abs(_uniform_sign_residual(d, chi, -1)) > 1e-12
+            assert abs(_uniform_sign_residual(d, chi, +1)) > 1e-12
 
     def test_signs_cannot_vanish_simultaneously(self):
         for t in random_triangles(1000, seed=31):
@@ -105,8 +109,8 @@ class TestNapoleonicEquationResidual:
             if algebra.equilateral_factor(*d.as_tuple()) < 1e-9:
                 continue
             chi = _chi(d)
-            r_out = abs(napoleonic_equation_residual(d, chi, -1))
-            r_in = abs(napoleonic_equation_residual(d, chi, +1))
+            r_out = abs(_uniform_sign_residual(d, chi, -1))
+            r_in = abs(_uniform_sign_residual(d, chi, +1))
             assert max(r_out, r_in) > 1e-12
 
 

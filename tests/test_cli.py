@@ -116,6 +116,23 @@ class TestNapoleonise:
         assert code == 0
         assert err.startswith("warning: vertex 0 renormalised") is warns
 
+    def test_tiny_vertex_is_normalised(self, tmp_path, capsys):
+        doc = _vertices_doc(NAPOLEONIC_VERTICES)
+        doc["vertices"][0] = [1e-11, 0.0, 0.0]
+        code, out, err = _run(capsys, ["napoleonise", _write(tmp_path, doc)])
+        assert code == 0
+        assert json.loads(out)["vertices"][0] == [1.0, 0.0, 0.0]
+        assert err.startswith("warning: vertex 0 renormalised")
+
+    def test_vertex_below_cut_off_is_degenerate(self, tmp_path, capsys):
+        doc = _vertices_doc(NAPOLEONIC_VERTICES)
+        doc["vertices"][0] = [1e-13, 0.0, 0.0]
+        code, out, err = _run(capsys, ["napoleonise", _write(tmp_path, doc)])
+        assert code == 2
+        error = {"kind": "Degenerate", "message": "cannot normalise a (near-)zero vector"}
+        assert json.loads(out) == {"error": error}
+        assert err.startswith("warning: vertex 0 renormalised")
+
     def test_stdin_input(self, capsys, monkeypatch):
         import io
 

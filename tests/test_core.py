@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from napsphere import (
-    DegenerateError,
     ZeroSumError,
     barycentre,
     cross,
     dot,
-    normalize,
     spherical_distance,
     unit_vector,
 )
@@ -128,7 +126,7 @@ class TestBarycentre:
         assert np.allclose(b, NAPOLEONIC_BARYCENTRE, atol=1e-5)
 
     def test_idempotent_on_equal_points(self):
-        p = normalize(np.array([0.2, -0.3, 0.6]))
+        p = np.array([2.0, -3.0, 6.0]) / 7.0
         assert np.allclose(barycentre(p, p, p), p, atol=1e-15)
 
     def test_known_centroid_triple(self):
@@ -150,15 +148,6 @@ class TestBarycentre:
         assert np.array_equal(barycentre(EX, p1, p2), EX)
 
 
-class TestNormalize:
-    def test_tiny_vector_normalises(self):
-        assert np.array_equal(normalize((1e-11, 0.0, 0.0)), EX)
-
-    def test_vector_below_cut_off_rejected(self):
-        with pytest.raises(DegenerateError):
-            normalize((1e-13, 0.0, 0.0))
-
-
 class TestUnitVector:
     def test_accepts_and_renormalises(self):
         v = unit_vector((1.0 + 1e-10, 0.0, 0.0))
@@ -173,10 +162,15 @@ class TestUnitVector:
         with pytest.raises(ValueError, match="not a unit vector"):
             unit_vector((math.sqrt(1.0 + 5e-9), 0.0, 0.0))
 
+    def test_rejects_a_wrong_shape_before_a_non_finite_component(self):
+        with pytest.raises(ValueError, match=r"^expected 3 components, got shape \(2,\)$"):
+            unit_vector((math.nan, 0.0))
+        with pytest.raises(ValueError, match="^vector components must be finite$"):
+            unit_vector((math.inf, 0.0, 0.0))
+
     def test_stacked_points_match_one_at_a_time(self):
         v = _unit_vectors(np.random.default_rng(5), 4) * (1.0 + 1e-10)
         assert np.array_equal(unit_vector(v), np.array([unit_vector(p) for p in v]))
-        assert np.array_equal(normalize(v * 3.0), np.array([normalize(p) for p in v * 3.0]))
         v[2] *= 1.1
         with pytest.raises(ValueError, match="not a unit vector"):
             unit_vector(v)

@@ -1,5 +1,6 @@
 """Triangle validation, side parameters, and the derived scalar invariants."""
 
+import functools
 import itertools
 import math
 import re
@@ -26,11 +27,11 @@ from napsphere import (
     cross,
     dot,
     edge_centroid,
-    napoleonic_equation_residual,
     napoleonise,
     new_triangle,
     realize,
     sample_napoleonic_d,
+    search_equilateral,
     side_parameters,
 )
 from napsphere import algebra
@@ -39,7 +40,6 @@ from napsphere.triangle import (
     BOUNDARY_BAND,
     DEGENERACY_TOL,
     SQRT3,
-    _checked,
     _in_range,
     _opposite_edges,
     _reject_degenerate,
@@ -442,7 +442,6 @@ RANGE_ENTRY_POINTS = {
     "realize": realize,
     "classify_d": classify_d,
     "centroid_inner_closed_form": lambda d: centroid_inner_closed_form(d, 0.5, OUTWARD, 0),
-    "napoleonic_equation_residual": lambda d: napoleonic_equation_residual(d, 0.5, -1),
 }
 RANGE_INPUT_KINDS = {"list": list, "tuple": tuple, "array": np.array, "SideParameters": lambda d: SideParameters(*d)}
 OUTSIDE = (0.0, -0.0, SQRT3, math.nan, math.inf, -math.inf, -1.0, 2.0)
@@ -482,9 +481,46 @@ def test_range_rule_over_columns_is_the_sampler_mask():
     d = np.array([[0.5, 1.0, 1.5], [0.5, SQRT3, 1.5], [0.5, 1.0, math.nan], [-0.0, 1.0, 1.0]])
     assert _in_range(d).all(axis=1).tolist() == [True, False, False, False]
     assert [_in_range(x) for x in d[0].tolist()] == [True, True, True]
-    columns = tuple(d[:1].T)
-    assert all(c is x for c, x in zip(_checked(*columns), columns))
-    with pytest.raises(OutOfRangeError, match=r"^d0 = -0\.0 "):
-        _checked(*d.T)
-    with pytest.raises(OutOfRangeError, match=f"^d1 = {SQRT3!r} "):
-        _checked(*d[:3].T)
+
+
+@pytest.mark.parametrize("entry", RANGE_ENTRY_POINTS)
+def test_count_rule_at_every_entry_point(entry):
+    for n in (0, 2, 4):
+        with pytest.raises(ValueError, match=f"^expected three side parameters, got {n}$") as exc:
+            RANGE_ENTRY_POINTS[entry]([0.9] * n)
+        assert type(exc.value) is ValueError
+
+
+# A validated triangle for the entry points that take one, and the tolerances every entry point refuses.
+_TOL_TRIANGLE = realize((1.0, 1.0, 1.0))
+TOL_ENTRY_POINTS = {
+    "classify": lambda tol: classify(_TOL_TRIANGLE, tol=tol),
+    "classify_d": lambda tol: classify_d((1.0, 1.0, 1.0), tol=tol),
+    "search_equilateral": lambda tol: search_equilateral(_TOL_TRIANGLE, tol),
+}
+BAD_TOLERANCES = (math.nan, -1.0, -math.inf)
+
+
+@pytest.mark.parametrize("entry", TOL_ENTRY_POINTS)
+def test_tolerance_rule_at_every_entry_point(entry):
+    call = TOL_ENTRY_POINTS[entry]
+    for tol in BAD_TOLERANCES:
+        with pytest.raises(ValueError, match=f"^tol must be >= 0, got {re.escape(repr(tol))}$") as exc:
+            call(tol)
+        assert type(exc.value) is ValueError
+    call(0.0)
+    everything = call(math.inf)
+    if entry == "search_equilateral":
+        assert len(everything) == 8
+    else:
+        assert everything.verdict is Verdict.EQUILATERAL
+
+
+def test_no_entry_point_error_names_a_private_function():
+    bad_triples = ([], [0.9] * 2, [0.9] * 4, 0.9, [0.9, 0.9, None], [0.9, 0.9, "x"], [0.9, 0.9, 2.0])
+    calls = [functools.partial(call, d) for call in RANGE_ENTRY_POINTS.values() for d in bad_triples]
+    calls += [functools.partial(call, tol) for call in TOL_ENTRY_POINTS.values() for tol in BAD_TOLERANCES]
+    for call in calls:
+        with pytest.raises((TypeError, ValueError)) as exc:
+            call()
+        assert not re.search(r"\b_[A-Za-z]", str(exc.value)), str(exc.value)
