@@ -288,6 +288,13 @@ def equilateral_factor(d0, d1, d2):
     return d0 * d0 + d1 * d1 + d2 * d2 - d0 * d1 - d1 * d2 - d2 * d0
 
 
+# Default tolerance on the condition residual (condition - 2) and the
+# equilateral factor: inputs are unit vectors known to ~1e-12 and both
+# quantities are quadratic in the side parameters.  It lives in this
+# NumPy-free module because the CLI's parser reads it before any subcommand runs.
+CLASSIFY_TOL = 1e-9
+
+
 def sum_minus_product(d0, d1, d2):
     """d0 + d1 + d2 - d0 d1 d2; twice chi on the Napoleonic quadric.
 

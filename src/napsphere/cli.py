@@ -11,10 +11,15 @@ verify-identities  run the exact polynomial identity checks
 Inputs are JSON documents, either ``{"vertices": [[x,y,z], ...]}`` (three
 vertices, normalised on ingestion) or ``{"d": [d0, d1, d2]}`` (side
 parameters, realized as a canonical triangle).  Exit codes: 0 success,
-1 malformed input or usage error, 2 geometric validation failure (the
-error kind is printed as JSON).
+1 malformed input, usage error or stdout closed by its reader before the
+output was written, 2 geometric validation failure (the error kind is
+printed as JSON).
 
 See FORMATS.md for the exact output schemas.
+
+At module level this imports only the standard library, :mod:`napsphere.errors`
+and :mod:`napsphere.algebra` (for the ``--tol`` default); each handler imports
+the numerical modules it runs, so ``verify-identities`` starts without NumPy.
 """
 
 from __future__ import annotations
@@ -22,18 +27,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import algebra
-from .classify import CLASSIFY_TOL, classify
-from .core import barycentre, spherical_distance
-from .ellipsoid import _realized, _sampled, d_to_xyz, quadric_value, realize
+from .algebra import CLASSIFY_TOL
 from .errors import DegenerateError, NapsphereError
-from .napoleon import NapoleonisationResult, SignVector, napoleonise
-from .oracle import search_equilateral
-from .triangle import SphericalTriangle, new_triangle
+
+if TYPE_CHECKING:
+    from .napoleon import NapoleonisationResult
+    from .triangle import SphericalTriangle
 
 __all__ = ["main"]
 
@@ -80,6 +84,11 @@ class _BadInput(Exception):
 
 
 def _triangle_from_doc(doc: dict) -> SphericalTriangle:
+    import numpy as np
+
+    from .ellipsoid import realize
+    from .triangle import new_triangle
+
     if ("vertices" in doc) == ("d" in doc):
         raise _BadInput('input must contain exactly one of "vertices" and "d"')
     if "d" in doc:
@@ -94,13 +103,13 @@ def _triangle_from_doc(doc: dict) -> SphericalTriangle:
             n = float(np.linalg.norm(v))
         if not math.isfinite(n):
             raise _BadInput(f"vertex {k} is too long to normalise")
+        if n < 1e-12:
+            raise DegenerateError("cannot normalise a (near-)zero vector")
         if abs(n - 1.0) > NORMALISE_WARN:
             print(
                 f"warning: vertex {k} renormalised (|v| deviated from 1 by {abs(n - 1.0):.3e})",
                 file=sys.stderr,
             )
-        if n < 1e-12:
-            raise DegenerateError("cannot normalise a (near-)zero vector")
         normed.append(v / n)
     return new_triangle(*normed)
 
@@ -115,6 +124,8 @@ def _finite_triple(row, what: str) -> list[float]:
 
 
 def _napoleonisation_dict(t: SphericalTriangle, res: NapoleonisationResult) -> dict:
+    from .core import barycentre, spherical_distance
+
     rs = res.centroids
     return {
         "signs": list(res.signs.as_tuple()),
@@ -149,6 +160,8 @@ def _point_cloud_csv(doc: dict) -> str:
 
 
 def cmd_napoleonise(args, t: SphericalTriangle) -> int:
+    from .napoleon import SignVector, napoleonise
+
     try:
         signs = SignVector.parse(args.signs)
     except ValueError as exc:
@@ -162,6 +175,8 @@ def cmd_napoleonise(args, t: SphericalTriangle) -> int:
 
 
 def cmd_classify(args, t: SphericalTriangle) -> int:
+    from .verdict import classify
+
     report = classify(t, tol=args.tol)
     doc = {
         **vars(report),
@@ -174,6 +189,8 @@ def cmd_classify(args, t: SphericalTriangle) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .ellipsoid import _realized, _sampled, d_to_xyz, quadric_value
+
     if args.count < 1 or args.seed < 0:
         raise _BadInput("--count must be >= 1 and --seed >= 0")
     d, attempts = _sampled(args.count, args.seed)
@@ -197,6 +214,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_search(args, t: SphericalTriangle) -> int:
+    from .oracle import search_equilateral
+
     hits = search_equilateral(t, tol=args.tol)
     print(
         _dump(
@@ -270,6 +289,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Point stdout at the
+        # null device so that the flush at shutdown cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BAD_INPUT
+
+
+def _dispatch(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if hasattr(args, "tol") and not (math.isfinite(args.tol) and args.tol >= 0.0):  # classify and search

@@ -15,7 +15,12 @@ A triangle with side parameters d = (d0, d1, d2) is
 
 :func:`classify_d` checks a triple from outside once; :func:`classify` reads a
 validated triangle's ``d`` and checks nothing again.  Both check the tolerance:
-NaN or a negative value is ``ValueError``.
+NaN or a negative value is ``ValueError``; the default, ``CLASSIFY_TOL``, is
+defined in the NumPy-free :mod:`napsphere.algebra`, where the CLI reads it.
+
+The module is named for its verdict, not for :func:`classify`: importing a
+submodule binds it on the package, and a submodule named ``classify`` would
+replace the function ``napsphere.classify``.
 """
 
 from __future__ import annotations
@@ -25,12 +30,8 @@ import math
 from dataclasses import dataclass
 
 from . import algebra
+from .algebra import CLASSIFY_TOL
 from .triangle import SideParameters, SphericalTriangle, _check_tol, _checked
-
-# Default tolerance on the condition residual and the equilateral factor:
-# inputs are unit vectors known to ~1e-12 and both quantities are quadratic
-# in the side parameters.
-CLASSIFY_TOL = 1e-9
 
 
 class Verdict(enum.Enum):

@@ -28,9 +28,7 @@ MUTANTS = [
     ("algebra.py", "return self._merge(other, -1)", "return self._merge(other, 1)"),
     ("algebra.py", "if not math.isfinite(other):", "if math.isnan(other):"),
     ("algebra.py", "_CARRY = _EXP_LIMIT * (", "_CARRY = 2 * _EXP_LIMIT * ("),
-    ("classify.py", "if eqf < tol:", "if eqf <= tol:"),
-    ("classify.py", "elif abs(cres) < tol:", "elif abs(cres) <= tol:"),
-    ("classify.py", "if chi2 > 0.0 else 0.0", "if chi2 > 0.0 else -1.0"),
+    ("__init__.py", '"ClassificationReport": "verdict",', '"ClassificationReport": "napoleon",'),
     ("cli.py", "NORMALISE_WARN = 1e-6", "NORMALISE_WARN = 1e-5"),
     ("cli.py", "args.tol >= 0.0", "args.tol > 0.0"),
     ("cli.py", "if n < 1e-12:", "if n < 1e-10:"),
@@ -56,6 +54,9 @@ MUTANTS = [
     ("triangle.py", "if len(dv) != 3:", "if len(dv) < 3:"),
     ("triangle.py", "if not tol >= 0.0:", "if tol < 0.0:"),
     ("triangle.py", "if not tol >= 0.0:", "if not tol > 0.0:"),
+    ("verdict.py", "if eqf < tol:", "if eqf <= tol:"),
+    ("verdict.py", "elif abs(cres) < tol:", "elif abs(cres) <= tol:"),
+    ("verdict.py", "if chi2 > 0.0 else 0.0", "if chi2 > 0.0 else -1.0"),
 ]
 
 KNOWN_FAILURES = [

@@ -131,7 +131,7 @@ class TestNapoleonise:
         assert code == 2
         error = {"kind": "Degenerate", "message": "cannot normalise a (near-)zero vector"}
         assert json.loads(out) == {"error": error}
-        assert err.startswith("warning: vertex 0 renormalised")
+        assert err == ""  # no renormalisation warning for a vertex that is rejected
 
     def test_stdin_input(self, capsys, monkeypatch):
         import io
@@ -384,10 +384,63 @@ class TestErrors:
         assert json.loads(out) == {"matches": [], "tolerance": 0.0}
 
 
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this checkout's napsphere."""
+    src = str(Path(napsphere.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.mark.parametrize("module", ["napsphere", "napsphere.cli"])
 def test_import_loads_no_scipy(module):
-    src = str(Path(napsphere.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_child_env())
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["napsphere", "napsphere.algebra", "napsphere.cli"])
+def test_import_loads_no_numpy(module):
+    code = f"import sys, {module}; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_child_env())
+    assert proc.stdout == "False\n"
+
+
+def test_verify_identities_runs_without_numpy():
+    # Run as ``python -m napsphere.cli verify-identities`` runs it; report on stderr.
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['napsphere', 'verify-identities']\n"
+        "try:\n"
+        "    runpy.run_module('napsphere.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, 'numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_child_env(), timeout=120)
+    assert proc.stderr == b"0 False\n"
+    assert proc.stdout == (Path(__file__).resolve().parent / "golden" / "verify-identities.out").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["napoleonise", "-"], b'{"d": [0.9, 1.0, 1.1]}'),
+        (["sample", "--count", "2000", "--seed", "1", "--realize", "--format", "csv"], b""),
+    ],
+    ids=["napoleonise", "sample-csv"],
+)
+def test_stdout_closed_early_exits_1_without_traceback(argv, stdin):
+    # The reader goes before the first write: napoleonise waits for its stdin,
+    # and the CSV is larger than a pipe's buffer.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "napsphere.cli", *argv],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    proc.stdout.close()
+    proc.stdin.write(stdin)
+    proc.stdin.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""

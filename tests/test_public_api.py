@@ -2,6 +2,10 @@
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -89,8 +93,8 @@ ALGEBRA_NAMES = [
 ]
 
 # The modules whose public names napsphere.__all__ re-exports; the package's
-# imports are their only declaration.
-FLATTENED_MODULES = ["classify", "core", "ellipsoid", "errors", "napoleon", "oracle", "triangle"]
+# table of names is their only declaration.
+FLATTENED_MODULES = ["core", "ellipsoid", "errors", "napoleon", "oracle", "triangle", "verdict"]
 
 # Names the package no longer exports: tests-only helpers, single-caller
 # wrappers, a re-export, a per-row record replaced by stacked arrays, and the
@@ -141,7 +145,69 @@ def test_cli_surface_is_main_alone():
 
 def test_flattened_modules_declare_no_second_surface():
     for name in FLATTENED_MODULES:
-        assert "__all__" not in vars(getattr(napsphere, name)), name
+        assert "__all__" not in vars(importlib.import_module(f"napsphere.{name}")), name
+
+
+SRC = Path(napsphere.__file__).resolve().parent
+
+
+def _defining_modules() -> dict[str, str]:
+    """Each public name and the submodule whose source defines it at top level."""
+    homes = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in set(names) & set(PUBLIC_NAMES):
+                assert name not in homes, f"{name} is defined in {homes[name]} and {path.stem}"
+                homes[name] = path.stem
+    return homes
+
+
+# Run in a fresh interpreter: the CLI imports its modules first, as
+# ``python -m napsphere.cli`` does, and the package names are read after.
+IMPORT_ORDER_SCRIPT = """
+import contextlib, importlib, io, json, sys
+import napsphere.cli
+
+homes = json.loads(sys.argv[1])
+doc = '{"d": [0.9, 1.0, 1.1]}'
+for argv in (["napoleonise", "-"], ["classify", "-"], ["sample", "--count", "2", "--realize"],
+             ["search", "-"], ["verify-identities"]):
+    sys.stdin = io.StringIO(doc)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert napsphere.cli.main(argv) == 0, argv
+
+import napsphere
+
+for name in napsphere.__all__:
+    value = getattr(napsphere, name)
+    assert value is getattr(importlib.import_module("napsphere." + homes[name]), name), name
+assert callable(napsphere.classify) and napsphere.classify.__module__ == "napsphere.verdict"
+listed = dir(napsphere)
+assert len(napsphere.__all__) == 38 and all(name in listed for name in napsphere.__all__)
+try:
+    napsphere.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("an unknown name resolved")
+print("ok")
+"""
+
+
+def test_public_names_resolve_after_the_cli_ran():
+    homes = _defining_modules()
+    assert sorted(homes) == PUBLIC_NAMES
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_ORDER_SCRIPT, json.dumps(homes)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
 
 
 # SideParameters, side_parameters and the two row samplers stay public because
