@@ -49,11 +49,8 @@ _HOMES = {
     "OUTWARD": "napoleon",
     "NapoleonisationResult": "napoleon",
     "SignVector": "napoleon",
-    "apex": "napoleon",
     "centroid_inner_closed_form": "napoleon",
-    "edge_centroid": "napoleon",
     "napoleonise": "napoleon",
-    "apex_by_rotation": "oracle",
     "search_equilateral": "oracle",
     "SideParameters": "triangle",
     "SphericalTriangle": "triangle",

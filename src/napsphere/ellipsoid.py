@@ -24,7 +24,6 @@ import math
 
 import numpy as np
 
-from . import algebra
 from .core import _first, dot
 from .errors import SeedExhaustedError, UnrealizableError
 from .triangle import SideParameters, SphericalTriangle, _checked, _in_range, _validate
@@ -65,9 +64,9 @@ def sample_napoleonic_d(count: int, seed: int) -> list[SideParameters]:
 
     The ellipsoid is parametrized by two angles drawn uniformly; each point
     is rotated back to side parameters and rejected unless all d_i lie in
-    (0, sqrt(3)), the point is at least ``DIAGONAL_MARGIN`` from the
-    equilateral diagonal, and :func:`napsphere.algebra.chi_squared` of *d*
-    exceeds 1e-12 (realizable).  Deterministic per seed.
+    (0, sqrt(3)) and the point is at least ``DIAGONAL_MARGIN`` from the
+    equilateral diagonal; every such point is realizable (see
+    ``_quadric_block``).  Deterministic per seed.
     """
     samples, _ = sample_napoleonic_d_with_attempts(count, seed)
     return samples
@@ -77,7 +76,15 @@ def _quadric_block(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Side parameters of draws *u* (shape (k, 2)) and the acceptance mask.
 
     theta = pi u0 and phi = 2 pi u1 are exactly ``rng.uniform(0, pi)`` and
-    ``rng.uniform(0, 2 pi)`` of the same stream, drawn one at a time."""
+    ``rng.uniform(0, 2 pi)`` of the same stream, drawn one at a time.
+
+    An accepted draw needs no realizability test: chi^2 > 1/2.  On the
+    quadric ``4 chi^2 = smp^2`` with ``smp = s - d0 d1 d2``.  With
+    ``s = d0 + d1 + d2`` and ``q = d0 d1 + d0 d2 + d1 d2``, the quadric reads
+    ``s^2 = 2 + q``, and ``sum d_i^2 >= q`` gives ``q <= 1``.  If every d_i > 0,
+    then q > 0 and s > sqrt(2), and ``q^2 >= 3 d0 d1 d2 s`` gives
+    ``d0 d1 d2 <= q^2 / (3 s) < q / (s + sqrt(2)) = s - sqrt(2)``.  So
+    ``smp > sqrt(2)``."""
     theta = math.pi * u[:, 0]
     phi = 2.0 * math.pi * u[:, 1]
     sin_theta = np.sin(theta)
@@ -85,7 +92,7 @@ def _quadric_block(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = (ROTATION.T @ p[..., None])[..., 0]
     off = d - d.mean(axis=1, keepdims=True)
     ok = _in_range(d).all(axis=1) & (np.sqrt(dot(off, off)) >= DIAGONAL_MARGIN)
-    return d, ok & (algebra.chi_squared(*d.T) > 1e-12)
+    return d, ok
 
 
 def _sampled(count: int, seed: int) -> tuple[np.ndarray, int]:
@@ -119,9 +126,15 @@ def _sampled(count: int, seed: int) -> tuple[np.ndarray, int]:
 def sample_napoleonic_d_with_attempts(count: int, seed: int) -> tuple[list[SideParameters], int]:
     """Like :func:`sample_napoleonic_d`, also returning the number of draws.
 
-    The attempt count exposes the empirical rejection rate of the admissible
-    region (which portion of the quadric is admissible is not asserted
-    anywhere, only measured).
+    A draw is accepted with probability ``P = 0.1322707``.  Its side
+    parameters are ``d_i = cos(theta)/sqrt(3) + 2 sqrt(2/3) sin(theta) cos(phi - phi_i)``
+    with phi_i in {pi, -pi/3, pi/3}, so for fixed theta the admissible phi form
+    one arc, and ``P = (t1 + int_t1^t2 (1 - (3/pi) arccos(cot(theta)/(2 sqrt(2)))) dtheta) / pi``
+    with ``t1 = arctan(1/(2 sqrt(2)))`` and ``t2 = arctan(1/sqrt(2))``.  The
+    samples are not area-uniform on the quadric but dense near the equilateral
+    point: a draw has ``equilateral_factor = 6 sin^2(theta)``, so a share of about
+    ``sqrt(m/6) / (pi P)`` of the samples has ``equilateral_factor < m``
+    (3.2% below 1e-3).
     """
     d, attempts = _sampled(count, seed)
     return [SideParameters(*row) for row in d.tolist()], attempts

@@ -21,12 +21,7 @@ so the construction is anchored to the caller's labelling.
 
 Both formulas read only the edge's frame: the sum a + b, the normal a x b,
 c and sqrt(1 + 2c).  :func:`napoleonise` takes the normals, inner products
-and side parameters that ``new_triangle`` stored on the triangle; the
-single-edge :func:`apex` and :func:`edge_centroid` get the same frame for
-their edge from :mod:`napsphere.triangle`, and all three call one kernel.
-
-Single edges and their signs are admitted in :mod:`napsphere.triangle`, by the
-rule ``new_triangle`` applies; only :class:`SignVector` checks signs here.
+and side parameters that ``new_triangle`` stored on the triangle.
 """
 
 from __future__ import annotations
@@ -38,7 +33,7 @@ import numpy as np
 from . import algebra
 from .core import _NEXT, dot
 from .triangle import SQRT3, SphericalTriangle
-from .triangle import _check_sign, _checked, _edge, _near_boundary, _opposite_edges
+from .triangle import _checked, _near_boundary, _opposite_edges
 
 
 @dataclass(frozen=True)
@@ -51,7 +46,8 @@ class SignVector:
 
     def __post_init__(self):
         for name in ("e0", "e1", "e2"):
-            _check_sign(getattr(self, name), name)
+            if getattr(self, name) not in (-1, +1):
+                raise ValueError(f"{name} must be -1 or +1")
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.e0, self.e1, self.e2)
@@ -128,26 +124,6 @@ def _construct(s, w, c, h, eps):
     return q, r
 
 
-def apex(a, b, eps: int) -> np.ndarray:
-    """Apex of the equilateral spherical triangle erected on edge (a, b).
-
-    The result Q is a unit vector with <Q,a> = <Q,b> = <a,b>; ``eps=+1``
-    places it on the positive side of a x b, ``eps=-1`` on the negative side.
-    """
-    a, b, w, c, h = _edge(a, b, eps)
-    return _construct(a + b, w, c, h, eps)[0]
-
-
-def edge_centroid(a, b, eps: int) -> np.ndarray:
-    """Spherical centroid of the equilateral triangle (a, b, apex(a, b, eps)).
-
-    Equals ``barycentre(a, b, apex(a, b, eps))`` but is evaluated in closed
-    form.
-    """
-    a, b, w, c, h = _edge(a, b, eps)
-    return _construct(a + b, w, c, h, eps)[1]
-
-
 def napoleonise(t: SphericalTriangle, s: SignVector) -> NapoleonisationResult:
     """Construct apexes and centroids on every edge of *t* with signs *s*.
 
@@ -160,7 +136,7 @@ def napoleonise(t: SphericalTriangle, s: SignVector) -> NapoleonisationResult:
     for all three edges.
     """
     eff = s.oriented(t.orientation_swapped)
-    near = _near_boundary(t.edge_inners, stacklevel=2)
+    near = _near_boundary(t.edge_inners)
     a, b = _opposite_edges(t.vertices)
     q, r = _construct(a + b, t.edge_normals, t.edge_inners, t.d, eff.as_tuple())
     q.flags.writeable = r.flags.writeable = False

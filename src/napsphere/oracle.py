@@ -1,33 +1,26 @@
-"""Independent brute-force checks for the closed-form constructions.
-
-:func:`apex_by_rotation` rebuilds the equilateral apex from first
-principles: the apex lies at the common edge distance from both endpoints,
-so it is the image of one endpoint under a rotation about the other by the
-equilateral vertex angle ``arccos(c / (1 + c))``.  No coefficient formula
-from the construction module is used; agreement between the two routes is a
-strong cross-check.  What the two routes share is the validated edge frame:
-Rodrigues' formula needs ``axis x v`` and ``<axis, v>``, which for a rotation
-of b about a are the edge normal a x b and inner product <a, b> that
-validation already computed.
+"""An independent brute-force check of the closed-form constructions.
 
 :func:`search_equilateral` enumerates all eight sign vectors, constructing
 each Napoleonisation from rotation-based apexes and plain barycentres, and
 reports every sign vector whose centroid triangle is equilateral within a
-tolerance.  Rotations use Rodrigues' formula, evaluated for all eight sign
-vectors and three edges at once, on the triangle's stored normals and inner
-products.
+tolerance.  The apex on edge (a, b) lies at the common edge distance from
+both endpoints, so it is the image of b under a rotation about a by the
+equilateral vertex angle ``arccos(c / (1 + c))``; no coefficient formula from
+the construction module is used.  What the two routes share is the validated
+edge frame: Rodrigues' formula needs ``axis x v`` and ``<axis, v>``, which for
+a rotation of b about a are the stored edge normal a x b and inner product
+<a, b>.  It is evaluated for all eight sign vectors and three edges at once.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
 from .core import _NEXT, barycentre, dot
 from .napoleon import SignVector
-from .triangle import SphericalTriangle, _check_tol, _edge, _opposite_edges
+from .triangle import SphericalTriangle, _check_tol, _opposite_edges
 
 
 # Sign vectors in search order: e0 varies slowest, each from -1 to +1.
@@ -42,18 +35,6 @@ def _rotate(v, axis, w, c, angle):
     cos = np.cos(angle)[..., None]
     sin = np.sin(angle)[..., None]
     return v * cos + w * sin + axis * (np.asarray(c)[..., None] * (1.0 - cos))
-
-
-def apex_by_rotation(a, b, eps: int) -> np.ndarray:
-    """Equilateral apex on edge (a, b) built by rotating *b* about *a*.
-
-    The rotation angle is the vertex angle of an equilateral spherical
-    triangle with side arccos(<a,b>); its sign selects the side of a x b.
-    Raises the same errors as the closed-form construction and degrades (with
-    a conditioning warning) near the width boundary.
-    """
-    a, b, w, c, _ = _edge(a, b, eps)
-    return _rotate(b, a, w, c, eps * math.acos(c / (1.0 + c)))
 
 
 def search_equilateral(t: SphericalTriangle, tol: float) -> list[tuple[SignVector, float]]:

@@ -9,8 +9,8 @@ vertices is negative, the second and third vertices are swapped (recorded in
 ``orientation_swapped``) so that the stored ``chi`` is always positive.
 
 The coincident/antipodal (``DEGENERACY_TOL``), width and ill-conditioned band
-(``BOUNDARY_BAND``) tests are one function each here, shared by :func:`new_triangle`
-and the single-edge constructions; the unit-norm test is ``core.unit_vector``.
+(``BOUNDARY_BAND``) tests are one function each here; the unit-norm test is
+``core.unit_vector``.
 
 Each edge is encoded by a side parameter ``d_i = sqrt(1 + 2<p_{i+1}, p_{i+2}>)``
 in (0, sqrt(3)), a monotone function of the length of the edge opposite
@@ -27,8 +27,7 @@ of triangles) together: the inner products, the normals ``p_{i+1} x p_{i+2}``
 with one cross product, whose first row gives the triple product, and the side
 parameters with one square root.  A triangle that is swapped gets the frame
 rebuilt from its stored vertices.  The record stores the frame and every
-construction reads it; the single-edge constructions get the same frame for
-their edge from ``_edge``.
+construction reads it.
 
 Two exact tests can fire only near ``|c| = 1``: the coincidence/antipodality
 test ``sqrt(<a-+b, a-+b>) <= DEGENERACY_TOL`` and the rounds-to-sqrt(3) test.
@@ -48,8 +47,7 @@ and the forward error bound of a floating-point inner product (Higham,
   so ``d < SQRT3``.
 
 The bound needs vertices that are unit to rounding, as ``unit_vector``'s
-rescaling leaves them.  ``_edge`` takes its endpoints as given, unit only
-within ``UNIT_NORM_TOL``, so it runs its pair test on every edge.
+rescaling leaves them.
 """
 
 from __future__ import annotations
@@ -152,24 +150,18 @@ def _reject_too_wide(c, message) -> None:
         raise TooWideError(message(i, float(np.ravel(c)[i])))
 
 
-def _near_boundary(c, stacklevel: int) -> bool:
+def _near_boundary(c) -> bool:
     """Whether some edge inner product of *c* lies in the ill-conditioned band;
-    if so, warn with *stacklevel* counted from the caller, as in ``warnings.warn``."""
+    if so, warn, attributed to the caller of :func:`napsphere.napoleon.napoleonise`."""
     near = _first(c <= -0.5 + BOUNDARY_BAND) is not None
     if near:
         warnings.warn(
             f"edge inner product {float(np.min(c))!r} is within {BOUNDARY_BAND:g} of -1/2; "
             "apex and centroid are ill-conditioned",
             BoundaryConditioningWarning,
-            stacklevel=stacklevel + 1,
+            stacklevel=3,
         )
     return near
-
-
-def _check_sign(value, name: str = "eps") -> None:
-    """Raise ``ValueError`` unless *value*, the construction sign *name*, is -1 or +1."""
-    if value not in (-1, +1):
-        raise ValueError(f"{name} must be -1 or +1")
 
 
 def _check_tol(tol: float) -> float:
@@ -177,25 +169,6 @@ def _check_tol(tol: float) -> float:
     if not tol >= 0.0:  # NaN fails too
         raise ValueError(f"tol must be >= 0, got {tol!r}")
     return tol
-
-
-def _edge(a, b, eps: int):
-    """One edge (a, b) given from outside the package, for a construction with
-    sign *eps*: checks the sign, that each endpoint is one finite unit 3-vector
-    and :func:`new_triangle`'s rule for edges; warns for the caller's caller.
-    Returns the caller's *a* and *b* as given (float arrays, not re-normalised)
-    and the edge's frame as :func:`_validate` builds it for a triangle's edges:
-    the normal a x b, the inner product <a, b> and d = sqrt(1 + 2<a, b>)."""
-    _check_sign(eps)
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a.shape != (3,) or b.shape != (3,):
-        raise ValueError(f"expected two 3-component points, got shapes {a.shape} and {b.shape}")
-    unit_vector((a, b))
-    _reject_degenerate(a, b, lambda i, how: f"apex undefined: endpoints {how}")
-    c = dot(a, b)
-    _reject_too_wide(c, lambda i, ci: f"no equilateral triangle on edge with inner product {ci!r} <= -1/2")
-    _near_boundary(c, stacklevel=3)
-    return a, b, cross(a, b), c, np.sqrt(1.0 + 2.0 * c)
 
 
 def _validate(v):

@@ -75,7 +75,7 @@ class TestSampler:
     def test_samples_in_range_and_realizable(self):
         for d in sample_napoleonic_d(500, seed=43):
             assert all(0.0 < v < math.sqrt(3.0) for v in d.as_tuple())
-            assert algebra.chi_squared(*d.as_tuple()) > 1e-12
+            assert algebra.chi_squared(*d.as_tuple()) > 0.5  # the bound in _quadric_block's docstring
             arr = np.array(d.as_tuple())
             assert np.linalg.norm(arr - arr.mean()) >= 1e-6
 
@@ -94,6 +94,23 @@ class TestSampler:
             # the diagonal margin keeps samples clear of the equilateral point
             assert report.verdict is Verdict.OUTWARD_NAPOLEONIC
 
+    def test_acceptance_rate_and_measure(self):
+        # P is the admissible share of the parametrization (sample_napoleonic_d_with_attempts);
+        # a sample has equilateral_factor = 6 sin^2(theta), so a share sqrt(m/6) / (pi P) of the
+        # samples has equilateral_factor < m.  Each count is binomial; the bound is 4 standard
+        # deviations.
+        P = 0.1322707
+        samples = []
+        for seed in (1, 2, 3):
+            d, attempts = ellipsoid._sampled(100_000, seed)
+            assert abs(len(d) - attempts * P) <= 4.0 * math.sqrt(attempts * P * (1.0 - P))
+            samples.append(d)
+        eqf = algebra.equilateral_factor(*np.concatenate(samples).T)
+        n = len(eqf)
+        for m in (1e-3, 1e-2):
+            share = math.sqrt(m / 6.0) / (math.pi * P)
+            assert abs(np.count_nonzero(eqf < m) - n * share) <= 4.0 * math.sqrt(n * share * (1.0 - share))
+
 
 def _reference_sampler(count, seed):
     """The sampler one draw at a time: samples, attempts, longest rejection run."""
@@ -107,6 +124,7 @@ def _reference_sampler(count, seed):
         d = ROTATION.T @ np.array(p)
         if np.all(d > 0.0) and np.all(d < math.sqrt(3.0)) and np.linalg.norm(d - float(d.mean())) >= DIAGONAL_MARGIN:
             sp = SideParameters(*map(float, d))
+            # The sampler has no chi^2 test: it cannot fail on an admissible draw, which this one checks.
             if algebra.chi_squared(*sp.as_tuple()) > 1e-12:
                 out.append(sp.as_tuple())
                 run = 0

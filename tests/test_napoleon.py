@@ -11,27 +11,23 @@ from napsphere import (
     INWARD,
     OUTWARD,
     BoundaryConditioningWarning,
-    DegenerateError,
     SignVector,
     TooWideError,
-    apex,
     barycentre,
     centroid_inner_closed_form,
     dot,
-    cross,
-    edge_centroid,
     napoleonise,
     new_triangle,
     side_parameters,
     spherical_distance,
 )
 from napsphere import algebra
+from napsphere.triangle import _opposite_edges
 
 from conftest import (
     NAPOLEONIC_APEXES,
     NAPOLEONIC_CENTROIDS,
     NAPOLEONIC_D,
-    NAPOLEONIC_VERTICES,
     SCALENE_CENTROID_DISTANCES,
     SCALENE_VERTICES,
     equilateral_vertices,
@@ -41,97 +37,99 @@ from conftest import (
 ALL_SIGNS = [SignVector(*e) for e in itertools.product((-1, 1), repeat=3)]
 
 
-def _admissible_pairs(count, seed):
-    rng = np.random.default_rng(seed)
-    pairs = []
-    while len(pairs) < count:
-        v = rng.normal(size=(2, 3))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        if float(v[0] @ v[1]) > -0.5 + 1e-6:
-            pairs.append((v[0], v[1]))
-    return pairs
+EX = np.array([1.0, 0.0, 0.0])
+EZ = np.array([0.0, 0.0, 1.0])
 
 
-def _near_boundary_pair(offset):
+def _near_boundary_triangle(offset):
+    """A triangle whose edge opposite vertex 2, from (1, 0, 0) in the xy-plane, has inner
+    product -1/2 + *offset*; its normal points along +z and no swap occurs."""
     c = -0.5 + offset
-    a = np.array([1.0, 0.0, 0.0])
-    b = np.array([c, math.sqrt(1.0 - c * c), 0.0])
-    return a, b
+    return new_triangle(EX, (c, math.sqrt(1.0 - c * c), 0.0), EZ)
+
+
+def _rows(triangles):
+    """Each triangle with each sign vector: the triangle, the signs in stored order and the result."""
+    for t in triangles:
+        for s in ALL_SIGNS:
+            yield t, s.oriented(t.orientation_swapped).as_tuple(), napoleonise(t, s)
 
 
 class TestApex:
+    """Properties of each row of ``NapoleonisationResult.apexes``."""
+
     def test_near_width_boundary_converges_to_unique_apex(self):
         # At the width boundary the apex degenerates to -(a+b); just inside
         # it must be close to that limit (error ~ sqrt(2*offset)*sqrt(3)).
-        a, b = _near_boundary_pair(1e-6)
+        t = _near_boundary_triangle(1e-6)
         limit = np.array([-0.5, -math.sqrt(3.0) / 2.0, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BoundaryConditioningWarning)
-            for eps in (-1, +1):
-                q = apex(a, b, eps)
-                assert np.linalg.norm(q - limit) < 5e-3
+            for s in (OUTWARD, INWARD):
+                assert np.linalg.norm(napoleonise(t, s).apexes[2] - limit) < 5e-3
 
-    def test_known_triangle_apexes(self):
-        p0, p1, p2 = NAPOLEONIC_VERTICES
-        assert np.allclose(apex(p1, p2, -1), NAPOLEONIC_APEXES[0], atol=1e-12)
-        assert np.allclose(apex(p2, p0, -1), NAPOLEONIC_APEXES[1], atol=1e-12)
-        assert np.allclose(apex(p0, p1, -1), NAPOLEONIC_APEXES[2], atol=1e-12)
+    def test_known_triangle_apexes(self, napoleonic_triangle):
+        res = napoleonise(napoleonic_triangle, OUTWARD)
+        for got, expected in zip(res.apexes, NAPOLEONIC_APEXES):
+            assert np.allclose(got, expected, atol=1e-12)
 
     def test_sign_selects_side_of_cross_product(self):
-        for a, b in _admissible_pairs(50, seed=20):
-            assert dot(apex(a, b, +1), cross(a, b)) > 0.0
-            assert dot(apex(a, b, -1), cross(a, b)) < 0.0
+        for t, eps, res in _rows(random_triangles(50, seed=20)):
+            assert np.array_equal(np.sign(dot(res.apexes, t.edge_normals)), eps)
 
     def test_equidistance(self):
-        for a, b in _admissible_pairs(200, seed=21):
-            c = dot(a, b)
-            for eps in (-1, +1):
-                q = apex(a, b, eps)
-                assert abs(dot(q, a) - c) < 1e-12
-                assert abs(dot(q, b) - c) < 1e-12
-                assert abs(dot(q, q) - 1.0) < 1e-12
+        for t, _, res in _rows(random_triangles(100, seed=21)):
+            a, b = _opposite_edges(t.vertices)
+            q = res.apexes
+            assert np.abs(dot(q, a) - t.edge_inners).max() < 1e-12
+            assert np.abs(dot(q, b) - t.edge_inners).max() < 1e-12
+            assert np.abs(dot(q, q) - 1.0).max() < 1e-12
 
     def test_swapping_endpoints_negates_sign(self):
-        for a, b in _admissible_pairs(50, seed=22):
-            for eps in (-1, +1):
-                assert np.allclose(apex(b, a, eps), apex(a, b, -eps), atol=1e-14)
+        # Entering vertices 1 and 2 exchanged reverses every edge, so the caller's
+        # sign for it builds what the negated sign builds on the other entry.
+        for v in (t.vertices for t in random_triangles(50, seed=22)):
+            kept, swapped = new_triangle(*v), new_triangle(*v[[0, 2, 1]])
+            assert swapped.orientation_swapped
+            for e0, e1, e2 in itertools.product((-1, 1), repeat=3):
+                got = napoleonise(swapped, SignVector(e0, e1, e2))
+                expected = napoleonise(kept, SignVector(-e0, -e2, -e1))
+                assert np.array_equal(got.apexes, expected.apexes)
+                assert np.array_equal(got.centroids, expected.centroids)
 
     def test_too_wide_rejected(self):
-        a, b = _near_boundary_pair(0.0)
+        # At c = -1/2 exactly the apexes would coincide; new_triangle refuses the triangle.
         with pytest.raises(TooWideError):
-            apex(a, b, -1)
-
-    def test_antipodal_rejected(self):
-        with pytest.raises(DegenerateError):
-            apex((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), +1)
+            _near_boundary_triangle(0.0)
 
     def test_boundary_band_warns(self):
-        a, b = _near_boundary_pair(1e-7)
-        with pytest.warns(BoundaryConditioningWarning):
-            apex(a, b, -1)
+        # Whichever edge lies in the band, the one check over all three edges warns.
+        for row in range(3):
+            t = new_triangle(*np.roll(_near_boundary_triangle(1e-7).vertices, row - 2, axis=0))
+            assert t.edge_inners[row] == -0.5 + 1e-7
+            with pytest.warns(BoundaryConditioningWarning):
+                assert napoleonise(t, OUTWARD).near_boundary
 
 
 class TestEdgeCentroid:
+    """Properties of each row of ``NapoleonisationResult.centroids``."""
+
     def test_near_width_boundary_centroid_approaches_pole(self):
         # The inward centroid of the maximal equilateral triangle on this
         # edge is the north pole; at offset 1e-6 the distance is ~1.6e-3
         # (scales as sqrt(8/3 * offset)).
-        a, b = _near_boundary_pair(1e-6)
+        t = _near_boundary_triangle(1e-6)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BoundaryConditioningWarning)
-            r = edge_centroid(a, b, +1)
-        assert np.linalg.norm(r - np.array([0.0, 0.0, 1.0])) < 2e-3
-
-    def test_known_triangle_centroid(self):
-        _, p1, p2 = NAPOLEONIC_VERTICES
-        assert np.allclose(edge_centroid(p1, p2, -1), NAPOLEONIC_CENTROIDS[0], atol=1e-12)
+            r = napoleonise(t, INWARD).centroids[2]
+        assert np.linalg.norm(r - EZ) < 2e-3
 
     def test_matches_barycentre_of_apex_triangle(self):
-        for a, b in _admissible_pairs(1000, seed=23):
-            for eps in (-1, +1):
-                direct = edge_centroid(a, b, eps)
-                via_barycentre = barycentre(a, b, apex(a, b, eps))
-                assert np.allclose(direct, via_barycentre, atol=1e-12)
+        for t, _, res in _rows(random_triangles(100, seed=23)):
+            v = t.vertices
+            for i in range(3):
+                via_barycentre = barycentre(v[(i + 1) % 3], v[(i + 2) % 3], res.apexes[i])
+                assert np.allclose(res.centroids[i], via_barycentre, atol=1e-12)
 
 
 class TestNapoleonise:

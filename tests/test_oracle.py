@@ -1,7 +1,7 @@
-"""Rotation-based apex oracle and the exhaustive sign-vector search."""
+"""Rotation-based apexes, the exhaustive sign-vector search, and the rotation chain."""
 
+import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -10,57 +10,53 @@ from napsphere import (
     INWARD,
     OUTWARD,
     BoundaryConditioningWarning,
+    SignVector,
     Verdict,
-    apex,
-    apex_by_rotation,
     classify,
+    napoleonise,
     new_triangle,
     search_equilateral,
     side_parameters,
 )
 from napsphere import algebra
+from napsphere.oracle import _rotate
+from napsphere.triangle import _opposite_edges
 
-from conftest import NAPOLEONIC_APEXES, NAPOLEONIC_VERTICES, equilateral_vertices, random_triangles
+from conftest import NAPOLEONIC_APEXES, equilateral_vertices, random_triangles
 
 
-def _admissible_pairs(count, seed):
-    rng = np.random.default_rng(seed)
-    pairs = []
-    while len(pairs) < count:
-        v = rng.normal(size=(2, 3))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        if float(v[0] @ v[1]) > -0.5 + 1e-6:
-            pairs.append((v[0], v[1]))
-    return pairs
+def _apexes_by_rotation(t, s):
+    """The apexes of *t* with signs *s* (caller's order) as ``search_equilateral`` builds them:
+    b rotated about a by the equilateral vertex angle, on the stored frame."""
+    a, b = _opposite_edges(t.vertices)
+    c = t.edge_inners
+    eps = np.array(s.oriented(t.orientation_swapped).as_tuple(), dtype=float)
+    return _rotate(b, a, t.edge_normals, c, eps * np.arccos(c / (1.0 + c)))
 
 
 class TestApexByRotation:
     def test_agrees_with_closed_form(self):
         worst = 0.0
-        for a, b in _admissible_pairs(1000, seed=60):
-            for eps in (-1, +1):
-                delta = np.abs(apex_by_rotation(a, b, eps) - apex(a, b, eps)).max()
-                worst = max(worst, delta)
+        for t in random_triangles(300, seed=60):
+            for e in itertools.product((-1, 1), repeat=3):
+                s = SignVector(*e)
+                worst = max(worst, np.abs(_apexes_by_rotation(t, s) - napoleonise(t, s).apexes).max())
         assert worst < 1e-10
 
-    def test_known_triangle_apexes(self):
-        p0, p1, p2 = NAPOLEONIC_VERTICES
-        assert np.allclose(apex_by_rotation(p1, p2, -1), NAPOLEONIC_APEXES[0], atol=1e-12)
-        assert np.allclose(apex_by_rotation(p2, p0, -1), NAPOLEONIC_APEXES[1], atol=1e-12)
-        assert np.allclose(apex_by_rotation(p0, p1, -1), NAPOLEONIC_APEXES[2], atol=1e-12)
+    def test_known_triangle_apexes(self, napoleonic_triangle):
+        for got, expected in zip(_apexes_by_rotation(napoleonic_triangle, OUTWARD), NAPOLEONIC_APEXES):
+            assert np.allclose(got, expected, atol=1e-12)
 
     def test_boundary_adjacent_pair_flagged_and_close(self):
         c = -0.5 + 1e-7
-        a = np.array([1.0, 0.0, 0.0])
-        b = np.array([c, math.sqrt(1.0 - c * c), 0.0])
+        t = new_triangle((1.0, 0.0, 0.0), (c, math.sqrt(1.0 - c * c), 0.0), (0.0, 0.0, 1.0))
+        assert t.edge_inners[2] == c
         with pytest.warns(BoundaryConditioningWarning):
-            q_rot = apex_by_rotation(a, b, -1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BoundaryConditioningWarning)
-            q_cf = apex(a, b, -1)
+            res = napoleonise(t, OUTWARD)
+        assert res.near_boundary
         # agreement degrades near the boundary but stays far better than the
         # construction's own distance to the limiting apex
-        assert np.abs(q_rot - q_cf).max() < 1e-8
+        assert np.abs(_apexes_by_rotation(t, OUTWARD) - res.apexes).max() < 1e-8
 
 
 class TestSearchEquilateral:
@@ -120,3 +116,51 @@ def test_random_triangles_are_seeded_and_normalised():
         assert np.allclose(ta.vertices, tb.vertices)
         assert not ta.orientation_swapped
         assert ta.chi > 0.0
+
+
+# Vertices of a regular inscribed tetrahedron, each over sqrt(3): the outward centroids
+# R_0, R_1, R_2 of a triangle whose outward Napoleonisation has inner products -1/3.
+CHAIN_AXES = np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1)])
+
+
+def _chain_rotation(axis, sense):
+    """The rotation by ``sense * 120`` degrees about ``axis / sqrt(3)`` as an integer matrix:
+    Rodrigues' formula with cos = -1/2 and sin = sqrt(3)/2 reads (-I + sense [axis]x + axis axis^T) / 2."""
+    x, y, z = axis
+    twice = -np.eye(3, dtype=int) + sense * np.array([[0, -z, y], [z, 0, -x], [-y, x, 0]]) + np.outer(axis, axis)
+    assert not (twice % 2).any()
+    return twice // 2
+
+
+class TestRotationChain:
+    """The +120 degree rotation about R_i maps P_{i+1} to P_{i+2}, so a start point P0
+    that the chain M1 M0 M2 fixes gives a triangle with Napoleon centres R_0, R_1, R_2."""
+
+    def test_outward_chain_is_the_identity_in_integers(self):
+        m0, m1, m2 = (_chain_rotation(axis, +1) for axis in CHAIN_AXES)
+        assert (m1 @ m0 @ m2 == np.eye(3, dtype=int)).all()
+
+    def test_inward_chain_is_a_half_turn(self):
+        m0, m1, m2 = (_chain_rotation(axis, -1) for axis in CHAIN_AXES)
+        assert (m1 @ m0 @ m2 == np.diag([-1, -1, 1])).all()
+
+    def test_chain_triangles_are_outward_napoleonic_exactly_when_the_signs_agree(self):
+        # P1 and P2 are signed permutations of P0, so the vertices are exact floats.
+        m0, _, m2 = (_chain_rotation(axis, +1) for axis in CHAIN_AXES)
+        rng = np.random.default_rng(63)
+        kinds = {True: 0, False: 0}
+        for p0 in rng.normal(size=(2000, 3)):
+            p0 /= np.linalg.norm(p0)
+            p = (p0, m2 @ p0, m0 @ m2 @ p0)
+            sigma = {np.sign(CHAIN_AXES[i] @ p[(i + 1) % 3]) for i in range(3)}
+            t = new_triangle(*p)
+            hits = [str(s) for s, _ in search_equilateral(t, algebra.CLASSIFY_TOL)]
+            equal = len(sigma) == 1
+            kinds[equal] += 1
+            if equal:
+                assert classify(t).verdict is Verdict.OUTWARD_NAPOLEONIC
+                assert hits == ["---"]
+            else:
+                assert classify(t).verdict is Verdict.NOT_NAPOLEONIC
+                assert not {"---", "+++"} & set(hits)
+        assert min(kinds.values()) > 100

@@ -47,8 +47,6 @@ PUBLIC_NAMES = [
     "UnrealizableError",
     "Verdict",
     "ZeroSumError",
-    "apex",
-    "apex_by_rotation",
     "barycentre",
     "centroid_inner_closed_form",
     "classify",
@@ -56,7 +54,6 @@ PUBLIC_NAMES = [
     "cross",
     "d_to_xyz",
     "dot",
-    "edge_centroid",
     "napoleonise",
     "new_triangle",
     "quadric_value",
@@ -102,16 +99,21 @@ FLATTENED_MODULES = ["core", "ellipsoid", "errors", "napoleon", "oracle", "trian
 # random_triangles now lives in tests/conftest.py; triple is dot(a, cross(b, c)).
 # The CLI divides a vertex by its own norm instead of calling normalize, and the
 # tests build N+- (napoleonic_equation_residual) from napsphere.algebra.
+# apex, edge_centroid and apex_by_rotation built one apex or centroid from a
+# bare edge; napoleonise builds every edge of a validated triangle.
 REMOVED_NAMES = [
     "BasisCoefficients",
     "EllipsoidPoint",
     "IndeterminateError",
     "alpha",
+    "apex",
+    "apex_by_rotation",
     "chi_relation_check",
     "chi_squared",
     "clamp",
     "condition_residual",
     "condition_value",
+    "edge_centroid",
     "epsilon_from_d",
     "equilateral_factor",
     "napoleonic_equation_residual",
@@ -189,7 +191,7 @@ for name in napsphere.__all__:
     assert value is getattr(importlib.import_module("napsphere." + homes[name]), name), name
 assert callable(napsphere.classify) and napsphere.classify.__module__ == "napsphere.verdict"
 listed = dir(napsphere)
-assert len(napsphere.__all__) == 38 and all(name in listed for name in napsphere.__all__)
+assert len(napsphere.__all__) == 35 and all(name in listed for name in napsphere.__all__)
 try:
     napsphere.no_such_name
 except AttributeError:

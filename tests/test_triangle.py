@@ -18,15 +18,12 @@ from napsphere import (
     OutOfRangeError,
     SideParameters,
     TooWideError,
-    apex,
     Verdict,
-    apex_by_rotation,
     centroid_inner_closed_form,
     classify,
     classify_d,
     cross,
     dot,
-    edge_centroid,
     napoleonise,
     new_triangle,
     realize,
@@ -156,66 +153,19 @@ class TestNewTriangle:
         assert t2.chi == pytest.approx(napoleonic_triangle.chi, abs=1e-15)
 
 
-@pytest.mark.parametrize("construction", [apex, edge_centroid, apex_by_rotation])
-class TestSingleEdgeRule:
-    """The single-edge constructions admit an edge by new_triangle's rule."""
-
-    @pytest.mark.parametrize(
-        "edge, error",
-        [((EX, EX), DegenerateError), ((EX, -EX), DegenerateError), (_edge_at(-0.5), TooWideError)],
-        ids=["coincident", "antipodal", "too-wide"],
-    )
-    def test_rejected_with_new_triangles_kind(self, construction, edge, error):
-        with pytest.raises(error):
-            construction(*edge, -1)
-        with pytest.raises(error):
-            new_triangle(*edge, EZ)
-
-    def test_boundary_band_warns_the_caller(self, construction):
-        a, b = _edge_at(-0.5 + 1e-7)
-        with pytest.warns(BoundaryConditioningWarning, match=BAND_TEXT) as record:
-            construction(a, b, -1)
-        assert [w.filename for w in record if w.category is BoundaryConditioningWarning] == [__file__]
-        new_triangle(a, b, EZ)  # admissible
-
-    @pytest.mark.parametrize(
-        "edge",
-        [(np.eye(3)[:2], np.eye(3)[1:]), ((1.0, 0.0), (0.0, 1.0)), ([EX], EZ)],
-        ids=["stack-of-edges", "2-component", "nested"],
-    )
-    def test_one_edge_only(self, construction, edge):
-        with pytest.raises(ValueError, match="3-component"):
-            construction(*edge, 1)
-
-    def test_sign_checked(self, construction):
-        with pytest.raises(ValueError, match="eps"):
-            construction(EX, EZ, 0)
-
-    @pytest.mark.parametrize(
-        "edge, message",
-        [
-            (((math.nan, 0.0, 0.0), EY), "finite"),
-            ((EX, (0.0, math.inf, 0.0)), "finite"),
-            (((2.0, 0.0, 0.0), (0.0, 2.0, 0.0)), "not a unit vector"),
-        ],
-        ids=["nan", "inf", "norm-2"],
-    )
-    def test_malformed_endpoint_rejected(self, construction, edge, message):
-        with pytest.raises(ValueError, match=message):
-            construction(*edge, 1)
-
-
 def test_band_edge_is_inclusive():
     # The band is (-1/2, -1/2 + BOUNDARY_BAND]: its upper end warns, one ulp above it does not.
     c = -0.5 + BOUNDARY_BAND
+    at, above = new_triangle(*_edge_at(c), EZ), new_triangle(*_edge_at(math.nextafter(c, 0.0)), EZ)
+    assert at.edge_inners[2] == c and above.edge_inners[2] == math.nextafter(c, 0.0)
     with pytest.warns(BoundaryConditioningWarning, match=BAND_TEXT):
-        apex(*_edge_at(c), 1)
+        assert napoleonise(at, OUTWARD).near_boundary
     with warnings.catch_warnings():
         warnings.simplefilter("error", BoundaryConditioningWarning)
-        apex(*_edge_at(math.nextafter(c, 0.0)), 1)
+        assert not napoleonise(above, OUTWARD).near_boundary
 
 
-def test_napoleonise_band_warning_matches_single_edge():
+def test_napoleonise_band_warning_names_the_caller():
     t = new_triangle(*_edge_at(-0.5 + 1e-7), EZ)
     with pytest.warns(BoundaryConditioningWarning, match=BAND_TEXT) as record:
         assert napoleonise(t, OUTWARD).near_boundary
