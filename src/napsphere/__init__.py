@@ -18,11 +18,11 @@ __version__ = "0.1.0"
 
 # The public API, in the order of __all__: each name and the submodule that
 # defines it.  The modules flattened here declare no __all__ of their own;
-# algebra (named here only for CLASSIFY_TOL) and cli stay submodules, and
-# each declares its surface in its own __all__.
+# algebra and cli stay submodules, and each declares its surface in its own
+# __all__.
 _HOMES = {
     "classify": "verdict",
-    "CLASSIFY_TOL": "algebra",
+    "CLASSIFY_TOL": "polynomials",
     "ClassificationReport": "verdict",
     "Verdict": "verdict",
     "classify_d": "verdict",

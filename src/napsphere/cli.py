@@ -18,22 +18,23 @@ printed as JSON).
 See FORMATS.md for the exact output schemas.
 
 At module level this imports only the standard library, :mod:`napsphere.errors`
-and :mod:`napsphere.algebra` (for the ``--tol`` default); each handler imports
-the numerical modules it runs, so ``verify-identities`` starts without NumPy.
+and :mod:`napsphere.polynomials` (for the ``--tol`` default); each handler
+imports the modules it runs, so ``verify-identities`` starts without NumPy and
+the NumPy subcommands without the exact ring of :mod:`napsphere.algebra`.
+``json`` is imported where a document is read or written, which
+``verify-identities`` never does.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from typing import TYPE_CHECKING
 
-from . import algebra
-from .algebra import CLASSIFY_TOL
 from .errors import DegenerateError, NapsphereError
+from .polynomials import CLASSIFY_TOL
 
 if TYPE_CHECKING:
     from .napoleon import NapoleonisationResult
@@ -51,10 +52,14 @@ EXIT_INVALID = 2
 
 def _dump(obj) -> str:
     """Canonical JSON: sorted keys, fixed separators, round-trip floats."""
+    import json
+
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
 
 
 def _read_input(path: str) -> dict:
+    import json
+
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -231,7 +236,9 @@ def cmd_search(args, t: SphericalTriangle) -> int:
 
 
 def cmd_verify_identities(args) -> int:
-    checks = algebra.verify_all()
+    from .algebra import verify_all
+
+    checks = verify_all()
     ok = True
     for check in checks:
         status = "PASS" if check else "FAIL"

@@ -42,6 +42,10 @@ ROTATION = np.array(
 # distance of {d0 = d1 = d2} are rejected as effectively equilateral.
 DIAGONAL_MARGIN = 1e-6
 
+# Least sampled side parameter (see _quadric_block): a smaller d_i is not
+# carried by float vertices to within CLASSIFY_TOL of the quadric.
+D_FLOOR = 1e-6
+
 _MAX_REJECTIONS = 10**6
 
 # Upper bound on the draws mapped per block (about 7.6 draws per accept).
@@ -64,9 +68,10 @@ def sample_napoleonic_d(count: int, seed: int) -> list[SideParameters]:
 
     The ellipsoid is parametrized by two angles drawn uniformly; each point
     is rotated back to side parameters and rejected unless all d_i lie in
-    (0, sqrt(3)) and the point is at least ``DIAGONAL_MARGIN`` from the
-    equilateral diagonal; every such point is realizable (see
-    ``_quadric_block``).  Deterministic per seed.
+    [``D_FLOOR``, sqrt(3)) and the point is at least ``DIAGONAL_MARGIN`` from
+    the equilateral diagonal; every such point is realizable and classifies
+    as OutwardNapoleonic once realized (see ``_quadric_block``).
+    Deterministic per seed.
     """
     samples, _ = sample_napoleonic_d_with_attempts(count, seed)
     return samples
@@ -84,14 +89,27 @@ def _quadric_block(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``s^2 = 2 + q``, and ``sum d_i^2 >= q`` gives ``q <= 1``.  If every d_i > 0,
     then q > 0 and s > sqrt(2), and ``q^2 >= 3 d0 d1 d2 s`` gives
     ``d0 d1 d2 <= q^2 / (3 s) < q / (s + sqrt(2)) = s - sqrt(2)``.  So
-    ``smp > sqrt(2)``."""
+    ``smp > sqrt(2)``.
+
+    Each d_i must also reach ``D_FLOOR``: a smaller one is not carried by the
+    realized triangle to within ``CLASSIFY_TOL`` of the quadric.  Float
+    vertices fix the edge inner product c_i near -1/2 only to about 1e-16, so
+    they fix ``d_i = sqrt(1 + 2 c_i)`` only to about ``1e-16 / (2 d_i)``.  On
+    the quadric each partial derivative of the condition, ``2 (A d)_i`` for
+    its form ``d^T A d = 2``, is below ``2 sqrt(2)`` (Cauchy-Schwarz in the
+    A-norm, with ``e_i^T A e_i = 1``).  At ``d_i = 1e-6`` the realized
+    condition residual therefore stays near 1.4e-10 per such side, under
+    ``CLASSIFY_TOL``; 400 quadric points with d0 = 1e-6 gave at most 3.8e-10,
+    while at d0 = 2e-7 and 1e-7 one in seven and one in five of them left the
+    quadric at that tolerance.  The floor removes a share of about 1.7e-6 of
+    the draws accepted without it."""
     theta = math.pi * u[:, 0]
     phi = 2.0 * math.pi * u[:, 1]
     sin_theta = np.sin(theta)
     p = np.stack((np.cos(theta), 2.0 * sin_theta * np.cos(phi), 2.0 * sin_theta * np.sin(phi)), axis=-1)
     d = (ROTATION.T @ p[..., None])[..., 0]
     off = d - d.mean(axis=1, keepdims=True)
-    ok = _in_range(d).all(axis=1) & (np.sqrt(dot(off, off)) >= DIAGONAL_MARGIN)
+    ok = _in_range(d).all(axis=1) & (d >= D_FLOOR).all(axis=1) & (np.sqrt(dot(off, off)) >= DIAGONAL_MARGIN)
     return d, ok
 
 
@@ -126,11 +144,12 @@ def _sampled(count: int, seed: int) -> tuple[np.ndarray, int]:
 def sample_napoleonic_d_with_attempts(count: int, seed: int) -> tuple[list[SideParameters], int]:
     """Like :func:`sample_napoleonic_d`, also returning the number of draws.
 
-    A draw is accepted with probability ``P = 0.1322707``.  Its side
+    A draw is accepted with probability ``P = 0.1322705``.  Its side
     parameters are ``d_i = cos(theta)/sqrt(3) + 2 sqrt(2/3) sin(theta) cos(phi - phi_i)``
     with phi_i in {pi, -pi/3, pi/3}, so for fixed theta the admissible phi form
-    one arc, and ``P = (t1 + int_t1^t2 (1 - (3/pi) arccos(cot(theta)/(2 sqrt(2)))) dtheta) / pi``
-    with ``t1 = arctan(1/(2 sqrt(2)))`` and ``t2 = arctan(1/sqrt(2))``.  The
+    one arc, and ``P0 = (t1 + int_t1^t2 (1 - (3/pi) arccos(cot(theta)/(2 sqrt(2)))) dtheta) / pi
+    = 0.1322707`` with ``t1 = arctan(1/(2 sqrt(2)))`` and ``t2 = arctan(1/sqrt(2))``
+    is the share with every d_i in (0, sqrt(3)); ``D_FLOOR`` takes 2.2e-7 off it.  The
     samples are not area-uniform on the quadric but dense near the equilateral
     point: a draw has ``equilateral_factor = 6 sin^2(theta)``, so a share of about
     ``sqrt(m/6) / (pi P)`` of the samples has ``equilateral_factor < m``
@@ -171,7 +190,7 @@ def realize(d) -> SphericalTriangle:
     is placed with positive orientation, so the result needs no vertex swap
     and represents the congruence class of *d*.  Raises
     :class:`UnrealizableError` when the Gram form ``1 - sum c_i^2 + 2 c0 c1 c2``
-    of ``c_i = (d_i^2 - 1)/2`` is <= 1e-12: :func:`napsphere.algebra.chi_squared`
+    of ``c_i = (d_i^2 - 1)/2`` is <= 1e-12: :func:`napsphere.polynomials.chi_squared`
     as a polynomial (``test_gram_determinant_is_chi_squared``), though rounded
     differently.  The placed vertices must pass :func:`new_triangle`'s rules: a
     d_i below about 1.5e-8 is :class:`TooWideError`.  Before all that, another

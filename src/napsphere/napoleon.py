@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra
+from . import polynomials
 from .core import _NEXT, dot
 from .triangle import SQRT3, SphericalTriangle
 from .triangle import _checked, _near_boundary, _opposite_edges
@@ -155,10 +155,10 @@ def centroid_inner_closed_form(d, chi: float, s: SignVector, i: int) -> float:
     """Centroid inner product <R_{i+2}, R_i> from side parameters alone.
 
     *d* is any three numbers in (0, sqrt(3)).  ``chi`` must be the positive
-    square root of :func:`napsphere.algebra.chi_squared` of *d*, and ``s`` the
+    square root of :func:`napsphere.polynomials.chi_squared` of *d*, and ``s`` the
     signs in the same vertex order as ``d`` (the stored triangle order).  Valid
     for every sign vector, mixed signs included.
     """
     dv = _checked(d)
     dj = dv[(i + 1) % 3]
-    return (dj * dj + 1) / algebra.gamma(*dv) * algebra.centroid_bracket(dv, chi, s.as_tuple(), i)
+    return (dj * dj + 1) / polynomials.gamma(*dv) * polynomials.centroid_bracket(dv, chi, s.as_tuple(), i)

@@ -14,8 +14,8 @@ The coincident/antipodal (``DEGENERACY_TOL``), width and ill-conditioned band
 
 Each edge is encoded by a side parameter ``d_i = sqrt(1 + 2<p_{i+1}, p_{i+2}>)``
 in (0, sqrt(3)), a monotone function of the length of the edge opposite
-vertex ``i``.  :func:`napsphere.algebra.alpha` and
-:func:`napsphere.algebra.chi_squared` of the side parameters reproduce
+vertex ``i``.  :func:`napsphere.polynomials.alpha` and
+:func:`napsphere.polynomials.chi_squared` of the side parameters reproduce
 ``1 + <p0,p1> + <p1,p2> + <p2,p0>`` and the squared triple product of the
 vertices.  Side parameters are plain triples.  A validated triangle's ``d`` is
 in range by construction.  A triple given from outside is checked once where

@@ -16,7 +16,7 @@ A triangle with side parameters d = (d0, d1, d2) is
 :func:`classify_d` checks a triple from outside once; :func:`classify` reads a
 validated triangle's ``d`` and checks nothing again.  Both check the tolerance:
 NaN or a negative value is ``ValueError``; the default, ``CLASSIFY_TOL``, is
-defined in the NumPy-free :mod:`napsphere.algebra`, where the CLI reads it.
+defined in the import-free :mod:`napsphere.polynomials`, where the CLI reads it.
 
 The module is named for its verdict, not for :func:`classify`: importing a
 submodule binds it on the package, and a submodule named ``classify`` would
@@ -29,8 +29,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from . import algebra
-from .algebra import CLASSIFY_TOL
+from . import polynomials
+from .polynomials import CLASSIFY_TOL
 from .triangle import SideParameters, SphericalTriangle, _check_tol, _checked
 
 
@@ -77,7 +77,7 @@ def classify_d(d, tol: float = CLASSIFY_TOL) -> ClassificationReport:
 
     *d* is any three numbers (another count is ``ValueError``);
     :class:`OutOfRangeError` names the first outside (0, sqrt(3)).  The report's
-    diagnostics are the polynomials of :mod:`napsphere.algebra` at *d*;
+    diagnostics are the polynomials of :mod:`napsphere.polynomials` at *d*;
     ``condition_residual`` is ``condition - 2``.
     Triangle-derived side parameters always have a positive squared triple
     product; for raw unrealizable inputs the reported ``chi`` falls back to 0
@@ -89,10 +89,10 @@ def classify_d(d, tol: float = CLASSIFY_TOL) -> ClassificationReport:
 
 def _report(*dv: float, tol: float) -> ClassificationReport:
     """:func:`classify_d` of three in-range Python floats."""
-    chi2 = algebra.chi_squared(*dv)
-    cval = algebra.condition(*dv)
+    chi2 = polynomials.chi_squared(*dv)
+    cval = polynomials.condition(*dv)
     cres = cval - 2.0
-    eqf = algebra.equilateral_factor(*dv)
+    eqf = polynomials.equilateral_factor(*dv)
 
     verdict = Verdict.NOT_NAPOLEONIC
     predicted_rr = None
@@ -110,9 +110,9 @@ def _report(*dv: float, tol: float) -> ClassificationReport:
 
     return ClassificationReport(
         d=SideParameters(*dv),
-        alpha=algebra.alpha(*dv),
+        alpha=polynomials.alpha(*dv),
         chi=math.sqrt(chi2) if chi2 > 0.0 else 0.0,
-        gamma=algebra.gamma(*dv),
+        gamma=polynomials.gamma(*dv),
         condition_value=cval,
         condition_residual=cres,
         equilateral_factor=eqf,

@@ -28,6 +28,7 @@ MUTANTS = [
     ("algebra.py", "return self._merge(other, -1)", "return self._merge(other, 1)"),
     ("algebra.py", "if not math.isfinite(other):", "if math.isnan(other):"),
     ("algebra.py", "_CARRY = _EXP_LIMIT * (", "_CARRY = 2 * _EXP_LIMIT * ("),
+    ("algebra.py", "        return self.holds", "        return True"),
     ("__init__.py", '"ClassificationReport": "verdict",', '"ClassificationReport": "napoleon",'),
     ("cli.py", "NORMALISE_WARN = 1e-6", "NORMALISE_WARN = 1e-5"),
     ("cli.py", "args.tol >= 0.0", "args.tol > 0.0"),
@@ -36,7 +37,8 @@ MUTANTS = [
     ("core.py", "if _first(n < 1e-9) is not None:", "if _first(n < 1e-6) is not None:"),
     ("ellipsoid.py", "_MAX_REJECTIONS = 10**6", "_MAX_REJECTIONS = 10**5"),
     ("ellipsoid.py", "np.sqrt(dot(off, off)) >= DIAGONAL_MARGIN", "np.sqrt(dot(off, off)) > DIAGONAL_MARGIN"),
-    ("ellipsoid.py", "ok = _in_range(d).all(axis=1)", "ok = _in_range(d).any(axis=1)"),
+    ("ellipsoid.py", "(d >= D_FLOOR).all(axis=1)", "(d > 0.0).all(axis=1)"),
+    ("ellipsoid.py", "(d >= D_FLOOR).all(axis=1)", "(d >= D_FLOOR).any(axis=1)"),
     (
         "napoleon.py",
         "max(abs(rr01 - rr12), abs(rr12 - rr20), abs(rr20 - rr01))",

@@ -255,6 +255,14 @@ def test_verify_all_passes():
         assert check, f"{check.name} failed: {check.difference!r}"
 
 
+def test_identity_check_repr_and_truth():
+    # The record's repr is the one a frozen dataclass with these fields printed.
+    failed = algebra.IdentityCheck(name="x", holds=False, difference=D0 - 1)
+    assert repr(failed) == "IdentityCheck(name='x', holds=False, difference=1 d0 + -1)"
+    assert not failed and failed.difference == D0 - 1
+    assert algebra.IdentityCheck(name="y", holds=True, difference=ONE - ONE)
+
+
 def test_polynomial_repr_is_readable():
     text = repr(condition(D0, D1, D2) - 2)
     assert "d0" in text and "d1" in text and "d2" in text

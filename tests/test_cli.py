@@ -419,6 +419,39 @@ def test_verify_identities_runs_without_numpy():
     assert proc.stdout == (Path(__file__).resolve().parent / "golden" / "verify-identities.out").read_bytes()
 
 
+def _modules_loaded(argv, stdin=b""):
+    """The modules a ``python -m napsphere.cli ARGV`` child loads beyond a bare ``python -c pass``."""
+    listing = "import sys\nprint(*sorted(sys.modules), file=sys.stderr)\n"
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = ['napsphere', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('napsphere.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n" + listing
+    )
+    bare = subprocess.run(
+        [sys.executable, "-c", listing], capture_output=True, env=_child_env(), timeout=120, check=True
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=stdin, capture_output=True, env=_child_env(), timeout=120, check=True
+    )
+    return set(proc.stderr.decode().split()) - set(bare.stderr.decode().split())
+
+
+def test_verify_identities_loads_no_numpy_dataclasses_or_json():
+    assert not _modules_loaded(["verify-identities"]) & {"numpy", "dataclasses", "inspect", "json"}
+
+
+@pytest.mark.parametrize(
+    "argv", [["classify", "-"], ["napoleonise", "-"], ["search", "-"], ["sample", "--count", "3", "--realize"]]
+)
+def test_numpy_subcommands_load_no_exact_ring(argv):
+    loaded = _modules_loaded(argv, b'{"d": [0.9, 1.0, 1.1]}')
+    assert "numpy" in loaded  # the child ran its subcommand
+    assert not loaded & {"napsphere.algebra", "fractions"}
+
+
 @pytest.mark.parametrize(
     "argv, stdin",
     [

@@ -21,7 +21,7 @@ from napsphere import (
 from napsphere import algebra
 from napsphere import ellipsoid
 from napsphere.core import cross, dot
-from napsphere.ellipsoid import DIAGONAL_MARGIN, ROTATION, sample_napoleonic_d_with_attempts
+from napsphere.ellipsoid import D_FLOOR, DIAGONAL_MARGIN, ROTATION, sample_napoleonic_d_with_attempts
 from napsphere.errors import OutOfRangeError, SeedExhaustedError, TooWideError
 from napsphere.triangle import SideParameters
 
@@ -99,7 +99,7 @@ class TestSampler:
         # a sample has equilateral_factor = 6 sin^2(theta), so a share sqrt(m/6) / (pi P) of the
         # samples has equilateral_factor < m.  Each count is binomial; the bound is 4 standard
         # deviations.
-        P = 0.1322707
+        P = 0.1322705
         samples = []
         for seed in (1, 2, 3):
             d, attempts = ellipsoid._sampled(100_000, seed)
@@ -110,6 +110,28 @@ class TestSampler:
         for m in (1e-3, 1e-2):
             share = math.sqrt(m / 6.0) / (math.pi * P)
             assert abs(np.count_nonzero(eqf < m) - n * share) <= 4.0 * math.sqrt(n * share * (1.0 - share))
+
+    def test_side_parameters_reach_the_floor(self):
+        # Row 43 of this batch was d0 = 1.87e-8 without the floor: its realized
+        # triangle came back with d0 = 1.05e-8 and classified NotNapoleonic.
+        d, _ = ellipsoid._sampled(100, 305001684)
+        assert d.min() >= 1e-6
+
+    @boundary_ok
+    def test_points_at_the_floor_classify_outward_napoleonic(self):
+        # Quadric points with d0 = D_FLOOR and d1, d2 >= D_FLOOR, through the
+        # checks of the quadric-population benchmark workload.
+        rng = np.random.default_rng(306)
+        c = D_FLOOR
+        top = math.sqrt(2.0 - 2.0 * c * c) - c  # d1 where d2 = D_FLOOR
+        for d1 in rng.uniform(c, top, 400):
+            b = d1 + c
+            d2 = (-b + math.sqrt(b * b - 4.0 * (d1 * d1 + c * d1 + c * c - 2.0))) / 2.0
+            t = realize((c, d1, d2))
+            res = napoleonise(t, OUTWARD)
+            assert res.equilateral_residual < 1e-9
+            assert all(abs(rr + 1.0 / 3.0) <= 1e-9 for rr in res.centroid_inners)
+            assert classify(t).verdict is Verdict.OUTWARD_NAPOLEONIC
 
 
 def _reference_sampler(count, seed):
@@ -122,7 +144,7 @@ def _reference_sampler(count, seed):
         phi = rng.uniform(0.0, 2.0 * math.pi)
         p = [math.cos(theta), 2.0 * math.sin(theta) * math.cos(phi), 2.0 * math.sin(theta) * math.sin(phi)]
         d = ROTATION.T @ np.array(p)
-        if np.all(d > 0.0) and np.all(d < math.sqrt(3.0)) and np.linalg.norm(d - float(d.mean())) >= DIAGONAL_MARGIN:
+        if np.all(d >= D_FLOOR) and np.all(d < math.sqrt(3.0)) and np.linalg.norm(d - float(d.mean())) >= DIAGONAL_MARGIN:
             sp = SideParameters(*map(float, d))
             # The sampler has no chi^2 test: it cannot fail on an admissible draw, which this one checks.
             if algebra.chi_squared(*sp.as_tuple()) > 1e-12:

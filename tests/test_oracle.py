@@ -164,3 +164,31 @@ class TestRotationChain:
                 assert classify(t).verdict is Verdict.NOT_NAPOLEONIC
                 assert not {"---", "+++"} & set(hits)
         assert min(kinds.values()) > 100
+
+    @pytest.mark.filterwarnings("ignore::napsphere.errors.BoundaryConditioningWarning")
+    def test_equal_sign_chain_centroids_are_the_face_rows(self):
+        # The chain fixes the outward centroids: up to order and a common sign they are
+        # CHAIN_AXES / sqrt(3), here within 1e-13 of those rows, edges within the boundary
+        # band included (their vertices are exact floats too).  napoleonise reads its
+        # signs in the caller's vertex order and negates them when new_triangle swaps two
+        # vertices, so the outward construction of a swapped triangle is the caller's INWARD
+        # (the equal-sigma chains with sigma = +1 are the swapped ones).
+        m0, _, m2 = (_chain_rotation(axis, +1) for axis in CHAIN_AXES)
+        faces = CHAIN_AXES / math.sqrt(3.0)
+        rng = np.random.default_rng(64)
+        checked = 0
+        for p0 in rng.normal(size=(2000, 3)):
+            p0 /= np.linalg.norm(p0)
+            p = (p0, m2 @ p0, m0 @ m2 @ p0)
+            if len({np.sign(CHAIN_AXES[i] @ p[(i + 1) % 3]) for i in range(3)}) != 1:
+                continue
+            t = new_triangle(*p)
+            centroids = napoleonise(t, INWARD if t.orientation_swapped else OUTWARD).centroids
+            error = min(
+                np.abs(centroids - sign * faces[list(order)]).max()
+                for order in itertools.permutations(range(3))
+                for sign in (1.0, -1.0)
+            )
+            assert error <= 1e-13
+            checked += 1
+        assert checked > 100

@@ -91,7 +91,7 @@ ALGEBRA_NAMES = [
 
 # The modules whose public names napsphere.__all__ re-exports; the package's
 # table of names is their only declaration.
-FLATTENED_MODULES = ["core", "ellipsoid", "errors", "napoleon", "oracle", "triangle", "verdict"]
+FLATTENED_MODULES = ["core", "ellipsoid", "errors", "napoleon", "oracle", "polynomials", "triangle", "verdict"]
 
 # Names the package no longer exports: tests-only helpers, single-caller
 # wrappers, a re-export, a per-row record replaced by stacked arrays, and the
