@@ -194,11 +194,11 @@ def cmd_classify(args, t: SphericalTriangle) -> int:
 
 
 def cmd_sample(args) -> int:
-    from .ellipsoid import _realized, _sampled, d_to_xyz, quadric_value
+    from .ellipsoid import _realized, d_to_xyz, quadric_value, sample_napoleonic_d_with_attempts
 
     if args.count < 1 or args.seed < 0:
         raise _BadInput("--count must be >= 1 and --seed >= 0")
-    d, attempts = _sampled(args.count, args.seed)
+    d, attempts = sample_napoleonic_d_with_attempts(args.count, args.seed)
     xyz = d_to_xyz(d)
     columns = {"d": d.tolist(), "xyz": xyz.tolist(), "condition_value": quadric_value(xyz).tolist()}
     if args.realize:

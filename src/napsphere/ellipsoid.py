@@ -11,11 +11,12 @@ revolution 2 X^2 + Y^2/2 + Z^2/2 = 2 with semi-axes (1, 2, 2);
 ``algebra.verify_rotation_quadratic`` proves the two sides equal as
 polynomials in d.  :func:`d_to_xyz` rotates side parameters stacked on the
 last axis to plain (..., 3) arrays and :func:`quadric_value` evaluates the
-left side per row; the samplers draw admissible side parameters from this
-surface, and :func:`realize` places any realizable side parameters as a
-canonical triangle on the unit sphere (``_realized`` places a stack).  Side
-parameters are plain triples, (count, 3) arrays for the sampler core; only
-the row wrappers kept for existing callers build :class:`SideParameters`.
+left side per row; :func:`sample_napoleonic_d_with_attempts` draws
+admissible side parameters from this surface as one (count, 3) array, and
+:func:`realize` places any realizable side parameters as a canonical triangle
+on the unit sphere (``_realized`` places a stack).  Side parameters are plain
+triples; only the sampler's row view :func:`sample_napoleonic_d` builds
+:class:`SideParameters`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .core import _first, dot
 from .errors import SeedExhaustedError, UnrealizableError
-from .triangle import SideParameters, SphericalTriangle, _checked, _in_range, _validate
+from .triangle import SideParameters, SphericalTriangle, _checked, _validate
 
 # Orthogonal rotation taking (d0, d1, d2) to (X, Y, Z); rows are orthonormal,
 # so the inverse is the transpose.
@@ -63,20 +64,6 @@ def quadric_value(xyz):
     return 2.0 * x * x + y * y / 2.0 + z * z / 2.0
 
 
-def sample_napoleonic_d(count: int, seed: int) -> list[SideParameters]:
-    """Sample admissible non-equilateral points of the Napoleonic quadric.
-
-    The ellipsoid is parametrized by two angles drawn uniformly; each point
-    is rotated back to side parameters and rejected unless all d_i lie in
-    [``D_FLOOR``, sqrt(3)) and the point is at least ``DIAGONAL_MARGIN`` from
-    the equilateral diagonal; every such point is realizable and classifies
-    as OutwardNapoleonic once realized (see ``_quadric_block``).
-    Deterministic per seed.
-    """
-    samples, _ = sample_napoleonic_d_with_attempts(count, seed)
-    return samples
-
-
 def _quadric_block(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Side parameters of draws *u* (shape (k, 2)) and the acceptance mask.
 
@@ -89,7 +76,8 @@ def _quadric_block(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``s^2 = 2 + q``, and ``sum d_i^2 >= q`` gives ``q <= 1``.  If every d_i > 0,
     then q > 0 and s > sqrt(2), and ``q^2 >= 3 d0 d1 d2 s`` gives
     ``d0 d1 d2 <= q^2 / (3 s) < q / (s + sqrt(2)) = s - sqrt(2)``.  So
-    ``smp > sqrt(2)``.
+    ``smp > sqrt(2)``.  Nor does it need a range test: with every d_i > 0 the
+    quadric gives ``d_i^2 < 2``, so each d_i lies in (0, sqrt(2)).
 
     Each d_i must also reach ``D_FLOOR``: a smaller one is not carried by the
     realized triangle to within ``CLASSIFY_TOL`` of the quadric.  Float
@@ -109,15 +97,32 @@ def _quadric_block(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p = np.stack((np.cos(theta), 2.0 * sin_theta * np.cos(phi), 2.0 * sin_theta * np.sin(phi)), axis=-1)
     d = (ROTATION.T @ p[..., None])[..., 0]
     off = d - d.mean(axis=1, keepdims=True)
-    ok = _in_range(d).all(axis=1) & (d >= D_FLOOR).all(axis=1) & (np.sqrt(dot(off, off)) >= DIAGONAL_MARGIN)
+    ok = (d >= D_FLOOR).all(axis=1) & (np.sqrt(dot(off, off)) >= DIAGONAL_MARGIN)
     return d, ok
 
 
-def _sampled(count: int, seed: int) -> tuple[np.ndarray, int]:
-    """:func:`sample_napoleonic_d`'s samples as one (count, 3) array, and the number of draws.
+def sample_napoleonic_d_with_attempts(count: int, seed: int) -> tuple[np.ndarray, int]:
+    """Sample admissible non-equilateral points of the Napoleonic quadric.
 
-    Draws are mapped in blocks and accepted in stream order, so samples and
-    attempts do not depend on the block size.
+    Returns the samples as one (count, 3) float64 array and the number of
+    draws.  The ellipsoid is parametrized by two angles drawn uniformly; each
+    point is rotated back to side parameters and rejected unless every d_i
+    reaches ``D_FLOOR`` and the point is at least ``DIAGONAL_MARGIN`` from the
+    equilateral diagonal; every such point is realizable and classifies as
+    OutwardNapoleonic once realized (see ``_quadric_block``).  Deterministic
+    per seed: draws are mapped in blocks and accepted in stream order, so
+    samples and attempts do not depend on the block size.
+
+    A draw is accepted with probability ``P = 0.1322705``.  Its side
+    parameters are ``d_i = cos(theta)/sqrt(3) + 2 sqrt(2/3) sin(theta) cos(phi - phi_i)``
+    with phi_i in {pi, -pi/3, pi/3}, so for fixed theta the admissible phi form
+    one arc, and ``P0 = (t1 + int_t1^t2 (1 - (3/pi) arccos(cot(theta)/(2 sqrt(2)))) dtheta) / pi
+    = 0.1322707`` with ``t1 = arctan(1/(2 sqrt(2)))`` and ``t2 = arctan(1/sqrt(2))``
+    is the share with every d_i in (0, sqrt(3)); ``D_FLOOR`` takes 2.2e-7 off it.  The
+    samples are not area-uniform on the quadric but dense near the equilateral
+    point: a draw has ``equilateral_factor = 6 sin^2(theta)``, so a share of about
+    ``sqrt(m/6) / (pi P)`` of the samples has ``equilateral_factor < m``
+    (3.2% below 1e-3).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -141,22 +146,14 @@ def _sampled(count: int, seed: int) -> tuple[np.ndarray, int]:
     return np.concatenate(blocks), attempts
 
 
-def sample_napoleonic_d_with_attempts(count: int, seed: int) -> tuple[list[SideParameters], int]:
-    """Like :func:`sample_napoleonic_d`, also returning the number of draws.
+def sample_napoleonic_d(count: int, seed: int) -> list[SideParameters]:
+    """The samples of :func:`sample_napoleonic_d_with_attempts` as :class:`SideParameters` rows.
 
-    A draw is accepted with probability ``P = 0.1322705``.  Its side
-    parameters are ``d_i = cos(theta)/sqrt(3) + 2 sqrt(2/3) sin(theta) cos(phi - phi_i)``
-    with phi_i in {pi, -pi/3, pi/3}, so for fixed theta the admissible phi form
-    one arc, and ``P0 = (t1 + int_t1^t2 (1 - (3/pi) arccos(cot(theta)/(2 sqrt(2)))) dtheta) / pi
-    = 0.1322707`` with ``t1 = arctan(1/(2 sqrt(2)))`` and ``t2 = arctan(1/sqrt(2))``
-    is the share with every d_i in (0, sqrt(3)); ``D_FLOOR`` takes 2.2e-7 off it.  The
-    samples are not area-uniform on the quadric but dense near the equilateral
-    point: a draw has ``equilateral_factor = 6 sin^2(theta)``, so a share of about
-    ``sqrt(m/6) / (pi P)`` of the samples has ``equilateral_factor < m``
-    (3.2% below 1e-3).
+    Kept for the benchmark's ``cold-cli`` workload (``perfbench/workloads.py``),
+    which reads these rows through ``as_tuple()``, until it moves to the array
+    (ROADMAP item 1).
     """
-    d, attempts = _sampled(count, seed)
-    return [SideParameters(*row) for row in d.tolist()], attempts
+    return [SideParameters(*row) for row in sample_napoleonic_d_with_attempts(count, seed)[0].tolist()]
 
 
 def _realized(d0, d1, d2):

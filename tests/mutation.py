@@ -39,6 +39,8 @@ MUTANTS = [
     ("ellipsoid.py", "np.sqrt(dot(off, off)) >= DIAGONAL_MARGIN", "np.sqrt(dot(off, off)) > DIAGONAL_MARGIN"),
     ("ellipsoid.py", "(d >= D_FLOOR).all(axis=1)", "(d > 0.0).all(axis=1)"),
     ("ellipsoid.py", "(d >= D_FLOOR).all(axis=1)", "(d >= D_FLOOR).any(axis=1)"),
+    ("ellipsoid.py", "return np.concatenate(blocks), attempts", "return np.concatenate(blocks), attempts + 1"),
+    ("ellipsoid.py", "(count, seed)[0].tolist()]", "(count, seed)[0].tolist()[::-1]]"),
     (
         "napoleon.py",
         "max(abs(rr01 - rr12), abs(rr12 - rr20), abs(rr20 - rr01))",

@@ -102,7 +102,7 @@ class TestSampler:
         P = 0.1322705
         samples = []
         for seed in (1, 2, 3):
-            d, attempts = ellipsoid._sampled(100_000, seed)
+            d, attempts = sample_napoleonic_d_with_attempts(100_000, seed)
             assert abs(len(d) - attempts * P) <= 4.0 * math.sqrt(attempts * P * (1.0 - P))
             samples.append(d)
         eqf = algebra.equilateral_factor(*np.concatenate(samples).T)
@@ -114,7 +114,7 @@ class TestSampler:
     def test_side_parameters_reach_the_floor(self):
         # Row 43 of this batch was d0 = 1.87e-8 without the floor: its realized
         # triangle came back with d0 = 1.05e-8 and classified NotNapoleonic.
-        d, _ = ellipsoid._sampled(100, 305001684)
+        d, _ = sample_napoleonic_d_with_attempts(100, 305001684)
         assert d.min() >= 1e-6
 
     @boundary_ok
@@ -164,7 +164,7 @@ class TestSamplerStream:
         for seed in range(50):
             expected, attempts, _ = _reference_sampler(count, seed)
             samples, got_attempts = sample_napoleonic_d_with_attempts(count, seed)
-            assert [d.as_tuple() for d in samples] == expected
+            assert samples.tolist() == [list(d) for d in expected]
             assert got_attempts == attempts
 
     @pytest.mark.parametrize("f, accepted", [(0.9, False), (1.1, True)])
@@ -200,7 +200,7 @@ class TestSamplerStream:
         expected, attempts, longest = _reference_sampler(300, seed=5)
         monkeypatch.setattr(ellipsoid, "_MAX_REJECTIONS", longest + 1)
         samples, got_attempts = sample_napoleonic_d_with_attempts(300, 5)
-        assert [d.as_tuple() for d in samples] == expected
+        assert samples.tolist() == [list(d) for d in expected]
         assert got_attempts == attempts
         monkeypatch.setattr(ellipsoid, "_MAX_REJECTIONS", longest)
         with pytest.raises(SeedExhaustedError):
@@ -227,7 +227,7 @@ class TestSamplerStuckGuard:
         monkeypatch.setattr(ellipsoid, "_quadric_block", _stalled_block(999_999))
         samples, attempts = sample_napoleonic_d_with_attempts(3, seed=0)
         assert attempts == 1_000_002
-        assert [d.as_tuple() for d in samples] == [NAPOLEONIC_D] * 3
+        assert samples.tolist() == [list(NAPOLEONIC_D)] * 3
 
     def test_limit_raises(self, monkeypatch):
         monkeypatch.setattr(ellipsoid, "_quadric_block", _stalled_block(1_000_000))

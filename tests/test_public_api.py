@@ -212,8 +212,10 @@ def test_public_names_resolve_after_the_cli_ran():
     assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
 
 
-# SideParameters, side_parameters and the two row samplers stay public because
-# the benchmark under perfbench/ uses them as below.
+# SideParameters, side_parameters and the sampler's row view sample_napoleonic_d
+# stay public because the benchmark under perfbench/ uses them: cold-cli reads
+# sample_napoleonic_d's rows through as_tuple(), and quadric-population passes
+# each row of sample_napoleonic_d_with_attempts's array to realize.
 
 BENCHMARK_WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -231,12 +233,18 @@ def test_every_name_the_benchmark_imports_exists():
 
 
 def test_sampler_rows_are_side_parameters():
-    rows, attempts = sample_napoleonic_d_with_attempts(50, 3)
-    assert rows == sample_napoleonic_d(50, 3) and attempts >= 50
+    rows = sample_napoleonic_d(50, 3)
     for row in rows:
         assert type(row) is SideParameters
         assert type(row.as_tuple()) is tuple and row.as_tuple() == (row.d0, row.d1, row.d2)
         assert all(type(x) is float for x in row)
+    samples, attempts = sample_napoleonic_d_with_attempts(50, 3)
+    assert samples.shape == (50, 3) and samples.dtype == np.float64 and attempts >= 50
+    assert samples.tolist() == [list(row) for row in rows]
+    for d, row in zip(samples, rows):
+        t, u = realize(d), realize(row)
+        assert t.vertices.tobytes() == u.vertices.tobytes()
+        assert t.d.tobytes() == u.d.tobytes() and t.chi == u.chi
 
 
 def test_entry_points_give_the_same_bits_for_every_kind_of_triple():

@@ -427,7 +427,7 @@ def test_range_rule_names_the_first_failing_entry():
         realize((2.0, math.nan, 0.0))
 
 
-def test_range_rule_over_columns_is_the_sampler_mask():
+def test_range_rule_over_columns_matches_the_scalar_rule():
     d = np.array([[0.5, 1.0, 1.5], [0.5, SQRT3, 1.5], [0.5, 1.0, math.nan], [-0.0, 1.0, 1.0]])
     assert _in_range(d).all(axis=1).tolist() == [True, False, False, False]
     assert [_in_range(x) for x in d[0].tolist()] == [True, True, True]
