@@ -58,7 +58,15 @@ def dot(a, b):
     b = np.asarray(b, dtype=float)
     if a.ndim == b.ndim == 1:
         return float(a.dot(b))
-    return (a[..., None, :] @ b[..., None])[..., 0, 0]
+    return np.vecdot(a, b)
+
+
+def _record(cls, *values):
+    """A frozen dataclass *cls* with *values* for its fields in declaration order, built like
+    ``algebra._wrap`` without the generated ``__init__``; for values the package computed itself."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
 def cross(a, b) -> np.ndarray:

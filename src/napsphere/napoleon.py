@@ -9,15 +9,23 @@ and the spherical centroid of the equilateral triangle (a, b, Q) is
 
     R = [sqrt(1 + 2c) (a + b) + eps (a x b)] / (sqrt(3) (1 + c)).
 
-With the triangle's orientation normalised so its triple product is
-positive, eps = +1 points the apex towards the triangle's interior and
+The apex lies on the side of the great circle through a and b to which
+eps (a x b) points.  On the stored triangle, whose triple product is
+positive, eps = +1 therefore points the apex towards the interior and
 eps = -1 away from it.
 
-Sign vectors passed to :func:`napoleonise` refer to the vertex order the
-caller supplied to ``new_triangle``.  When the constructor swapped two
-vertices to normalise orientation, the signs are remapped internally
-(negate all three and exchange the entries opposite the swapped vertices)
-so the construction is anchored to the caller's labelling.
+Sign vectors passed to :func:`napoleonise` are read in the vertex order the
+caller supplied to ``new_triangle``: sign i picks the side of
+``P_{i+1} x P_{i+2}`` of the input vertices.  When the constructor swapped
+two vertices, the signs are remapped internally (negate all three and
+exchange the entries opposite the swapped vertices), which keeps that rule.
+So the apex opposite input vertex i lies on the interior side exactly when
+e_i times the sign of the input's triple product is +1: ``OUTWARD`` builds
+every apex away from the interior only for positively oriented input, and
+the inward construction for negatively oriented input.  After a swap that
+apex is row ``[0, 2, 1][i]`` of the result.  ``classify`` and
+``search_equilateral`` read the stored triangle, so their "outward" and
+their signs are geometric.
 
 Both formulas read only the edge's frame: the sum a + b, the normal a x b,
 c and sqrt(1 + 2c).  :func:`napoleonise` takes the normals, inner products
@@ -31,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polynomials
-from .core import _NEXT, dot
+from .core import _NEXT, _record, dot
 from .triangle import SQRT3, SphericalTriangle
 from .triangle import _checked, _near_boundary, _opposite_edges
 
@@ -60,7 +68,7 @@ class SignVector:
         """
         if not swapped:
             return self
-        return SignVector(-self.e0, -self.e2, -self.e1)
+        return _record(SignVector, -self.e0, -self.e2, -self.e1)
 
     @classmethod
     def parse(cls, text: str) -> "SignVector":
@@ -119,8 +127,9 @@ def _construct(s, w, c, h, eps):
     each; every edge of a stack comes out bit for bit as alone."""
     c, h = np.asarray(c)[..., None], np.asarray(h)[..., None]
     e = np.asarray(eps, dtype=float)[..., None]
-    q = (c * s + e * h * w) / (1.0 + c)
-    r = (h * s + e * w) / (SQRT3 * (1.0 + c))
+    c1 = 1.0 + c
+    q = (c * s + e * h * w) / c1
+    r = (h * s + e * w) / (SQRT3 * c1)
     return q, r
 
 
@@ -142,13 +151,7 @@ def napoleonise(t: SphericalTriangle, s: SignVector) -> NapoleonisationResult:
     q.flags.writeable = r.flags.writeable = False
     rr01, rr12, rr20 = dot(r, r.take(_NEXT, 0)).tolist()
     residual = max(abs(rr01 - rr12), abs(rr12 - rr20), abs(rr20 - rr01))
-    return NapoleonisationResult(
-        apexes=q, centroids=r,
-        rr01=rr01, rr12=rr12, rr20=rr20,
-        equilateral_residual=residual,
-        signs=s,
-        near_boundary=near,
-    )
+    return _record(NapoleonisationResult, q, r, rr01, rr12, rr20, residual, s, near)
 
 
 def centroid_inner_closed_form(d, chi: float, s: SignVector, i: int) -> float:

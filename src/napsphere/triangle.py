@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _NEXT, _PREV, _first, cross, dot, unit_vector
+from .core import _NEXT, _PREV, _first, _record, cross, dot, unit_vector
 from .errors import BoundaryConditioningWarning, CogeodesicError, DegenerateError, OutOfRangeError, TooWideError
 
 # Tolerance for distinctness / antipodality / cogeodesy checks, matching the
@@ -118,7 +118,7 @@ def _in_range(d):
 def _checked(d) -> tuple[float, float, float]:
     """Side parameters *d* from outside the package, as three Python floats; raises ``ValueError`` for
     another count and :class:`OutOfRangeError` for the first entry failing :func:`_in_range`."""
-    dv = tuple(map(float, d))
+    dv = tuple(map(float, d.tolist() if isinstance(d, np.ndarray) else d))  # one call for an array row
     if len(dv) != 3:
         raise ValueError(f"expected three side parameters, got {len(dv)}")
     if not (_in_range(dv[0]) and _in_range(dv[1]) and _in_range(dv[2])):
@@ -224,7 +224,7 @@ def new_triangle(p0, p1, p2) -> SphericalTriangle:
     if v.ndim != 2:
         unit_vector(v)  # a malformed or non-unit point is reported before the shape
         raise ValueError(f"expected three 3-component points, got shape {v.shape}")
-    return SphericalTriangle(*_validate(v))
+    return _record(SphericalTriangle, *_validate(v))
 
 
 def side_parameters(t: SphericalTriangle) -> SideParameters:

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 from . import polynomials
+from .core import _record
 from .polynomials import CLASSIFY_TOL
 from .triangle import SideParameters, SphericalTriangle, _check_tol, _checked
 
@@ -108,18 +109,10 @@ def _report(*dv: float, tol: float) -> ClassificationReport:
         predicted_rr = -1.0 / 3.0
         epsilon_sign = -1
 
-    return ClassificationReport(
-        d=SideParameters(*dv),
-        alpha=polynomials.alpha(*dv),
-        chi=math.sqrt(chi2) if chi2 > 0.0 else 0.0,
-        gamma=polynomials.gamma(*dv),
-        condition_value=cval,
-        condition_residual=cres,
-        equilateral_factor=eqf,
-        verdict=verdict,
-        predicted_rr=predicted_rr,
-        epsilon_sign=epsilon_sign,
-        note=note,
+    return _record(
+        ClassificationReport, SideParameters(*dv), polynomials.alpha(*dv),
+        math.sqrt(chi2) if chi2 > 0.0 else 0.0, polynomials.gamma(*dv),
+        cval, cres, eqf, verdict, predicted_rr, epsilon_sign, note,
     )
 
 

@@ -5,9 +5,10 @@ Run as ``python tests/mutation.py`` from any directory (about 6 minutes on a
 ``src/napsphere/``, applied in its own temporary copy of ``src/``,
 ``tests/`` and ``perfbench/``; the copy's suite then runs with ``pytest -x``,
 leaving out acceptance criteria 4 and 5, which fail as stated.  A mutant is
-*killed* when some test fails and *survives* when every test passes.  The unmutated copy
-runs first and must pass, and a mutant whose source text is not found exactly
-once stops the script, so a stale list cannot pass as a score.  The copies run
+*killed* when some test fails or a test module no longer imports, and
+*survives* when every test passes.  The unmutated copy runs first and must
+pass, and a mutant whose source text is not found exactly once stops the
+script, so a stale list cannot pass as a score.  The copies run
 one after another.  Prints one line per mutant and the score; exits 1 if any
 mutant survives.  Standard library only; pytest does not collect this file.
 """
@@ -35,6 +36,14 @@ MUTANTS = [
     ("cli.py", "if n < 1e-12:", "if n < 1e-10:"),
     ("core.py", "UNIT_NORM_TOL = 1e-9", "UNIT_NORM_TOL = 1e-8"),
     ("core.py", "if _first(n < 1e-9) is not None:", "if _first(n < 1e-6) is not None:"),
+    ("core.py", "n = np.sqrt(dot(s, s))", "n = dot(s, s)"),
+    ("core.py", "return np.vecdot(a, b)", "return np.vecdot(a, a)"),
+    ("core.py", "zip(cls.__dataclass_fields__, values)", "zip(cls.__dataclass_fields__, values[::-1])"),
+    (
+        "core.py",
+        "a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)",
+        "a.take(_PREV, -1) * b.take(_NEXT, -1) - a.take(_NEXT, -1) * b.take(_PREV, -1)",
+    ),
     ("ellipsoid.py", "_MAX_REJECTIONS = 10**6", "_MAX_REJECTIONS = 10**5"),
     ("ellipsoid.py", "np.sqrt(dot(off, off)) >= DIAGONAL_MARGIN", "np.sqrt(dot(off, off)) > DIAGONAL_MARGIN"),
     ("ellipsoid.py", "(d >= D_FLOOR).all(axis=1)", "(d > 0.0).all(axis=1)"),
@@ -47,6 +56,7 @@ MUTANTS = [
         "max(abs(rr01 - rr12), abs(rr12 - rr20))",
     ),
     ("napoleon.py", "t.edge_inners, t.d, eff", "t.edge_inners, t.edge_inners, eff"),
+    ("napoleon.py", "-self.e2, -self.e1", "-self.e1, -self.e2"),
     ("triangle.py", "_first(c <= -0.5 + BOUNDARY_BAND)", "_first(c < -0.5 + BOUNDARY_BAND)"),
     ("triangle.py", "_first(abs(t) <= DEGENERACY_TOL)", "_first(abs(t) < DEGENERACY_TOL)"),
     ("triangle.py", "w, c = cross(a, b), dot(a, b)", "c = dot(a, b)"),
@@ -55,6 +65,7 @@ MUTANTS = [
     ("triangle.py", "return (d > 0.0) & (d < SQRT3)", "return (d >= 0.0) & (d < SQRT3)"),
     ("triangle.py", "return (d > 0.0) & (d < SQRT3)", "return (d > 0.0) & (d < SQRT3) | (d != d)"),
     ("triangle.py", "_in_range(dv[1]) and _in_range(dv[2])", "_in_range(dv[1])"),
+    ("triangle.py", "d.tolist() if isinstance", "d.tolist()[::-1] if isinstance"),
     ("triangle.py", "if len(dv) != 3:", "if len(dv) < 3:"),
     ("triangle.py", "if not tol >= 0.0:", "if tol < 0.0:"),
     ("triangle.py", "if not tol >= 0.0:", "if not tol > 0.0:"),
@@ -92,7 +103,9 @@ def run_suite(mutant=None) -> bool:
             capture_output=True,
             text=True,
         )
-    if proc.returncode not in (0, 1):  # 1: some test failed; anything else: the run itself broke
+    # 1: some test failed; 2: a test module failed to import, which after the unmutated copy has
+    # passed only the mutant can cause; anything else: the run itself broke
+    if proc.returncode not in (0, 1, 2):
         sys.exit(f"pytest exited {proc.returncode}:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
     return proc.returncode == 0
 

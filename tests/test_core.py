@@ -1,5 +1,6 @@
-"""Vector and unit-sphere primitives."""
+"""Vector and unit-sphere primitives, and the package's trusted record constructor."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,13 +8,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from napsphere import (
+    OUTWARD,
+    ClassificationReport,
+    NapoleonisationResult,
+    SphericalTriangle,
     ZeroSumError,
     barycentre,
+    classify,
     cross,
     dot,
+    napoleonise,
+    new_triangle,
     spherical_distance,
     unit_vector,
 )
+from napsphere.core import _record
 
 from conftest import (
     NAPOLEONIC_BARYCENTRE,
@@ -21,6 +30,7 @@ from conftest import (
     NAPOLEONIC_D,
     NAPOLEONIC_NAPOLEON_BARYCENTRE,
     NAPOLEONIC_VERTICES,
+    SCALENE_VERTICES,
 )
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -44,6 +54,12 @@ raw_vectors = st.tuples(finite_components, finite_components, finite_components)
 )
 
 
+def _pairwise_dots(a, b) -> bytes:
+    """The bytes of ``float(a_i @ b_i)`` for each stacked pair of 3-vectors, one pair at a time."""
+    pairs = zip(a.reshape(-1, 3), b.reshape(-1, 3))
+    return np.array([float(x @ y) for x, y in pairs]).tobytes()
+
+
 class TestDot:
     def test_orthogonal_axes(self):
         assert dot(EX, EY) == 0.0
@@ -56,6 +72,22 @@ class TestDot:
         rng = np.random.default_rng(1)
         for v in _unit_vectors(rng, 50):
             assert abs(dot(v, v) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("shape", [(10_000, 3), (1_000, 3, 3)])
+    def test_stacked_entries_round_like_each_pair(self, shape):
+        # The docstring's promise: each entry of a stack has the bits of ``a @ b`` of its pair.
+        rng = np.random.default_rng(26)
+        a, b = rng.normal(size=shape), rng.normal(size=shape)
+        got = dot(a, b)
+        assert got.shape == shape[:-1]
+        assert got.tobytes() == _pairwise_dots(a, b)
+
+
+@given(st.lists(st.tuples(raw_vectors, raw_vectors), min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_stacked_dot_rounds_like_each_pair(pairs):
+    a, b = np.array(pairs).transpose(1, 0, 2)
+    assert dot(a, b).tobytes() == _pairwise_dots(a, b)
 
 
 class TestCross:
@@ -203,3 +235,49 @@ def test_triple_symmetries(u, v, w):
     scale = max(1.0, abs(t))
     assert triple(b, c, a) == pytest.approx(t, abs=1e-12 * scale)
     assert triple(a, c, b) == pytest.approx(-t, abs=1e-12 * scale)
+
+
+# The package's positional value order for each record, as its constructors pass it to ``_record``.
+RECORD_FIELDS = {
+    SphericalTriangle: ("vertices", "edge_inners", "edge_normals", "d", "chi", "orientation_swapped"),
+    NapoleonisationResult: (
+        "apexes", "centroids", "rr01", "rr12", "rr20", "equilateral_residual", "signs", "near_boundary",
+    ),
+    ClassificationReport: (
+        "d", "alpha", "chi", "gamma", "condition_value", "condition_residual", "equilateral_factor",
+        "verdict", "predicted_rr", "epsilon_sign", "note",
+    ),
+}
+
+
+def _sample_record(cls):
+    """A record of *cls* as the package builds it, every field distinct from the others."""
+    t = new_triangle(*SCALENE_VERTICES)  # swapped, so orientation_swapped is True
+    if cls is SphericalTriangle:
+        return t
+    if cls is NapoleonisationResult:
+        return napoleonise(t, OUTWARD)
+    return classify(new_triangle(*NAPOLEONIC_VERTICES))  # OutwardNapoleonic: predicted_rr and epsilon_sign set
+
+
+def _field_bytes(value):
+    """A field as comparable data: an array's dtype, shape, writeability and bytes, else its type and repr."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.flags.writeable, value.tobytes()
+    return type(value), repr(value)
+
+
+@pytest.mark.parametrize("cls", list(RECORD_FIELDS), ids=lambda cls: cls.__name__)
+def test_trusted_record_matches_the_dataclass_init(cls):
+    # ``_record`` fills fields in ``__dataclass_fields__`` order, so a field moved in the class
+    # changes which value lands where and fails here.
+    names = RECORD_FIELDS[cls]
+    values = [getattr(_sample_record(cls), name) for name in names]
+    trusted, init = _record(cls, *values), cls(**dict(zip(names, values)))
+    assert [_field_bytes(getattr(trusted, n)) for n in names] == [_field_bytes(getattr(init, n)) for n in names]
+    assert vars(trusted).keys() == vars(init).keys()
+    assert repr(trusted) == repr(init)
+    for record in (trusted, init):
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, None)

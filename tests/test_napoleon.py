@@ -6,11 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from napsphere import (
     INWARD,
     OUTWARD,
     BoundaryConditioningWarning,
+    NapsphereError,
     SignVector,
     TooWideError,
     barycentre,
@@ -171,6 +173,32 @@ class TestNapoleonise:
             rs_raw = sorted(map(tuple, napoleonise(t_raw, s_raw).centroids))
             rs_pre = sorted(map(tuple, napoleonise(t_pre, s_pre).centroids))
             assert np.allclose(rs_raw, rs_pre, atol=1e-12)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_sign_rule_in_input_order_for_both_orientations(self, seed):
+        # Sign i picks the side of the edge normal P_{i+1} x P_{i+2} taken in the input order, so
+        # the apex opposite input vertex i is on the interior side exactly when e_i times the
+        # sign of the input's triple product is +1; after a swap that apex is row [0, 2, 1][i].
+        rng = np.random.default_rng(seed)
+        while True:
+            p = rng.normal(size=(3, 3))
+            p /= np.linalg.norm(p, axis=1, keepdims=True)
+            try:
+                new_triangle(*p)
+                break
+            except NapsphereError:
+                continue
+        for vertices in (p, p[[0, 2, 1]]):  # one of the two orders is swapped by new_triangle
+            t = new_triangle(*vertices)
+            orientation = np.sign(np.linalg.det(vertices))
+            for s in ALL_SIGNS:
+                apexes = napoleonise(t, s).apexes
+                for i, e in enumerate(s.as_tuple()):
+                    q = apexes[[0, 2, 1][i] if t.orientation_swapped else i]
+                    normal = np.cross(vertices[(i + 1) % 3], vertices[(i + 2) % 3])
+                    interior = np.sign(q @ normal) == np.sign(vertices[i] @ normal)
+                    assert interior == (e * orientation == 1)
 
     @pytest.mark.parametrize("signs, name", [((0, 1, 1), "e0"), ((1, -1, 2), "e2")])
     def test_sign_vector_entries_checked(self, signs, name):

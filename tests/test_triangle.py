@@ -435,10 +435,21 @@ def test_range_rule_over_columns_matches_the_scalar_rule():
 
 @pytest.mark.parametrize("entry", RANGE_ENTRY_POINTS)
 def test_count_rule_at_every_entry_point(entry):
-    for n in (0, 2, 4):
+    for n, make in itertools.product((0, 2, 4), (list, np.array)):
         with pytest.raises(ValueError, match=f"^expected three side parameters, got {n}$") as exc:
-            RANGE_ENTRY_POINTS[entry]([0.9] * n)
+            RANGE_ENTRY_POINTS[entry](make([0.9] * n))
         assert type(exc.value) is ValueError
+
+
+@pytest.mark.parametrize("entry", RANGE_ENTRY_POINTS)
+def test_malformed_array_at_every_entry_point(entry):
+    # An array is read with one ``tolist()``: a 0-d array, nested rows and complex entries are
+    # TypeError, as the same values given as Python lists are.
+    for bad in (np.array(0.9), np.full((1, 3), 0.9), np.full((3, 1), 0.9), np.array([0.9, 0.9, 0.9 + 0.1j])):
+        with pytest.raises(TypeError):
+            RANGE_ENTRY_POINTS[entry](bad)
+        with pytest.raises(TypeError):
+            RANGE_ENTRY_POINTS[entry](bad.tolist())
 
 
 # A validated triangle for the entry points that take one, and the tolerances every entry point refuses.
