@@ -184,7 +184,7 @@ def cmd_classify(args, t: SphericalTriangle) -> int:
 
     report = classify(t, tol=args.tol)
     doc = {
-        **vars(report),
+        **report._asdict(),
         "d": list(report.d),
         "verdict": str(report.verdict),
         "predicted_side": report.predicted_side,

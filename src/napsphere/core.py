@@ -33,12 +33,15 @@ def _first(flags) -> int | None:
 def unit_vector(v) -> np.ndarray:
     """Validate *v* as a point (or stack of points) of the unit sphere and re-normalise it once.
 
-    Raises ``ValueError`` for a shape other than (..., 3), a non-finite
-    component, or a squared norm that deviates from 1 by more than
-    ``UNIT_NORM_TOL``.  Callers that accept unnormalised input (e.g. the CLI)
-    divide by the norm first.
+    Raises ``TypeError`` for complex components, and ``ValueError`` for a
+    shape other than (..., 3), a non-finite component, or a squared norm that
+    deviates from 1 by more than ``UNIT_NORM_TOL``.  Callers that accept
+    unnormalised input (e.g. the CLI) divide by the norm first.
     """
-    a = np.asarray(v, dtype=float)
+    a = np.asarray(v)
+    if a.dtype.kind == "c":  # a float conversion would drop the imaginary part
+        raise TypeError(f"vector components must be real, got {a.dtype}")
+    a = np.asarray(a, dtype=float)
     if a.shape[-1:] != (3,):
         raise ValueError(f"expected 3 components, got shape {a.shape}")
     nsq = dot(a, a)
@@ -59,14 +62,6 @@ def dot(a, b):
     if a.ndim == b.ndim == 1:
         return float(a.dot(b))
     return np.vecdot(a, b)
-
-
-def _record(cls, *values):
-    """A frozen dataclass *cls* with *values* for its fields in declaration order, built like
-    ``algebra._wrap`` without the generated ``__init__``; for values the package computed itself."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
-    return obj
 
 
 def cross(a, b) -> np.ndarray:

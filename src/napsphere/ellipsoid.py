@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .core import _first, _record, dot
+from .core import _first, dot
 from .errors import SeedExhaustedError, UnrealizableError
 from .triangle import SideParameters, SphericalTriangle, _checked, _validate
 
@@ -194,4 +194,4 @@ def realize(d) -> SphericalTriangle:
     count than three is ``ValueError`` and a d_i outside (0, sqrt(3)) is
     :class:`OutOfRangeError`.  This is :func:`_realized` for one row.
     """
-    return _record(SphericalTriangle, *_realized(*_checked(d)))
+    return SphericalTriangle(*_realized(*_checked(d)))

@@ -35,11 +35,12 @@ and side parameters that ``new_triangle`` stored on the triangle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import polynomials
-from .core import _NEXT, _record, dot
+from .core import _NEXT, dot
 from .triangle import SQRT3, SphericalTriangle
 from .triangle import _checked, _near_boundary, _opposite_edges
 
@@ -68,7 +69,7 @@ class SignVector:
         """
         if not swapped:
             return self
-        return _record(SignVector, -self.e0, -self.e2, -self.e1)
+        return SignVector(-self.e0, -self.e2, -self.e1)
 
     @classmethod
     def parse(cls, text: str) -> "SignVector":
@@ -90,8 +91,7 @@ OUTWARD = SignVector(-1, -1, -1)
 INWARD = SignVector(+1, +1, +1)
 
 
-@dataclass(frozen=True, eq=False)
-class NapoleonisationResult:
+class NapoleonisationResult(NamedTuple):
     """Apexes, centroids, and centroid inner products of one construction.
 
     ``apexes`` and ``centroids`` are read-only (3, 3) arrays whose row ``i`` sits
@@ -108,7 +108,11 @@ class NapoleonisationResult:
     rr20: float
     equilateral_residual: float
     signs: SignVector
-    near_boundary: bool = False
+    near_boundary: bool
+
+    # Equal and hashed by identity: a tuple's ``==`` would compare the array fields and raise
+    # ``ValueError``, and its hash would hash them and raise ``TypeError``.
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def centroid_inners(self) -> tuple[float, float, float]:
@@ -151,7 +155,7 @@ def napoleonise(t: SphericalTriangle, s: SignVector) -> NapoleonisationResult:
     q.flags.writeable = r.flags.writeable = False
     rr01, rr12, rr20 = dot(r, r.take(_NEXT, 0)).tolist()
     residual = max(abs(rr01 - rr12), abs(rr12 - rr20), abs(rr20 - rr01))
-    return _record(NapoleonisationResult, q, r, rr01, rr12, rr20, residual, s, near)
+    return NapoleonisationResult(q, r, rr01, rr12, rr20, residual, s, near)
 
 
 def centroid_inner_closed_form(d, chi: float, s: SignVector, i: int) -> float:

@@ -54,12 +54,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import _NEXT, _PREV, _first, _record, cross, dot, unit_vector
+from .core import _NEXT, _PREV, _first, cross, dot, unit_vector
 from .errors import BoundaryConditioningWarning, CogeodesicError, DegenerateError, OutOfRangeError, TooWideError
 
 # Tolerance for distinctness / antipodality / cogeodesy checks, matching the
@@ -76,8 +75,7 @@ SQRT3 = math.sqrt(3.0)
 _SWAP = np.array([0, 2, 1])
 
 
-@dataclass(frozen=True, eq=False)
-class SphericalTriangle:
+class SphericalTriangle(NamedTuple):
     """Admissible, orientation-normalised vertex triple on the unit sphere.
 
     ``vertices`` is a read-only (3, 3) array, one stored vertex per row.  The
@@ -96,7 +94,11 @@ class SphericalTriangle:
     edge_normals: np.ndarray
     d: np.ndarray
     chi: float
-    orientation_swapped: bool = False
+    orientation_swapped: bool
+
+    # Equal and hashed by identity: a tuple's ``==`` would compare the array fields and raise
+    # ``ValueError``, and its hash would hash them and raise ``TypeError``.
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 class SideParameters(NamedTuple):
@@ -211,20 +213,20 @@ def _validate(v):
 def new_triangle(p0, p1, p2) -> SphericalTriangle:
     """Validate three unit vectors as a spherical triangle.
 
-    Raises ``ValueError`` for a point that is not a finite unit 3-vector,
-    :class:`DegenerateError` for coincident or antipodal vertices, or so close
-    that a side parameter rounds to sqrt(3), :class:`CogeodesicError` when the
-    triple product vanishes within tolerance, and :class:`TooWideError` when
-    some edge has inner product <= -1/2.  If the raw triple product is
-    negative, ``p1`` and ``p2`` (and their edge inner products) are swapped so
-    the stored orientation has positive triple product.  This is
-    :func:`_validate` for one triangle.
+    Raises ``TypeError`` for complex components, ``ValueError`` for a point
+    that is not a finite unit 3-vector, :class:`DegenerateError` for
+    coincident or antipodal vertices, or so close that a side parameter rounds
+    to sqrt(3), :class:`CogeodesicError` when the triple product vanishes
+    within tolerance, and :class:`TooWideError` when some edge has inner
+    product <= -1/2.  If the raw triple product is negative, ``p1`` and ``p2``
+    (and their edge inner products) are swapped so the stored orientation has
+    positive triple product.  This is :func:`_validate` for one triangle.
     """
-    v = np.asarray((p0, p1, p2), dtype=float)
+    v = np.asarray((p0, p1, p2))  # converted to float by unit_vector, which refuses complex input
     if v.ndim != 2:
         unit_vector(v)  # a malformed or non-unit point is reported before the shape
         raise ValueError(f"expected three 3-component points, got shape {v.shape}")
-    return _record(SphericalTriangle, *_validate(v))
+    return SphericalTriangle(*_validate(v))
 
 
 def side_parameters(t: SphericalTriangle) -> SideParameters:

@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import polynomials
-from .core import _record
 from .polynomials import CLASSIFY_TOL
 from .triangle import SideParameters, SphericalTriangle, _check_tol, _checked
 
@@ -44,8 +43,7 @@ class Verdict(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Classification of one triangle with its residual diagnostics.
 
     ``predicted_rr`` (= -1/3) and ``epsilon_sign`` (= -1) are populated only
@@ -61,9 +59,9 @@ class ClassificationReport:
     condition_residual: float
     equilateral_factor: float
     verdict: Verdict
-    predicted_rr: float | None = None
-    epsilon_sign: int | None = None
-    note: str | None = None
+    predicted_rr: float | None
+    epsilon_sign: int | None
+    note: str | None
 
     @property
     def predicted_side(self) -> float | None:
@@ -109,10 +107,9 @@ def _report(*dv: float, tol: float) -> ClassificationReport:
         predicted_rr = -1.0 / 3.0
         epsilon_sign = -1
 
-    return _record(
-        ClassificationReport, SideParameters(*dv), polynomials.alpha(*dv),
-        math.sqrt(chi2) if chi2 > 0.0 else 0.0, polynomials.gamma(*dv),
-        cval, cres, eqf, verdict, predicted_rr, epsilon_sign, note,
+    return ClassificationReport(
+        SideParameters(*dv), polynomials.alpha(*dv), math.sqrt(chi2) if chi2 > 0.0 else 0.0,
+        polynomials.gamma(*dv), cval, cres, eqf, verdict, predicted_rr, epsilon_sign, note,
     )
 
 

@@ -38,7 +38,6 @@ MUTANTS = [
     ("core.py", "if _first(n < 1e-9) is not None:", "if _first(n < 1e-6) is not None:"),
     ("core.py", "n = np.sqrt(dot(s, s))", "n = dot(s, s)"),
     ("core.py", "return np.vecdot(a, b)", "return np.vecdot(a, a)"),
-    ("core.py", "zip(cls.__dataclass_fields__, values)", "zip(cls.__dataclass_fields__, values[::-1])"),
     (
         "core.py",
         "a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)",
@@ -57,6 +56,7 @@ MUTANTS = [
     ),
     ("napoleon.py", "t.edge_inners, t.d, eff", "t.edge_inners, t.edge_inners, eff"),
     ("napoleon.py", "-self.e2, -self.e1", "-self.e1, -self.e2"),
+    ("napoleon.py", "NapoleonisationResult(q, r, rr01, rr12,", "NapoleonisationResult(q, r, rr12, rr01,"),
     ("triangle.py", "_first(c <= -0.5 + BOUNDARY_BAND)", "_first(c < -0.5 + BOUNDARY_BAND)"),
     ("triangle.py", "_first(abs(t) <= DEGENERACY_TOL)", "_first(abs(t) < DEGENERACY_TOL)"),
     ("triangle.py", "w, c = cross(a, b), dot(a, b)", "c = dot(a, b)"),
@@ -69,9 +69,15 @@ MUTANTS = [
     ("triangle.py", "if len(dv) != 3:", "if len(dv) < 3:"),
     ("triangle.py", "if not tol >= 0.0:", "if tol < 0.0:"),
     ("triangle.py", "if not tol >= 0.0:", "if not tol > 0.0:"),
+    (
+        "triangle.py",
+        "object.__eq__, object.__ne__, object.__hash__",
+        "tuple.__eq__, tuple.__ne__, tuple.__hash__",
+    ),
     ("verdict.py", "if eqf < tol:", "if eqf <= tol:"),
     ("verdict.py", "elif abs(cres) < tol:", "elif abs(cres) <= tol:"),
     ("verdict.py", "if chi2 > 0.0 else 0.0", "if chi2 > 0.0 else -1.0"),
+    ("verdict.py", "cval, cres, eqf", "cres, cval, eqf"),
 ]
 
 KNOWN_FAILURES = [

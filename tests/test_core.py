@@ -1,6 +1,5 @@
-"""Vector and unit-sphere primitives, and the package's trusted record constructor."""
+"""Vector and unit-sphere primitives, and the package's result records."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +13,7 @@ from napsphere import (
     SphericalTriangle,
     ZeroSumError,
     barycentre,
-    classify,
+    classify_d,
     cross,
     dot,
     napoleonise,
@@ -22,7 +21,6 @@ from napsphere import (
     spherical_distance,
     unit_vector,
 )
-from napsphere.core import _record
 
 from conftest import (
     NAPOLEONIC_BARYCENTRE,
@@ -237,7 +235,7 @@ def test_triple_symmetries(u, v, w):
     assert triple(a, c, b) == pytest.approx(-t, abs=1e-12 * scale)
 
 
-# The package's positional value order for each record, as its constructors pass it to ``_record``.
+# The field order of each result record: the package's constructors pass their values in it.
 RECORD_FIELDS = {
     SphericalTriangle: ("vertices", "edge_inners", "edge_normals", "d", "chi", "orientation_swapped"),
     NapoleonisationResult: (
@@ -249,35 +247,46 @@ RECORD_FIELDS = {
     ),
 }
 
+# ``repr(classify_d(NAPOLEONIC_D))`` as the frozen-dataclass report printed it, byte for byte.
+NAPOLEONIC_REPORT_REPR = (
+    "ClassificationReport(d=SideParameters(d0=0.282842712474619, d1=0.565685424949238, "
+    "d2=0.8485281374238571), alpha=0.06000000000000005, chi=0.7806458864299485, "
+    "gamma=7.356096000000002, condition_value=2.0, condition_residual=0.0, "
+    "equilateral_factor=0.24000000000000002, verdict=<Verdict.OUTWARD_NAPOLEONIC: "
+    "'OutwardNapoleonic'>, predicted_rr=-0.3333333333333333, epsilon_sign=-1, note=None)"
+)
 
-def _sample_record(cls):
-    """A record of *cls* as the package builds it, every field distinct from the others."""
+
+def _built(cls):
+    """A new record of *cls* as the package builds it, from the same inputs on every call."""
     t = new_triangle(*SCALENE_VERTICES)  # swapped, so orientation_swapped is True
     if cls is SphericalTriangle:
         return t
     if cls is NapoleonisationResult:
         return napoleonise(t, OUTWARD)
-    return classify(new_triangle(*NAPOLEONIC_VERTICES))  # OutwardNapoleonic: predicted_rr and epsilon_sign set
-
-
-def _field_bytes(value):
-    """A field as comparable data: an array's dtype, shape, writeability and bytes, else its type and repr."""
-    if isinstance(value, np.ndarray):
-        return value.dtype.str, value.shape, value.flags.writeable, value.tobytes()
-    return type(value), repr(value)
+    return classify_d(NAPOLEONIC_D)  # OutwardNapoleonic: predicted_rr and epsilon_sign set
 
 
 @pytest.mark.parametrize("cls", list(RECORD_FIELDS), ids=lambda cls: cls.__name__)
-def test_trusted_record_matches_the_dataclass_init(cls):
-    # ``_record`` fills fields in ``__dataclass_fields__`` order, so a field moved in the class
-    # changes which value lands where and fails here.
-    names = RECORD_FIELDS[cls]
-    values = [getattr(_sample_record(cls), name) for name in names]
-    trusted, init = _record(cls, *values), cls(**dict(zip(names, values)))
-    assert [_field_bytes(getattr(trusted, n)) for n in names] == [_field_bytes(getattr(init, n)) for n in names]
-    assert vars(trusted).keys() == vars(init).keys()
-    assert repr(trusted) == repr(init)
-    for record in (trusted, init):
-        for name in names:
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(record, name, None)
+def test_results_keep_their_fields_and_are_read_only(cls):
+    built = _built(cls)
+    assert built._fields == RECORD_FIELDS[cls]
+    for name in built._fields:
+        with pytest.raises(AttributeError):
+            setattr(built, name, None)
+
+
+def test_report_repr_and_value_equality():
+    report = classify_d(NAPOLEONIC_D)
+    assert repr(report) == NAPOLEONIC_REPORT_REPR
+    assert report == classify_d(NAPOLEONIC_D)
+    assert hash(report) == hash(classify_d(NAPOLEONIC_D))
+
+
+@pytest.mark.parametrize("cls", [SphericalTriangle, NapoleonisationResult], ids=lambda cls: cls.__name__)
+def test_array_results_are_equal_and_hashed_by_identity(cls):
+    # A tuple's ``!=`` would compare the array fields and raise ValueError, and its hash TypeError.
+    first, second = _built(cls), _built(cls)
+    assert first == first and not first != first
+    assert first != second and not first == second
+    assert {first: 1, second: 2}[first] == 1

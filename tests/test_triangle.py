@@ -452,6 +452,22 @@ def test_malformed_array_at_every_entry_point(entry):
             RANGE_ENTRY_POINTS[entry](bad.tolist())
 
 
+@pytest.mark.parametrize(
+    "point",
+    [np.array([1.0 + 1e-3j, 0.0, 0.0]), [1.0 + 1e-3j, 0.0, 0.0], [np.complex128(1.0 + 1e-3j), 0.0, 0.0]],
+    ids=["array", "list", "numpy-scalar"],
+)
+def test_complex_vertices_are_type_error(point):
+    # A float conversion of a complex array would drop the imaginary part with only a ComplexWarning.
+    with pytest.raises(TypeError, match="^vector components must be real, got complex128$"):
+        unit_vector(point)
+    with pytest.raises(TypeError, match="^vector components must be real, got complex128$"):
+        new_triangle(point, EY, EZ)
+    # Other malformed components keep their exception: None converts to NaN.
+    with pytest.raises(ValueError, match="^vector components must be finite$"):
+        new_triangle([None, 0.0, 0.0], EY, EZ)
+
+
 # A validated triangle for the entry points that take one, and the tolerances every entry point refuses.
 _TOL_TRIANGLE = realize((1.0, 1.0, 1.0))
 TOL_ENTRY_POINTS = {
