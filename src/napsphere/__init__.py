@@ -36,7 +36,6 @@ _HOMES = {
     "realize": "ellipsoid",
     "sample_napoleonic_d": "ellipsoid",
     "sample_napoleonic_d_with_attempts": "ellipsoid",
-    "BoundaryConditioningWarning": "errors",
     "CogeodesicError": "errors",
     "DegenerateError": "errors",
     "NapsphereError": "errors",

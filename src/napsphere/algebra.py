@@ -312,7 +312,7 @@ def verify_sum_of_squares() -> IdentityCheck:
     return _check("positive-definite form of the condition", lhs, condition(D0, D1, D2))
 
 
-def verify_final_identity(i: int = 0) -> IdentityCheck:
+def verify_final_identity(i: int) -> IdentityCheck:
     """The outward centroid inner-product bracket at index *i* reduces to a
     multiple of the condition residual.
 

@@ -56,6 +56,3 @@ class SeedExhaustedError(NapsphereError):
 
     kind = "SeedExhausted"
 
-
-class BoundaryConditioningWarning(UserWarning):
-    """Edge inner product within ``BOUNDARY_BAND`` of -1/2: results are ill-conditioned."""

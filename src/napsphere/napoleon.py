@@ -98,7 +98,9 @@ class NapoleonisationResult(NamedTuple):
     opposite the triangle's stored vertex ``i`` (built on the edge joining the
     other two vertices).  The residual is the maximum pairwise difference of
     the three centroid inner products; it vanishes exactly when the
-    Napoleonisation is equilateral.
+    Napoleonisation is equilateral.  ``near_boundary`` is the one report that
+    some edge inner product lies in the ill-conditioned band
+    ``(-1/2, -1/2 + BOUNDARY_BAND]``.
     """
 
     apexes: np.ndarray

@@ -43,9 +43,9 @@ def search_equilateral(t: SphericalTriangle, tol: float) -> list[tuple[SignVecto
     Works entirely from rotation-based apexes and barycentres (never the
     closed-form centroid or inner-product formulas).  Signs are interpreted
     in the stored vertex order of *t*.  Returns (sign vector, residual)
-    pairs sorted by residual; an empty list means no equilateral
-    Napoleonisation exists at this tolerance; ``inf`` lists all eight.  NaN
-    or a negative *tol* is ``ValueError``.
+    pairs with residual < *tol*, sorted by residual, ties in search order; an
+    empty list means no equilateral Napoleonisation exists at this tolerance;
+    ``inf`` lists all eight.  NaN or a negative *tol* is ``ValueError``.
     """
     _check_tol(tol)
     a, b = _opposite_edges(t.vertices)

@@ -53,20 +53,19 @@ rescaling leaves them.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import _NEXT, _PREV, _first, cross, dot, unit_vector
-from .errors import BoundaryConditioningWarning, CogeodesicError, DegenerateError, OutOfRangeError, TooWideError
+from .errors import CogeodesicError, DegenerateError, OutOfRangeError, TooWideError
 
 # Tolerance for distinctness / antipodality / cogeodesy checks, matching the
 # unit-norm tolerance scale of core.unit_vector.
 DEGENERACY_TOL = 1e-9
 
 # Edges with <a,b> in (-1/2, -1/2 + BOUNDARY_BAND] are admissible but
-# numerically ill-conditioned; constructions on them emit a warning.
+# numerically ill-conditioned; results built on them report ``near_boundary``.
 BOUNDARY_BAND = 1e-6
 
 SQRT3 = math.sqrt(3.0)
@@ -134,36 +133,26 @@ def _opposite_edges(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v.take(_NEXT, -2), v.take(_PREV, -2)
 
 
-def _reject_degenerate(a, b, message) -> None:
-    """Raise :class:`DegenerateError` with ``message(i, how)`` for the first
-    stacked pair (a[i], b[i]) that coincides or is antipodal (coincidence first)."""
+def _reject_degenerate(a, b) -> None:
+    """Raise :class:`DegenerateError` for the first stacked pair (a[i], b[i]) that
+    coincides or is antipodal (coincidence first), naming vertices ``i % 3`` and ``(i + 1) % 3``."""
     coincide = np.sqrt(dot(a - b, a - b)) <= DEGENERACY_TOL
     antipodal = np.sqrt(dot(a + b, a + b)) <= DEGENERACY_TOL
     if _first(coincide | antipodal) is not None:
         i, anti = divmod(_first(np.stack((coincide, antipodal), axis=-1)), 2)
-        raise DegenerateError(message(i, "are antipodal" if anti else "coincide"))
+        raise DegenerateError(f"vertices {i % 3} and {(i + 1) % 3} {'are antipodal' if anti else 'coincide'}")
 
 
-def _reject_too_wide(c, message) -> None:
-    """Raise :class:`TooWideError` with ``message(i, c_i)`` for the first edge
-    inner product c_i <= -1/2 of *c* (one or stacked)."""
+def _reject_too_wide(c) -> None:
+    """Raise :class:`TooWideError` for the first edge inner product c_i <= -1/2 of *c* (one or stacked)."""
     i = _first(c <= -0.5)
     if i is not None:
-        raise TooWideError(message(i, float(np.ravel(c)[i])))
+        raise TooWideError(f"edge opposite vertex {i % 3} has inner product {float(np.ravel(c)[i])!r} <= -1/2")
 
 
 def _near_boundary(c) -> bool:
-    """Whether some edge inner product of *c* lies in the ill-conditioned band;
-    if so, warn, attributed to the caller of :func:`napsphere.napoleon.napoleonise`."""
-    near = _first(c <= -0.5 + BOUNDARY_BAND) is not None
-    if near:
-        warnings.warn(
-            f"edge inner product {float(np.min(c))!r} is within {BOUNDARY_BAND:g} of -1/2; "
-            "apex and centroid are ill-conditioned",
-            BoundaryConditioningWarning,
-            stacklevel=3,
-        )
-    return near
+    """Whether some edge inner product of *c* lies in the ill-conditioned band (-1/2, -1/2 + BOUNDARY_BAND]."""
+    return _first(c <= -0.5 + BOUNDARY_BAND) is not None
 
 
 def _check_tol(tol: float) -> float:
@@ -184,14 +173,14 @@ def _validate(v):
     # The two exact tests below can fire only near |c| = 1 (see the module docstring).
     near = _first(abs(c) >= 1.0 - DEGENERACY_TOL) is not None
     if near:
-        _reject_degenerate(v, a, lambda i, how: f"vertices {i % 3} and {(i + 1) % 3} {how}")
+        _reject_degenerate(v, a)
 
     w = cross(a, b)
     t = dot(v[..., 0, :], w[..., 0, :])  # the triple product <P0, P1 x P2>
     if _first(abs(t) <= DEGENERACY_TOL) is not None:
         raise CogeodesicError("vertices lie on a common great circle")
 
-    _reject_too_wide(c, lambda i, ci: f"edge opposite vertex {i % 3} has inner product {ci!r} <= -1/2")
+    _reject_too_wide(c)
     if near:
         i = _first(np.sqrt(1.0 + 2.0 * c) >= SQRT3)
         if i is not None:

@@ -1,6 +1,6 @@
 """Mutation check: does the test suite notice small changes to napsphere?
 
-Run as ``python tests/mutation.py`` from any directory (about 6 minutes on a
+Run as ``python tests/mutation.py`` from any directory (about 9 minutes on a
 2-vCPU machine).  Each mutant is one textual edit of a file in
 ``src/napsphere/``, applied in its own temporary copy of ``src/``,
 ``tests/`` and ``perfbench/``; the copy's suite then runs with ``pytest -x``,
@@ -49,6 +49,7 @@ MUTANTS = [
     ("ellipsoid.py", "(d >= D_FLOOR).all(axis=1)", "(d >= D_FLOOR).any(axis=1)"),
     ("ellipsoid.py", "return np.concatenate(blocks), attempts", "return np.concatenate(blocks), attempts + 1"),
     ("ellipsoid.py", "(count, seed)[0].tolist()]", "(count, seed)[0].tolist()[::-1]]"),
+    ("errors.py", 'kind = "TooWide"', 'kind = "Wide"'),
     (
         "napoleon.py",
         "max(abs(rr01 - rr12), abs(rr12 - rr20), abs(rr20 - rr01))",
@@ -57,7 +58,27 @@ MUTANTS = [
     ("napoleon.py", "t.edge_inners, t.d, eff", "t.edge_inners, t.edge_inners, eff"),
     ("napoleon.py", "-self.e2, -self.e1", "-self.e1, -self.e2"),
     ("napoleon.py", "NapoleonisationResult(q, r, rr01, rr12,", "NapoleonisationResult(q, r, rr12, rr01,"),
+    ("napoleon.py", "(SQRT3 * c1)", "(1.7320508 * c1)"),
+    ("oracle.py", "itertools.product((-1, +1), repeat=3)", "itertools.product((+1, -1), repeat=3)"),
+    ("oracle.py", "return v * cos + w * sin + axis", "return v * cos - w * sin + axis"),
+    ("oracle.py", "np.arccos(c / (1.0 + c))", "np.arccos(c / (1.0 - c))"),
+    ("oracle.py", "np.abs(rr - rr.take(_NEXT, 1)).max(axis=1)", "np.abs(rr - rr.take(_NEXT, 1)).min(axis=1)"),
+    ("oracle.py", "if res < tol]", "if res <= tol]"),
+    ("oracle.py", "    hits.sort(key=lambda pair: pair[1])\n", ""),
+    ("polynomials.py", "d2 * d2 - 1) / 2", "d2 * d2 + 1) / 2"),
+    ("polynomials.py", "(1 - a) * (1 + 2 * a)", "(1 - a) * (1 + a)"),
+    ("polynomials.py", "s2 * s0 + s0 * s1 * s2) / 4", "s2 * s0) / 4"),
+    ("polynomials.py", "return 3 * (d0 * d0 + 1)", "return 2 * (d0 * d0 + 1)"),
+    ("polynomials.py", "d0 * d1 + d0 * d2 + d1 * d2", "d0 * d1 - d0 * d2 + d1 * d2"),
+    ("polynomials.py", "d2 * d2 - d0 * d1 - d1 * d2 - d2 * d0", "d2 * d2 - d0 * d1 - d1 * d2 + d2 * d0"),
+    ("polynomials.py", "CLASSIFY_TOL = 1e-9", "CLASSIFY_TOL = 1e-8"),
+    ("polynomials.py", "return d0 + d1 + d2 - d0 * d1 * d2", "return d0 + d1 + d2 + d0 * d1 * d2"),
+    ("polynomials.py", "return 1 - d0 * d1 - d1 * d2 - d2 * d0", "return 1 - d0 * d1 - d1 * d2"),
+    ("polynomials.py", "+ ek * ei * (", "+ ("),
+    ("polynomials.py", "chi * (ei * dk + ek * di)", "chi * (ei * di + ek * dk)"),
     ("triangle.py", "_first(c <= -0.5 + BOUNDARY_BAND)", "_first(c < -0.5 + BOUNDARY_BAND)"),
+    ("triangle.py", "and {(i + 1) % 3} {'are antipodal'", "and {(i + 2) % 3} {'are antipodal'"),
+    ("triangle.py", "edge opposite vertex {i % 3} has", "edge opposite vertex {i} has"),
     ("triangle.py", "_first(abs(t) <= DEGENERACY_TOL)", "_first(abs(t) < DEGENERACY_TOL)"),
     ("triangle.py", "w, c = cross(a, b), dot(a, b)", "c = dot(a, b)"),
     ("triangle.py", "_first(abs(c) >= 1.0 - DEGENERACY_TOL)", "_first(abs(c) > 1.0)"),

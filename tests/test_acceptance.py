@@ -56,10 +56,6 @@ from conftest import (
     random_triangles,
 )
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::napsphere.errors.BoundaryConditioningWarning"
-)
-
 
 def _criterion(number: int, label: str, limit_s: float, body):
     start = time.perf_counter()

@@ -155,7 +155,6 @@ class TestClassify:
         assert abs(report.condition_residual) < 1e-12
         assert report.verdict is Verdict.EQUILATERAL
 
-    @pytest.mark.filterwarnings("ignore::napsphere.errors.BoundaryConditioningWarning")
     def test_outward_verdict_matches_construction(self):
         for d in sample_napoleonic_d(100, seed=33):
             if algebra.equilateral_factor(*d.as_tuple()) < 1e-6:

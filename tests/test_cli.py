@@ -481,3 +481,24 @@ def test_stdout_closed_early_exits_1_without_traceback(argv, stdin):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert err == b""
+
+
+def test_near_band_napoleonise_reports_on_stdout_only():
+    # An edge 1e-7 inside the width bound: near_boundary in the JSON is the one report of the
+    # band, and a run without renormalised vertices writes nothing to stderr.  A child
+    # interpreter with Python's default warning filters, because pytest captures warnings
+    # raised in its own process.
+    c = -0.5 + 1e-7
+    doc = _vertices_doc([(1.0, 0.0, 0.0), (c, math.sqrt(1.0 - c * c), 0.0), (0.0, 0.0, 1.0)])
+    env = {k: v for k, v in _child_env().items() if k != "PYTHONWARNINGS"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "napsphere.cli", "napoleonise", "-"],
+        input=json.dumps(doc),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert '"near_boundary": true' in proc.stdout
+    assert proc.stderr == ""

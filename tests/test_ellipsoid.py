@@ -27,10 +27,6 @@ from napsphere.triangle import SideParameters
 
 from conftest import NAPOLEONIC_D
 
-boundary_ok = pytest.mark.filterwarnings(
-    "ignore::napsphere.errors.BoundaryConditioningWarning"
-)
-
 
 def _random_d(rng, n):
     out = []
@@ -86,7 +82,6 @@ class TestSampler:
         c = sample_napoleonic_d(50, seed=8)
         assert [x.as_tuple() for x in a] != [z.as_tuple() for z in c]
 
-    @boundary_ok
     def test_samples_classify_outward_napoleonic(self):
         for d in sample_napoleonic_d(200, seed=44):
             report = classify(realize(d))
@@ -117,7 +112,6 @@ class TestSampler:
         d, _ = sample_napoleonic_d_with_attempts(100, 305001684)
         assert d.min() >= 1e-6
 
-    @boundary_ok
     def test_points_at_the_floor_classify_outward_napoleonic(self):
         # Quadric points with d0 = D_FLOOR and d1, d2 >= D_FLOOR, through the
         # checks of the quadric-population benchmark workload.
@@ -254,13 +248,11 @@ class TestRealize:
         assert np.allclose(t.vertices[0], [1.0, 0.0, 0.0], atol=1e-15)
         assert t.vertices[1, 1] > 0.0 and t.vertices[1, 2] == pytest.approx(0.0, abs=1e-15)
 
-    @boundary_ok
     def test_round_trip_side_parameters(self):
         for d in sample_napoleonic_d(1000, seed=45):
             back = side_parameters(realize(d))
             assert back.as_tuple() == pytest.approx(d.as_tuple(), abs=1e-10)
 
-    @boundary_ok
     def test_realized_triangles_revalidate(self):
         for d in sample_napoleonic_d(200, seed=46):
             t = realize(d)
@@ -269,7 +261,6 @@ class TestRealize:
             assert t2.chi == pytest.approx(t.chi, abs=1e-12)
             assert t.chi == pytest.approx(dot(t.vertices[0], cross(t.vertices[1], t.vertices[2])), abs=1e-12)
 
-    @boundary_ok
     def test_congruent_napoleonisations_on_locus(self):
         for d in sample_napoleonic_d(300, seed=47):
             res = napoleonise(realize(d), OUTWARD)
@@ -301,7 +292,6 @@ class TestRealize:
             ellipsoid._realized(*d.T)
         assert str(exc.value) == "edge opposite vertex 1 has inner product -0.5000000000000001 <= -1/2"
 
-    @boundary_ok
     def test_stacked_realize_matches_one_row_at_a_time_exactly(self):
         rng = np.random.default_rng(49)
         ds = sample_napoleonic_d(2000, seed=50)

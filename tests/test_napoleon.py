@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from napsphere import (
     INWARD,
     OUTWARD,
-    BoundaryConditioningWarning,
     NapsphereError,
     SignVector,
     TooWideError,
@@ -65,10 +63,8 @@ class TestApex:
         # it must be close to that limit (error ~ sqrt(2*offset)*sqrt(3)).
         t = _near_boundary_triangle(1e-6)
         limit = np.array([-0.5, -math.sqrt(3.0) / 2.0, 0.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BoundaryConditioningWarning)
-            for s in (OUTWARD, INWARD):
-                assert np.linalg.norm(napoleonise(t, s).apexes[2] - limit) < 5e-3
+        for s in (OUTWARD, INWARD):
+            assert np.linalg.norm(napoleonise(t, s).apexes[2] - limit) < 5e-3
 
     def test_known_triangle_apexes(self, napoleonic_triangle):
         res = napoleonise(napoleonic_triangle, OUTWARD)
@@ -104,13 +100,12 @@ class TestApex:
         with pytest.raises(TooWideError):
             _near_boundary_triangle(0.0)
 
-    def test_boundary_band_warns(self):
-        # Whichever edge lies in the band, the one check over all three edges warns.
+    def test_boundary_band_flagged_on_any_edge(self):
+        # Whichever edge lies in the band, the one check over all three edges flags it.
         for row in range(3):
             t = new_triangle(*np.roll(_near_boundary_triangle(1e-7).vertices, row - 2, axis=0))
             assert t.edge_inners[row] == -0.5 + 1e-7
-            with pytest.warns(BoundaryConditioningWarning):
-                assert napoleonise(t, OUTWARD).near_boundary
+            assert napoleonise(t, OUTWARD).near_boundary
 
 
 class TestEdgeCentroid:
@@ -121,9 +116,7 @@ class TestEdgeCentroid:
         # edge is the north pole; at offset 1e-6 the distance is ~1.6e-3
         # (scales as sqrt(8/3 * offset)).
         t = _near_boundary_triangle(1e-6)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BoundaryConditioningWarning)
-            r = napoleonise(t, INWARD).centroids[2]
+        r = napoleonise(t, INWARD).centroids[2]
         assert np.linalg.norm(r - EZ) < 2e-3
 
     def test_matches_barycentre_of_apex_triangle(self):
@@ -254,16 +247,14 @@ def test_equilateral_residual_is_the_largest_of_all_three_differences():
 
 
 class TestNearBoundaryFlag:
-    def test_flag_and_warning_on_near_boundary_triangle(self):
+    def test_flag_set_on_near_boundary_triangle(self):
         c = -0.5 + 5e-7
         p0 = np.array([1.0, 0.0, 0.0])
         p1 = np.array([c, math.sqrt(1.0 - c * c), 0.0])
         p2 = np.array([0.2, 0.3, 0.9])
         p2 /= np.linalg.norm(p2)
         t = new_triangle(p0, p1, p2)
-        with pytest.warns(BoundaryConditioningWarning):
-            res = napoleonise(t, OUTWARD)
-        assert res.near_boundary
+        assert napoleonise(t, OUTWARD).near_boundary
 
     def test_flag_clear_for_interior_triangle(self, napoleonic_triangle):
         res = napoleonise(napoleonic_triangle, OUTWARD)

@@ -4,12 +4,10 @@ import itertools
 import math
 
 import numpy as np
-import pytest
 
 from napsphere import (
     INWARD,
     OUTWARD,
-    BoundaryConditioningWarning,
     SignVector,
     Verdict,
     classify,
@@ -51,8 +49,7 @@ class TestApexByRotation:
         c = -0.5 + 1e-7
         t = new_triangle((1.0, 0.0, 0.0), (c, math.sqrt(1.0 - c * c), 0.0), (0.0, 0.0, 1.0))
         assert t.edge_inners[2] == c
-        with pytest.warns(BoundaryConditioningWarning):
-            res = napoleonise(t, OUTWARD)
+        res = napoleonise(t, OUTWARD)
         assert res.near_boundary
         # agreement degrades near the boundary but stays far better than the
         # construction's own distance to the limiting apex
@@ -82,6 +79,19 @@ class TestSearchEquilateral:
         residuals = [r for _, r in hits]
         assert residuals == sorted(residuals)
         assert all(r < 1e-6 for r in residuals)
+
+    def test_ties_keep_search_order_and_tolerance_is_strict(self):
+        # On the octant triangle two residuals are exactly 0.0 and others tie too: equal
+        # residuals keep the search order (e0 slowest, -1 before +1), and a residual equal
+        # to the tolerance is not a match.
+        t = new_triangle((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        search_order = list(itertools.product((-1, 1), repeat=3))
+        hits = search_equilateral(t, math.inf)
+        assert [r for _, r in hits[:2]] == [0.0, 0.0]
+        keys = [(r, search_order.index(s.as_tuple())) for s, r in hits]
+        assert keys == sorted(keys) and len(keys) == 8
+        assert search_equilateral(t, 0.0) == []
+        assert search_equilateral(t, hits[2][1]) == hits[:2]
 
 
 def test_search_and_classification_agree_on_uniform_signs():
@@ -165,7 +175,6 @@ class TestRotationChain:
                 assert not {"---", "+++"} & set(hits)
         assert min(kinds.values()) > 100
 
-    @pytest.mark.filterwarnings("ignore::napsphere.errors.BoundaryConditioningWarning")
     def test_equal_sign_chain_centroids_are_the_face_rows(self):
         # The chain fixes the outward centroids: up to order and a common sign they are
         # CHAIN_AXES / sqrt(3), here within 1e-13 of those rows, edges within the boundary

@@ -29,7 +29,6 @@ from napsphere import (
 from conftest import random_triangles
 
 PUBLIC_NAMES = [
-    "BoundaryConditioningWarning",
     "CLASSIFY_TOL",
     "ClassificationReport",
     "CogeodesicError",
@@ -191,7 +190,7 @@ for name in napsphere.__all__:
     assert value is getattr(importlib.import_module("napsphere." + homes[name]), name), name
 assert callable(napsphere.classify) and napsphere.classify.__module__ == "napsphere.verdict"
 listed = dir(napsphere)
-assert len(napsphere.__all__) == 35 and all(name in listed for name in napsphere.__all__)
+assert len(napsphere.__all__) == 34 and all(name in listed for name in napsphere.__all__)
 try:
     napsphere.no_such_name
 except AttributeError:

@@ -4,14 +4,12 @@ import functools
 import itertools
 import math
 import re
-import warnings
 
 import numpy as np
 import pytest
 
 from napsphere import (
     OUTWARD,
-    BoundaryConditioningWarning,
     CogeodesicError,
     DegenerateError,
     NapsphereError,
@@ -49,7 +47,6 @@ from conftest import NAPOLEONIC_D, SCALENE_VERTICES, equilateral_vertices, rando
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
 EZ = np.array([0.0, 0.0, 1.0])
-BAND_TEXT = r"edge inner product -0\.49999\d* is within 1e-06 of -1/2; apex and centroid are ill-conditioned"
 
 
 def _edge_at(c):
@@ -154,22 +151,12 @@ class TestNewTriangle:
 
 
 def test_band_edge_is_inclusive():
-    # The band is (-1/2, -1/2 + BOUNDARY_BAND]: its upper end warns, one ulp above it does not.
+    # The band is (-1/2, -1/2 + BOUNDARY_BAND]: its upper end is flagged, one ulp above it is not.
     c = -0.5 + BOUNDARY_BAND
     at, above = new_triangle(*_edge_at(c), EZ), new_triangle(*_edge_at(math.nextafter(c, 0.0)), EZ)
     assert at.edge_inners[2] == c and above.edge_inners[2] == math.nextafter(c, 0.0)
-    with pytest.warns(BoundaryConditioningWarning, match=BAND_TEXT):
-        assert napoleonise(at, OUTWARD).near_boundary
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", BoundaryConditioningWarning)
-        assert not napoleonise(above, OUTWARD).near_boundary
-
-
-def test_napoleonise_band_warning_names_the_caller():
-    t = new_triangle(*_edge_at(-0.5 + 1e-7), EZ)
-    with pytest.warns(BoundaryConditioningWarning, match=BAND_TEXT) as record:
-        assert napoleonise(t, OUTWARD).near_boundary
-    assert [w.filename for w in record if w.category is BoundaryConditioningWarning] == [__file__]
+    assert napoleonise(at, OUTWARD).near_boundary
+    assert not napoleonise(above, OUTWARD).near_boundary
 
 
 class TestSideParameters:
@@ -286,13 +273,13 @@ def _ungated_validate(v):
     test and the rounds-to-sqrt(3) test run on every input, and the swap as a gather."""
     v = unit_vector(v)
     a, b = _opposite_edges(v)
-    _reject_degenerate(v, a, lambda i, how: f"vertices {i % 3} and {(i + 1) % 3} {how}")
+    _reject_degenerate(v, a)
     w = cross(a, b)
     t = dot(v[..., 0, :], w[..., 0, :])
     if _first(abs(t) <= DEGENERACY_TOL) is not None:
         raise CogeodesicError("vertices lie on a common great circle")
     c = dot(a, b)
-    _reject_too_wide(c, lambda i, ci: f"edge opposite vertex {i % 3} has inner product {ci!r} <= -1/2")
+    _reject_too_wide(c)
     d = np.sqrt(1.0 + 2.0 * c)
     i = _first(d >= SQRT3)
     if i is not None:
@@ -345,6 +332,34 @@ def test_gate_changes_no_outcome_near_coincident_or_antipodal_pairs():
         stack = rows.copy()
         stack[k % 9] = v
         assert _outcome(_validate, stack) == _outcome(_ungated_validate, stack)
+
+
+_WIDE = (-0.75, math.sqrt(1.0 - 0.5625), 0.0)  # inner product -0.75 with EX, exactly
+_REJECTIONS = [
+    ((EX, EX, EZ), DegenerateError, "vertices 0 and 1 coincide"),
+    ((EX, EZ, EZ), DegenerateError, "vertices 1 and 2 coincide"),
+    ((EX, EY, EX), DegenerateError, "vertices 2 and 0 coincide"),
+    ((EX, -EX, EZ), DegenerateError, "vertices 0 and 1 are antipodal"),
+    ((EX, EZ, -EZ), DegenerateError, "vertices 1 and 2 are antipodal"),
+    ((EX, EY, -EX), DegenerateError, "vertices 2 and 0 are antipodal"),
+    ((EZ, EX, _WIDE), TooWideError, "edge opposite vertex 0 has inner product -0.75 <= -1/2"),
+    ((_WIDE, EZ, EX), TooWideError, "edge opposite vertex 1 has inner product -0.75 <= -1/2"),
+    ((EX, _WIDE, EZ), TooWideError, "edge opposite vertex 2 has inner product -0.75 <= -1/2"),
+]
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+@pytest.mark.parametrize("points, error, message", _REJECTIONS, ids=[m for _, _, m in _REJECTIONS])
+def test_rejection_messages_name_the_pair_or_edge(points, error, message, stacked):
+    # The message names vertices by their index within the triangle, also for a row of a stack.
+    if stacked:
+        rows = np.array([t.vertices for t in random_triangles(2, seed=34)])
+        with pytest.raises(error) as exc:
+            _validate(np.stack((rows[0], np.array(points), rows[1])))
+    else:
+        with pytest.raises(error) as exc:
+            new_triangle(*points)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("field", ["vertices", "edge_inners"])
