@@ -21,13 +21,33 @@ _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
 
 
-def _first(flags) -> int | None:
-    """Index of the first true entry of *flags* (one or stacked), or None."""
-    if isinstance(flags, bool):  # one check on Python floats needs no array
-        return 0 if flags else None
-    if not np.count_nonzero(flags):  # the common case, all clear, in one cheap call
-        return None
-    return int(np.asarray(flags).argmax())
+# Most values a rule tests one by one as Python floats (see _first).
+_FLOAT_RULE_MAX = 9
+
+
+def _floats(values: np.ndarray):
+    """An array's values as a flat list of Python floats if it holds at most ``_FLOAT_RULE_MAX``, else the array."""
+    return values.ravel().tolist() if values.size <= _FLOAT_RULE_MAX else values
+
+
+def _first(values, flagged) -> int | None:
+    """Flat index of the first of *values* (a float, an array or :func:`_floats` of one) that the rule
+    *flagged* flags, or None.  *flagged* is one expression that gives the same flag on a Python float
+    as on an array entry.  Up to ``_FLOAT_RULE_MAX`` values (three triangles' edges) are tested one by
+    one as Python floats, a larger stack with one NumPy compare and ``count_nonzero``.  Timed in process
+    on n passing values (2-vCPU VM, NumPy 2.4), the first costs about 0.5 + 0.06 n us and the second
+    about 1.1 us for any n up to 48, so the two meet near n = 10."""
+    if type(values) is np.ndarray:
+        values = _floats(values)
+        if type(values) is np.ndarray:
+            flags = flagged(values)
+            return int(flags.argmax()) if np.count_nonzero(flags) else None
+    elif type(values) is not list:  # one float
+        return 0 if flagged(values) else None
+    for i, x in enumerate(values):
+        if flagged(x):
+            return i
+    return None
 
 
 def unit_vector(v) -> np.ndarray:
@@ -44,30 +64,34 @@ def unit_vector(v) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.shape[-1:] != (3,):
         raise ValueError(f"expected 3 components, got shape {a.shape}")
-    nsq = dot(a, a)
+    nsq = _dot(a, a)
     # A non-finite component makes its squared norm inf or NaN, which fails this test too.
-    if _first(~(np.abs(nsq - 1.0) <= UNIT_NORM_TOL)) is None:
+    i = _first(nsq, lambda nsq: (abs(nsq - 1.0) > UNIT_NORM_TOL) | (nsq != nsq))
+    if i is None:
         return a / np.sqrt(nsq)[..., None]
     if not np.isfinite(a).all():
         raise ValueError("vector components must be finite")
-    i = _first(np.abs(nsq - 1.0) > UNIT_NORM_TOL)
     raise ValueError(f"not a unit vector: |v|^2 = {float(np.ravel(nsq)[i])!r}")
 
 
 def dot(a, b):
     """Euclidean inner product over the last axis: a float for two 3-vectors,
     else an array, each entry rounded exactly like ``a @ b`` of its pair."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim == b.ndim == 1:
-        return float(a.dot(b))
-    return np.vecdot(a, b)
+    return _dot(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """:func:`dot` of two float arrays, with no conversion."""
+    return float(a.dot(b)) if a.ndim == b.ndim == 1 else np.vecdot(a, b)
 
 
 def cross(a, b) -> np.ndarray:
     """Right-handed cross product over the last axis (``np.cross``'s arithmetic, less set-up)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    return _cross(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`cross` of two float arrays, with no conversion."""
     return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
 
 
@@ -86,7 +110,7 @@ def barycentre(p0, p1, p2) -> np.ndarray:
     direction (e.g. three equally spaced cogeodesic points).
     """
     s = np.asarray(p0, dtype=float) + np.asarray(p1, dtype=float) + np.asarray(p2, dtype=float)
-    n = np.sqrt(dot(s, s))
-    if _first(n < 1e-9) is not None:
+    n = np.sqrt(_dot(s, s))
+    if _first(n, lambda n: n < 1e-9) is not None:
         raise ZeroSumError("vertex sum is (near-)zero; barycentre undefined")
     return s / n[..., None]

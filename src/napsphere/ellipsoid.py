@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .core import _first, dot
+from .core import _dot, _first, dot
 from .errors import SeedExhaustedError, UnrealizableError
 from .triangle import SideParameters, SphericalTriangle, _checked, _validate
 
@@ -161,7 +161,7 @@ def _realized(d0, d1, d2):
     the canonical vertices (..., 3, 3), or the first row's error."""
     c0, c1, c2 = ((x * x - 1.0) / 2.0 for x in (d0, d1, d2))
     chi2 = 1.0 - c0 * c0 - c1 * c1 - c2 * c2 + 2.0 * c0 * c1 * c2
-    i = _first(chi2 <= 1e-12)
+    i = _first(chi2, lambda chi2: chi2 <= 1e-12)
     if i is not None:
         raise UnrealizableError(f"side parameters admit no triangle: squared triple {float(np.ravel(chi2)[i])!r} <= 0")
     # P2 = a0 P0 + a1 P1 + b (P0 x P1) has <P2, P0> = c1 and <P2, P1> = c0,
@@ -175,7 +175,7 @@ def _realized(d0, d1, d2):
     v[..., 0, 0], v[..., 1, 0], v[..., 1, 1] = 1.0, c2, s
     p2 = v[..., 2, :]
     p2[..., 0], p2[..., 1], p2[..., 2] = a0 + a1 * c2, a1 * s, b * s
-    p2 /= np.sqrt(dot(p2, p2))[..., None]
+    p2 /= np.sqrt(_dot(p2, p2))[..., None]
     # b > 0 makes the raw triple product positive, so no swap occurs here.
     return _validate(v)
 

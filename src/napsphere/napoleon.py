@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import polynomials
-from .core import _NEXT, dot
+from .core import _NEXT, _dot
 from .triangle import SQRT3, SphericalTriangle
 from .triangle import _checked, _near_boundary, _opposite_edges
 
@@ -155,7 +155,7 @@ def napoleonise(t: SphericalTriangle, s: SignVector) -> NapoleonisationResult:
     a, b = _opposite_edges(t.vertices)
     q, r = _construct(a + b, t.edge_normals, t.edge_inners, t.d, eff.as_tuple())
     q.flags.writeable = r.flags.writeable = False
-    rr01, rr12, rr20 = dot(r, r.take(_NEXT, 0)).tolist()
+    rr01, rr12, rr20 = _dot(r, r.take(_NEXT, 0)).tolist()
     residual = max(abs(rr01 - rr12), abs(rr12 - rr20), abs(rr20 - rr01))
     return NapoleonisationResult(q, r, rr01, rr12, rr20, residual, s, near)
 

@@ -10,7 +10,10 @@ vertices is negative, the second and third vertices are swapped (recorded in
 
 The coincident/antipodal (``DEGENERACY_TOL``), width and ill-conditioned band
 (``BOUNDARY_BAND``) tests are one function each here; the unit-norm test is
-``core.unit_vector``.
+``core.unit_vector``.  Each rule is one expression handed to ``core._first``,
+which tests one triangle's values as Python floats, read with one ``tolist()``,
+and a stack of more than ``core._FLOAT_RULE_MAX = 9`` values (three triangles'
+edges) with one NumPy compare, which is cheaper from about ten values on.
 
 Each edge is encoded by a side parameter ``d_i = sqrt(1 + 2<p_{i+1}, p_{i+2}>)``
 in (0, sqrt(3)), a monotone function of the length of the edge opposite
@@ -57,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _NEXT, _PREV, _first, cross, dot, unit_vector
+from .core import _NEXT, _PREV, _cross, _dot, _first, _floats, dot, unit_vector
 from .errors import CogeodesicError, DegenerateError, OutOfRangeError, TooWideError
 
 # Tolerance for distinctness / antipodality / cogeodesy checks, matching the
@@ -136,23 +139,23 @@ def _opposite_edges(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _reject_degenerate(a, b) -> None:
     """Raise :class:`DegenerateError` for the first stacked pair (a[i], b[i]) that
     coincides or is antipodal (coincidence first), naming vertices ``i % 3`` and ``(i + 1) % 3``."""
-    coincide = np.sqrt(dot(a - b, a - b)) <= DEGENERACY_TOL
-    antipodal = np.sqrt(dot(a + b, a + b)) <= DEGENERACY_TOL
-    if _first(coincide | antipodal) is not None:
-        i, anti = divmod(_first(np.stack((coincide, antipodal), axis=-1)), 2)
+    separations = np.stack((np.sqrt(dot(a - b, a - b)), np.sqrt(dot(a + b, a + b))), axis=-1)
+    k = _first(separations, lambda s: s <= DEGENERACY_TOL)
+    if k is not None:
+        i, anti = divmod(k, 2)
         raise DegenerateError(f"vertices {i % 3} and {(i + 1) % 3} {'are antipodal' if anti else 'coincide'}")
 
 
 def _reject_too_wide(c) -> None:
     """Raise :class:`TooWideError` for the first edge inner product c_i <= -1/2 of *c* (one or stacked)."""
-    i = _first(c <= -0.5)
+    i = _first(c, lambda c: c <= -0.5)
     if i is not None:
         raise TooWideError(f"edge opposite vertex {i % 3} has inner product {float(np.ravel(c)[i])!r} <= -1/2")
 
 
 def _near_boundary(c) -> bool:
     """Whether some edge inner product of *c* lies in the ill-conditioned band (-1/2, -1/2 + BOUNDARY_BAND]."""
-    return _first(c <= -0.5 + BOUNDARY_BAND) is not None
+    return _first(c, lambda c: c <= -0.5 + BOUNDARY_BAND) is not None
 
 
 def _check_tol(tol: float) -> float:
@@ -169,30 +172,31 @@ def _validate(v):
     triangle or stacked."""
     v = unit_vector(v)
     a, b = _opposite_edges(v)
-    c = dot(a, b)
+    c = np.vecdot(a, b)
+    cs = _floats(c)  # read once for the gate and the width rule
     # The two exact tests below can fire only near |c| = 1 (see the module docstring).
-    near = _first(abs(c) >= 1.0 - DEGENERACY_TOL) is not None
+    near = _first(cs, lambda c: abs(c) >= 1.0 - DEGENERACY_TOL) is not None
     if near:
         _reject_degenerate(v, a)
 
-    w = cross(a, b)
-    t = dot(v[..., 0, :], w[..., 0, :])  # the triple product <P0, P1 x P2>
-    if _first(abs(t) <= DEGENERACY_TOL) is not None:
+    w = _cross(a, b)
+    t = _dot(v[..., 0, :], w[..., 0, :])  # the triple product <P0, P1 x P2>
+    if _first(t, lambda t: abs(t) <= DEGENERACY_TOL) is not None:
         raise CogeodesicError("vertices lie on a common great circle")
 
-    _reject_too_wide(c)
+    _reject_too_wide(cs)
     if near:
-        i = _first(np.sqrt(1.0 + 2.0 * c) >= SQRT3)
+        i = _first(np.sqrt(1.0 + 2.0 * c), lambda d: d >= SQRT3)
         if i is not None:
             raise DegenerateError(f"vertices {(i + 1) % 3} and {(i + 2) % 3} coincide: d{i % 3} rounds to sqrt(3)")
 
     swapped = t < 0.0
-    if _first(swapped) is not None:
+    if _first(t, lambda t: t < 0.0) is not None:
         v = np.where(np.asarray(swapped)[..., None, None], v.take(_SWAP, -2), v)
         # The frame rebuilt from the stored vertices: b x a and -(a x b) differ in the sign of an
         # exact zero, and dot(b, a) has the bits of dot(a, b), which a test pins.
         a, b = _opposite_edges(v)
-        w, c = cross(a, b), dot(a, b)
+        w, c = _cross(a, b), np.vecdot(a, b)
     d = np.sqrt(1.0 + 2.0 * c)
     for field in (v, c, w, d):
         field.flags.writeable = False

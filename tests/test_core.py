@@ -1,5 +1,6 @@
 """Vector and unit-sphere primitives, and the package's result records."""
 
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,8 @@ from napsphere import (
     spherical_distance,
     unit_vector,
 )
+from napsphere.core import _FLOAT_RULE_MAX, UNIT_NORM_TOL, _first, _floats
+from napsphere.triangle import BOUNDARY_BAND, DEGENERACY_TOL, SQRT3
 
 from conftest import (
     NAPOLEONIC_BARYCENTRE,
@@ -204,6 +207,77 @@ class TestUnitVector:
         v[2] *= 1.1
         with pytest.raises(ValueError, match="not a unit vector"):
             unit_vector(v)
+
+
+def _around(x):
+    """*x* and its two neighbouring floats."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# Each rule that core, triangle and ellipsoid test through _first, written as there, with the
+# values at its bound and their neighbouring floats.
+RULES = {
+    "unit norm": (
+        lambda nsq: (abs(nsq - 1.0) > UNIT_NORM_TOL) | (nsq != nsq),
+        _around(1.0 - UNIT_NORM_TOL) + _around(1.0 + UNIT_NORM_TOL) + [1.0],
+    ),
+    "zero sum": (lambda n: n < 1e-9, _around(1e-9)),
+    "near gate": (lambda c: abs(c) >= 1.0 - DEGENERACY_TOL, _around(1.0 - DEGENERACY_TOL) + _around(DEGENERACY_TOL - 1.0)),
+    "cogeodesic": (lambda t: abs(t) <= DEGENERACY_TOL, _around(DEGENERACY_TOL) + _around(-DEGENERACY_TOL)),
+    "too wide": (lambda c: c <= -0.5, _around(-0.5)),
+    "boundary band": (lambda c: c <= -0.5 + BOUNDARY_BAND, _around(-0.5 + BOUNDARY_BAND) + [-0.5]),
+    "rounds to sqrt(3)": (lambda d: d >= SQRT3, _around(SQRT3)),
+    "unrealizable": (lambda chi2: chi2 <= 1e-12, _around(1e-12)),
+    "swap": (lambda t: t < 0.0, [-0.0, 0.0, -5e-324, 5e-324]),
+}
+SPECIALS = [math.nan, math.inf, -math.inf, 0.0]
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_rule_gives_one_triangle_and_a_stack_the_same_first_index(rule):
+    flagged, bounds = RULES[rule]
+    values = bounds + SPECIALS
+    copies = _FLOAT_RULE_MAX // 3 + 1  # a stack of this many triples is past the cut-over
+    outcomes = set()
+    for triple in itertools.product(values, repeat=3):
+        one = np.array(triple)
+        stack = np.tile(one, (copies, 1))
+        assert isinstance(_floats(one), list) and _floats(stack) is stack
+        expected = next((i for i, x in enumerate(triple) if flagged(np.float64(x))), None)
+        assert _first(one, flagged) == _first(_floats(one), flagged) == _first(stack, flagged) == expected
+        outcomes.add(expected)
+    assert outcomes == {None, 0, 1, 2}  # every rule flags some triples and passes others
+    for x in values:  # one float, as the triple product or a realized triangle's chi^2 is
+        assert _first(x, flagged) == _first(np.float64(x), flagged) == (0 if flagged(np.float64(x)) else None)
+
+
+def test_rule_is_tested_on_python_floats_for_a_triangle_and_in_numpy_for_a_stack():
+    seen = []
+
+    def flagged(x):
+        seen.append(type(x))
+        return x < 0.0
+
+    assert _first(np.zeros(_FLOAT_RULE_MAX), flagged) is None
+    assert seen == [float] * _FLOAT_RULE_MAX
+    seen.clear()
+    stack = np.zeros(_FLOAT_RULE_MAX + 1)
+    stack[-1] = -1.0
+    assert _first(stack, flagged) == _FLOAT_RULE_MAX
+    assert seen == [np.ndarray]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_vertex_is_reported_alone_and_in_a_stack(bad):
+    point = np.array([bad, 0.0, 0.0])
+    with pytest.raises(ValueError, match="^vector components must be finite$"):
+        unit_vector(point)
+    stack = np.tile(EY, (_FLOAT_RULE_MAX + 1, 1))
+    stack[-2] = point
+    with pytest.raises(ValueError, match="^vector components must be finite$"):
+        unit_vector(stack)
+    with pytest.raises(ValueError, match="^vector components must be finite$"):
+        new_triangle(EX, EY, point)
 
 
 @given(raw_vectors, raw_vectors)

@@ -276,12 +276,12 @@ def _ungated_validate(v):
     _reject_degenerate(v, a)
     w = cross(a, b)
     t = dot(v[..., 0, :], w[..., 0, :])
-    if _first(abs(t) <= DEGENERACY_TOL) is not None:
+    if _first(t, lambda t: abs(t) <= DEGENERACY_TOL) is not None:
         raise CogeodesicError("vertices lie on a common great circle")
     c = dot(a, b)
     _reject_too_wide(c)
     d = np.sqrt(1.0 + 2.0 * c)
-    i = _first(d >= SQRT3)
+    i = _first(d, lambda d: d >= SQRT3)
     if i is not None:
         raise DegenerateError(f"vertices {(i + 1) % 3} and {(i + 2) % 3} coincide: d{i % 3} rounds to sqrt(3)")
     flip = np.asarray(t < 0.0)[..., None]
