@@ -32,22 +32,33 @@ def _floats(values: np.ndarray):
 
 def _first(values, flagged) -> int | None:
     """Flat index of the first of *values* (a float, an array or :func:`_floats` of one) that the rule
-    *flagged* flags, or None.  *flagged* is one expression that gives the same flag on a Python float
-    as on an array entry.  Up to ``_FLOAT_RULE_MAX`` values (three triangles' edges) are tested one by
-    one as Python floats, a larger stack with one NumPy compare and ``count_nonzero``.  Timed in process
-    on n passing values (2-vCPU VM, NumPy 2.4), the first costs about 0.5 + 0.06 n us and the second
-    about 1.1 us for any n up to 48, so the two meet near n = 10."""
+    *flagged* flags, or None.  *flagged* is a module-level predicate, one expression that gives the
+    same flag on a Python float as on an array entry.  Up to ``_FLOAT_RULE_MAX`` values (three
+    triangles' edges) are tested one by one as Python floats, a larger stack with one NumPy compare and
+    ``count_nonzero``.  Timed in process on n passing values (2-vCPU VM, NumPy 2.4), the first costs
+    about 0.5 + 0.06 n us and the second about 1.1 us for any n up to 48, so the two meet near n = 10."""
     if type(values) is np.ndarray:
-        values = _floats(values)
-        if type(values) is np.ndarray:
+        if values.size > _FLOAT_RULE_MAX:
             flags = flagged(values)
             return int(flags.argmax()) if np.count_nonzero(flags) else None
+        values = values.ravel().tolist()
     elif type(values) is not list:  # one float
         return 0 if flagged(values) else None
     for i, x in enumerate(values):
         if flagged(x):
             return i
     return None
+
+
+def _off_unit(nsq):
+    """The unit-norm rule on squared norms: flags a deviation from 1 beyond ``UNIT_NORM_TOL``, and NaN;
+    a non-finite component makes its squared norm inf or NaN, which is flagged too."""
+    return (abs(nsq - 1.0) > UNIT_NORM_TOL) | (nsq != nsq)
+
+
+def _zero_sum(n):
+    """The zero-sum rule of :func:`barycentre` on the norms of vertex sums."""
+    return n < 1e-9
 
 
 def unit_vector(v) -> np.ndarray:
@@ -65,8 +76,7 @@ def unit_vector(v) -> np.ndarray:
     if a.shape[-1:] != (3,):
         raise ValueError(f"expected 3 components, got shape {a.shape}")
     nsq = _dot(a, a)
-    # A non-finite component makes its squared norm inf or NaN, which fails this test too.
-    i = _first(nsq, lambda nsq: (abs(nsq - 1.0) > UNIT_NORM_TOL) | (nsq != nsq))
+    i = _first(nsq, _off_unit)
     if i is None:
         return a / np.sqrt(nsq)[..., None]
     if not np.isfinite(a).all():
@@ -111,6 +121,6 @@ def barycentre(p0, p1, p2) -> np.ndarray:
     """
     s = np.asarray(p0, dtype=float) + np.asarray(p1, dtype=float) + np.asarray(p2, dtype=float)
     n = np.sqrt(_dot(s, s))
-    if _first(n, lambda n: n < 1e-9) is not None:
+    if _first(n, _zero_sum) is not None:
         raise ZeroSumError("vertex sum is (near-)zero; barycentre undefined")
     return s / n[..., None]

@@ -156,12 +156,17 @@ def sample_napoleonic_d(count: int, seed: int) -> list[SideParameters]:
     return [SideParameters(*row) for row in sample_napoleonic_d_with_attempts(count, seed)[0].tolist()]
 
 
+def _unrealizable(chi2):
+    """The realizability rule on the Gram form: flags a squared triple product <= 1e-12."""
+    return chi2 <= 1e-12
+
+
 def _realized(d0, d1, d2):
     """:func:`realize` with the same expressions on floats or on columns (N,): ``_validate`` of
     the canonical vertices (..., 3, 3), or the first row's error."""
     c0, c1, c2 = ((x * x - 1.0) / 2.0 for x in (d0, d1, d2))
     chi2 = 1.0 - c0 * c0 - c1 * c1 - c2 * c2 + 2.0 * c0 * c1 * c2
-    i = _first(chi2, lambda chi2: chi2 <= 1e-12)
+    i = _first(chi2, _unrealizable)
     if i is not None:
         raise UnrealizableError(f"side parameters admit no triangle: squared triple {float(np.ravel(chi2)[i])!r} <= 0")
     # P2 = a0 P0 + a1 P1 + b (P0 x P1) has <P2, P0> = c1 and <P2, P1> = c0,

@@ -34,7 +34,7 @@ and side parameters that ``new_triangle`` stored on the triangle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import collections
 from typing import NamedTuple
 
 import numpy as np
@@ -45,21 +45,32 @@ from .triangle import SQRT3, SphericalTriangle
 from .triangle import _checked, _near_boundary, _opposite_edges
 
 
-@dataclass(frozen=True)
-class SignVector:
-    """Per-edge apex directions; e_i belongs to the edge opposite vertex i."""
+class SignVector(collections.namedtuple("SignVector", "e0 e1 e2")):
+    """Per-edge apex directions; e_i belongs to the edge opposite vertex i.
 
-    e0: int
-    e1: int
-    e2: int
+    A validated tuple of its three signs, each -1 or +1 (else ``ValueError``), with read-only fields
+    (assignment raises ``AttributeError``).  Being a tuple, a sign vector compares equal to the plain
+    tuple of its signs, ``SignVector(-1, -1, -1) == (-1, -1, -1)``, and hashes like it.
+    """
 
-    def __post_init__(self):
-        for name in ("e0", "e1", "e2"):
-            if getattr(self, name) not in (-1, +1):
-                raise ValueError(f"{name} must be -1 or +1")
+    __slots__ = ()
+
+    def __new__(cls, e0: int, e1: int, e2: int) -> "SignVector":
+        if e0 not in (-1, +1):
+            raise ValueError("e0 must be -1 or +1")
+        if e1 not in (-1, +1):
+            raise ValueError("e1 must be -1 or +1")
+        if e2 not in (-1, +1):
+            raise ValueError("e2 must be -1 or +1")
+        return tuple.__new__(cls, (e0, e1, e2))
+
+    @classmethod
+    def _make(cls, iterable) -> "SignVector":
+        """The namedtuple constructor from an iterable, validated too (``_replace`` calls it)."""
+        return cls(*iterable)
 
     def as_tuple(self) -> tuple[int, int, int]:
-        return (self.e0, self.e1, self.e2)
+        return tuple(self)
 
     def oriented(self, swapped: bool) -> "SignVector":
         """Signs in the stored (orientation-normalised) vertex order.
@@ -151,9 +162,9 @@ def napoleonise(t: SphericalTriangle, s: SignVector) -> NapoleonisationResult:
     for all three edges.
     """
     eff = s.oriented(t.orientation_swapped)
-    near = _near_boundary(t.edge_inners)
+    near = _near_boundary(t.edge_inners.tolist())
     a, b = _opposite_edges(t.vertices)
-    q, r = _construct(a + b, t.edge_normals, t.edge_inners, t.d, eff.as_tuple())
+    q, r = _construct(a + b, t.edge_normals, t.edge_inners, t.d, eff)
     q.flags.writeable = r.flags.writeable = False
     rr01, rr12, rr20 = _dot(r, r.take(_NEXT, 0)).tolist()
     residual = max(abs(rr01 - rr12), abs(rr12 - rr20), abs(rr20 - rr01))

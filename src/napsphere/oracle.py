@@ -9,7 +9,13 @@ equilateral vertex angle ``arccos(c / (1 + c))``; no coefficient formula from
 the construction module is used.  What the two routes share is the validated
 edge frame: Rodrigues' formula needs ``axis x v`` and ``<axis, v>``, which for
 a rotation of b about a are the stored edge normal a x b and inner product
-<a, b>.  It is evaluated for all eight sign vectors and three edges at once.
+<a, b>.
+
+The eight sign vectors have only six distinct apexes, one per sign and edge.
+Those six are rotated and barycentred at once, from the angles ``-/+ arccos(c /
+(1 + c))``, and then gathered into the (8 signs, 3 edges) centroid table.  Each
+entry holds the bits it would have if all 24 were built, because every
+operation before the gather acts entry by entry; a test compares the two.
 """
 
 from __future__ import annotations
@@ -18,15 +24,19 @@ import itertools
 
 import numpy as np
 
-from .core import _NEXT, barycentre, dot
+from .core import _NEXT, barycentre
 from .napoleon import SignVector
 from .triangle import SphericalTriangle, _check_tol, _opposite_edges
 
 
 # Sign vectors in search order: e0 varies slowest, each from -1 to +1.
 _SIGNS = [SignVector(*e) for e in itertools.product((-1, +1), repeat=3)]
-# The same signs as one (8, 3) float table; each +-1 converts exactly, so the angles keep their bits.
-_SIGN_TABLE = np.array([s.as_tuple() for s in _SIGNS], dtype=float)
+# The two signs of an apex angle as a column, -1 in row 0 and +1 in row 1; each converts exactly, so
+# the angles keep their bits.
+_ANGLE_SIGNS = np.array([[-1.0], [1.0]])
+# Row of the (2 signs x 3 edges) apex table that each sign vector takes on each edge: 3 * sign row
+# (0 for -1, 1 for +1) + edge, as an (8, 3) index table.
+_APEX_ROWS = 3 * (np.array(_SIGNS) > 0) + np.arange(3)
 
 
 def _rotate(v, axis, w, c, angle):
@@ -50,9 +60,9 @@ def search_equilateral(t: SphericalTriangle, tol: float) -> list[tuple[SignVecto
     _check_tol(tol)
     a, b = _opposite_edges(t.vertices)
     c = t.edge_inners
-    angles = _SIGN_TABLE * np.arccos(c / (1.0 + c))
-    r = barycentre(a, b, _rotate(b, a, t.edge_normals, c, angles))  # (8 signs, 3 edges, 3)
-    rr = dot(r, r.take(_NEXT, 1))
+    angles = _ANGLE_SIGNS * np.arccos(c / (1.0 + c))  # (2 signs, 3 edges)
+    r = barycentre(a, b, _rotate(b, a, t.edge_normals, c, angles)).reshape(6, 3).take(_APEX_ROWS, 0)
+    rr = np.vecdot(r, r.take(_NEXT, 1))  # r is (8 signs, 3 edges, 3)
     residuals = np.abs(rr - rr.take(_NEXT, 1)).max(axis=1).tolist()
     hits = [(s, res) for s, res in zip(_SIGNS, residuals) if res < tol]
     hits.sort(key=lambda pair: pair[1])

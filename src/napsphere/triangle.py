@@ -10,10 +10,11 @@ vertices is negative, the second and third vertices are swapped (recorded in
 
 The coincident/antipodal (``DEGENERACY_TOL``), width and ill-conditioned band
 (``BOUNDARY_BAND``) tests are one function each here; the unit-norm test is
-``core.unit_vector``.  Each rule is one expression handed to ``core._first``,
-which tests one triangle's values as Python floats, read with one ``tolist()``,
-and a stack of more than ``core._FLOAT_RULE_MAX = 9`` values (three triangles'
-edges) with one NumPy compare, which is cheaper from about ten values on.
+``core.unit_vector``.  Each rule is one module-level predicate handed to
+``core._first``, which tests one triangle's values as Python floats, read with
+one ``tolist()``, and a stack of more than ``core._FLOAT_RULE_MAX = 9`` values
+(three triangles' edges) with one NumPy compare, which is cheaper from about
+ten values on.
 
 Each edge is encoded by a side parameter ``d_i = sqrt(1 + 2<p_{i+1}, p_{i+2}>)``
 in (0, sqrt(3)), a monotone function of the length of the edge opposite
@@ -28,9 +29,19 @@ interval.  A tolerance given from outside is checked by :func:`_check_tol`.
 Validation builds every edge's frame once, for all three edges (or a stack
 of triangles) together: the inner products, the normals ``p_{i+1} x p_{i+2}``
 with one cross product, whose first row gives the triple product, and the side
-parameters with one square root.  A triangle that is swapped gets the frame
-rebuilt from its stored vertices.  The record stores the frame and every
+parameters with one square root.  The record stores the frame and every
 construction reads it.
+
+A swapped triangle's frame is reordered from that first computation, not
+rebuilt.  Its stored edge ``i`` is the entered edge ``_SWAP[i]`` reversed: the
+entered (a, b) becomes (b, a).  The cross product ``a x b`` is computed as
+``x - y`` from the products ``x = a_{k+1} b_{k-1}`` and ``y = a_{k-1} b_{k+1}``,
+and ``b x a`` is ``y - x`` bit for bit, because IEEE multiplication commutes
+exactly.  So the stored normals are ``y - x`` reordered by ``_SWAP``, signed
+zeros included; ``-(x - y)`` would differ in the sign of an exact zero.  The
+stored inner products are ``c`` reordered by ``_SWAP``.  That ``<b, a>`` rounds
+exactly like ``<a, b>`` is pinned by a test, so a record does not depend on
+the order in which vertices 1 and 2 were entered.
 
 Two exact tests can fire only near ``|c| = 1``: the coincidence/antipodality
 test ``sqrt(<a-+b, a-+b>) <= DEGENERACY_TOL`` and the rounds-to-sqrt(3) test.
@@ -60,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _NEXT, _PREV, _cross, _dot, _first, _floats, dot, unit_vector
+from .core import _NEXT, _PREV, _dot, _first, _floats, dot, unit_vector
 from .errors import CogeodesicError, DegenerateError, OutOfRangeError, TooWideError
 
 # Tolerance for distinctness / antipodality / cogeodesy checks, matching the
@@ -121,11 +132,13 @@ def _in_range(d):
 
 def _checked(d) -> tuple[float, float, float]:
     """Side parameters *d* from outside the package, as three Python floats; raises ``ValueError`` for
-    another count and :class:`OutOfRangeError` for the first entry failing :func:`_in_range`."""
+    another count and :class:`OutOfRangeError` for the first entry failing :func:`_in_range`, whose
+    rule the chained comparisons state on floats."""
     dv = tuple(map(float, d.tolist() if isinstance(d, np.ndarray) else d))  # one call for an array row
     if len(dv) != 3:
         raise ValueError(f"expected three side parameters, got {len(dv)}")
-    if not (_in_range(dv[0]) and _in_range(dv[1]) and _in_range(dv[2])):
+    d0, d1, d2 = dv
+    if not (0.0 < d0 < SQRT3 and 0.0 < d1 < SQRT3 and 0.0 < d2 < SQRT3):
         i = next(i for i, x in enumerate(dv) if not _in_range(x))
         raise OutOfRangeError(f"d{i} = {dv[i]!r} outside the open interval (0, sqrt(3))")
     return dv
@@ -136,26 +149,65 @@ def _opposite_edges(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v.take(_NEXT, -2), v.take(_PREV, -2)
 
 
+# The rules, one module-level predicate each, true on a flagged value; each gives the same flag on a
+# Python float as on an array entry (see core._first).
+def _coincident(s):
+    """Coincidence or antipodality: a separation ``|a -+ b|`` of at most ``DEGENERACY_TOL``."""
+    return s <= DEGENERACY_TOL
+
+
+def _near_unit(c):
+    """The gate of the two exact tests: an edge inner product with ``|c| >= 1 - DEGENERACY_TOL``."""
+    return abs(c) >= 1.0 - DEGENERACY_TOL
+
+
+def _cogeodesic(t):
+    """Cogeodesy: a triple product within ``DEGENERACY_TOL`` of zero."""
+    return abs(t) <= DEGENERACY_TOL
+
+
+def _too_wide(c):
+    """The width rule: an edge inner product <= -1/2."""
+    return c <= -0.5
+
+
+def _in_band(c):
+    """The ill-conditioned band: an edge inner product <= -1/2 + ``BOUNDARY_BAND``."""
+    return c <= -0.5 + BOUNDARY_BAND
+
+
+def _rounds_to_sqrt3(d):
+    """A side parameter that rounds to sqrt(3)."""
+    return d >= SQRT3
+
+
+def _negative(t):
+    """The swap rule: a negative triple product."""
+    return t < 0.0
+
+
 def _reject_degenerate(a, b) -> None:
     """Raise :class:`DegenerateError` for the first stacked pair (a[i], b[i]) that
     coincides or is antipodal (coincidence first), naming vertices ``i % 3`` and ``(i + 1) % 3``."""
     separations = np.stack((np.sqrt(dot(a - b, a - b)), np.sqrt(dot(a + b, a + b))), axis=-1)
-    k = _first(separations, lambda s: s <= DEGENERACY_TOL)
+    k = _first(separations, _coincident)
     if k is not None:
         i, anti = divmod(k, 2)
         raise DegenerateError(f"vertices {i % 3} and {(i + 1) % 3} {'are antipodal' if anti else 'coincide'}")
 
 
 def _reject_too_wide(c) -> None:
-    """Raise :class:`TooWideError` for the first edge inner product c_i <= -1/2 of *c* (one or stacked)."""
-    i = _first(c, lambda c: c <= -0.5)
+    """Raise :class:`TooWideError` for the first edge inner product c_i <= -1/2 of *c*: an array,
+    one or stacked, or :func:`core._floats` of one."""
+    i = _first(c, _too_wide)
     if i is not None:
-        raise TooWideError(f"edge opposite vertex {i % 3} has inner product {float(np.ravel(c)[i])!r} <= -1/2")
+        x = c[i] if type(c) is list else float(c.ravel()[i])
+        raise TooWideError(f"edge opposite vertex {i % 3} has inner product {x!r} <= -1/2")
 
 
 def _near_boundary(c) -> bool:
     """Whether some edge inner product of *c* lies in the ill-conditioned band (-1/2, -1/2 + BOUNDARY_BAND]."""
-    return _first(c, lambda c: c <= -0.5 + BOUNDARY_BAND) is not None
+    return _first(c, _in_band) is not None
 
 
 def _check_tol(tol: float) -> float:
@@ -175,28 +227,33 @@ def _validate(v):
     c = np.vecdot(a, b)
     cs = _floats(c)  # read once for the gate and the width rule
     # The two exact tests below can fire only near |c| = 1 (see the module docstring).
-    near = _first(cs, lambda c: abs(c) >= 1.0 - DEGENERACY_TOL) is not None
+    near = _first(cs, _near_unit) is not None
     if near:
         _reject_degenerate(v, a)
 
-    w = _cross(a, b)
+    # core._cross(a, b) as x - y, with both products kept for a swap
+    x, y = a.take(_NEXT, -1) * b.take(_PREV, -1), a.take(_PREV, -1) * b.take(_NEXT, -1)
+    w = x - y
     t = _dot(v[..., 0, :], w[..., 0, :])  # the triple product <P0, P1 x P2>
-    if _first(t, lambda t: abs(t) <= DEGENERACY_TOL) is not None:
+    if _first(t, _cogeodesic) is not None:
         raise CogeodesicError("vertices lie on a common great circle")
 
     _reject_too_wide(cs)
     if near:
-        i = _first(np.sqrt(1.0 + 2.0 * c), lambda d: d >= SQRT3)
+        i = _first(np.sqrt(1.0 + 2.0 * c), _rounds_to_sqrt3)
         if i is not None:
             raise DegenerateError(f"vertices {(i + 1) % 3} and {(i + 2) % 3} coincide: d{i % 3} rounds to sqrt(3)")
 
     swapped = t < 0.0
-    if _first(t, lambda t: t < 0.0) is not None:
-        v = np.where(np.asarray(swapped)[..., None, None], v.take(_SWAP, -2), v)
-        # The frame rebuilt from the stored vertices: b x a and -(a x b) differ in the sign of an
-        # exact zero, and dot(b, a) has the bits of dot(a, b), which a test pins.
-        a, b = _opposite_edges(v)
-        w, c = _cross(a, b), np.vecdot(a, b)
+    if _first(t, _negative) is not None:
+        # Stored edge i is entered edge _SWAP[i] reversed, (b, a): its normal b x a is y - x and its
+        # inner product takes the bits of <a, b> (see the module docstring).
+        sv, sw, sc = v.take(_SWAP, -2), (y - x).take(_SWAP, -2), c.take(_SWAP, -1)
+        if type(swapped) is bool:  # one triangle
+            v, w, c = sv, sw, sc
+        else:  # a stack: its swapped rows
+            m = swapped[..., None]
+            v, w, c = np.where(m[..., None], sv, v), np.where(m[..., None], sw, w), np.where(m, sc, c)
     d = np.sqrt(1.0 + 2.0 * c)
     for field in (v, c, w, d):
         field.flags.writeable = False

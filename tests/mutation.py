@@ -50,7 +50,7 @@ MUTANTS = [
      "tests/test_cli.py::TestNapoleonise::test_tiny_vertex_is_normalised"),
     ("core.py", "UNIT_NORM_TOL = 1e-9", "UNIT_NORM_TOL = 1e-8",
      "tests/test_core.py::TestUnitVector::test_tolerance_is_on_the_squared_norm"),
-    ("core.py", "if _first(n, lambda n: n < 1e-9) is not None:", "if _first(n, lambda n: n < 1e-6) is not None:",
+    ("core.py", "return n < 1e-9", "return n < 1e-6",
      "tests/test_core.py::TestBarycentre::test_small_vertex_sum_still_has_a_direction"),
     ("core.py", "n = np.sqrt(_dot(s, s))", "n = _dot(s, s)",
      "tests/test_acceptance.py::test_criterion_2_known_napoleonic_triangle"),
@@ -60,12 +60,14 @@ MUTANTS = [
         "core.py",
         "a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)",
         "a.take(_PREV, -1) * b.take(_NEXT, -1) - a.take(_NEXT, -1) * b.take(_PREV, -1)",
-        "tests/test_acceptance.py::test_criterion_1_scalene_construction_values",
+        "tests/test_core.py::TestCross::test_basis_identity",
     ),
     ("core.py", "if flagged(x):\n            return i\n", "if flagged(x):\n            return i + 1\n",
      "tests/test_acceptance.py::test_criterion_6_closed_form_consistency"),
     ("core.py", "if values.size <= _FLOAT_RULE_MAX else", "if values.size > _FLOAT_RULE_MAX else",
      "tests/test_core.py::test_rule_gives_one_triangle_and_a_stack_the_same_first_index[unit norm]"),
+    ("core.py", "if values.size > _FLOAT_RULE_MAX:", "if values.size >= _FLOAT_RULE_MAX:",
+     "tests/test_core.py::test_rule_is_tested_on_python_floats_for_a_triangle_and_in_numpy_for_a_stack"),
     ("ellipsoid.py", "_MAX_REJECTIONS = 10**6", "_MAX_REJECTIONS = 10**5",
      "tests/test_ellipsoid.py::TestSamplerStuckGuard::test_one_rejection_short_of_the_limit_passes"),
     ("ellipsoid.py", "np.sqrt(dot(off, off)) >= DIAGONAL_MARGIN", "np.sqrt(dot(off, off)) > DIAGONAL_MARGIN",
@@ -88,6 +90,8 @@ MUTANTS = [
     ),
     ("napoleon.py", "t.edge_inners, t.d, eff", "t.edge_inners, t.edge_inners, eff",
      "tests/test_acceptance.py::test_criterion_1_scalene_construction_values"),
+    ("napoleon.py", '        if e1 not in (-1, +1):\n            raise ValueError("e1 must be -1 or +1")\n', "",
+     "tests/test_napoleon.py::test_sign_vector_is_a_validated_tuple_of_its_signs"),
     ("napoleon.py", "-self.e2, -self.e1", "-self.e1, -self.e2",
      "tests/test_golden_cli.py::test_golden_stdout[napoleonise-json-vertices-swapped-mixed]"),
     ("napoleon.py", "NapoleonisationResult(q, r, rr01, rr12,", "NapoleonisationResult(q, r, rr12, rr01,",
@@ -97,6 +101,8 @@ MUTANTS = [
     ("oracle.py", "itertools.product((-1, +1), repeat=3)", "itertools.product((+1, -1), repeat=3)",
      "tests/test_oracle.py::TestSearchEquilateral::test_ties_keep_search_order_and_tolerance_is_strict"),
     ("oracle.py", "return v * cos + w * sin + axis", "return v * cos - w * sin + axis",
+     "tests/test_cli.py::TestSearch::test_known_triangle_contains_outward"),
+    ("oracle.py", "[[-1.0], [1.0]]", "[[1.0], [-1.0]]",
      "tests/test_cli.py::TestSearch::test_known_triangle_contains_outward"),
     ("oracle.py", "np.arccos(c / (1.0 + c))", "np.arccos(c / (1.0 - c))",
      "tests/test_cli.py::TestSearch::test_known_triangle_contains_outward"),
@@ -128,17 +134,30 @@ MUTANTS = [
      "tests/test_acceptance.py::test_criterion_6_closed_form_consistency"),
     ("polynomials.py", "chi * (ei * dk + ek * di)", "chi * (ei * di + ek * dk)",
      "tests/test_acceptance.py::test_criterion_6_closed_form_consistency"),
-    ("triangle.py", "lambda c: c <= -0.5 + BOUNDARY_BAND", "lambda c: c < -0.5 + BOUNDARY_BAND",
+    ("triangle.py", "return c <= -0.5 + BOUNDARY_BAND", "return c < -0.5 + BOUNDARY_BAND",
      "tests/test_triangle.py::test_band_edge_is_inclusive"),
     ("triangle.py", "and {(i + 1) % 3} {'are antipodal'", "and {(i + 2) % 3} {'are antipodal'",
      "tests/test_triangle.py::test_stacked_validation_names_vertices_within_the_first_failing_triangle"),
     ("triangle.py", "edge opposite vertex {i % 3} has", "edge opposite vertex {i} has",
      "tests/test_ellipsoid.py::TestRealize::test_stacked_realize_reports_the_first_failing_row"),
-    ("triangle.py", "lambda t: abs(t) <= DEGENERACY_TOL", "lambda t: abs(t) < DEGENERACY_TOL",
+    (
+        "triangle.py",
+        "c[i] if type(c) is list",
+        "c[0] if type(c) is list",
+        "tests/test_triangle.py::test_rejection_messages_name_the_pair_or_edge"
+        "[edge opposite vertex 0 has inner product -0.75 <= -1/2-stacked]",
+    ),
+    ("triangle.py", "return abs(t) <= DEGENERACY_TOL", "return abs(t) < DEGENERACY_TOL",
      "tests/test_triangle.py::TestNewTriangle::test_cogeodesic_bound_is_inclusive"),
-    ("triangle.py", "w, c = _cross(a, b), np.vecdot(a, b)", "c = np.vecdot(a, b)",
+    ("triangle.py", "(y - x).take(_SWAP, -2)", "w",
      "tests/test_acceptance.py::test_criterion_1_scalene_construction_values"),
-    ("triangle.py", "lambda c: abs(c) >= 1.0 - DEGENERACY_TOL", "lambda c: abs(c) > 1.0",
+    ("triangle.py", "(y - x)", "(x - y)",
+     "tests/test_acceptance.py::test_criterion_1_scalene_construction_values"),
+    ("triangle.py", "(y - x)", "-(x - y)",
+     "tests/test_triangle.py::test_stored_edge_frame_is_built_from_the_stored_vertices_exactly"),
+    ("triangle.py", "np.where(m[..., None], sw, w)", "np.where(m[..., None], -(x - y).take(_SWAP, -2), w)",
+     "tests/test_triangle.py::test_stored_edge_frame_is_built_from_the_stored_vertices_exactly"),
+    ("triangle.py", "return abs(c) >= 1.0 - DEGENERACY_TOL", "return abs(c) > 1.0",
      "tests/test_acceptance.py::test_criterion_8_degenerate_handling"),
     ("triangle.py", "return (d > 0.0) & (d < SQRT3)", "return (d > 0.0) & (d <= SQRT3)",
      "tests/test_triangle.py::TestSideParameters::test_out_of_range_rejected"),
@@ -146,7 +165,7 @@ MUTANTS = [
      "tests/test_triangle.py::TestSideParameters::test_out_of_range_rejected"),
     ("triangle.py", "return (d > 0.0) & (d < SQRT3)", "return (d > 0.0) & (d < SQRT3) | (d != d)",
      "tests/test_triangle.py::test_range_rule_at_every_entry_point[realize-list]"),
-    ("triangle.py", "_in_range(dv[1]) and _in_range(dv[2])", "_in_range(dv[1])",
+    ("triangle.py", "0.0 < d1 < SQRT3 and 0.0 < d2 < SQRT3", "0.0 < d1 < SQRT3",
      "tests/test_triangle.py::TestSideParameters::test_out_of_range_rejected"),
     ("triangle.py", "d.tolist() if isinstance", "d.tolist()[::-1] if isinstance",
      "tests/test_public_api.py::test_sampler_rows_are_side_parameters"),

@@ -449,11 +449,7 @@ def test_verify_identities_loads_no_numpy_dataclasses_or_json():
 def test_numpy_subcommands_load_no_exact_ring(argv):
     loaded = _modules_loaded(argv, b'{"d": [0.9, 1.0, 1.1]}')
     assert "numpy" in loaded  # the child ran its subcommand
-    assert not loaded & {"napsphere.algebra", "fractions"}
-    # The result records are NamedTuples. napoleonise and search still load ``dataclasses``,
-    # through SignVector, the package's one dataclass.
-    if argv[0] in ("classify", "sample"):
-        assert "dataclasses" not in loaded
+    assert not loaded & {"napsphere.algebra", "fractions", "dataclasses"}
 
 
 @pytest.mark.parametrize(

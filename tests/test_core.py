@@ -22,7 +22,9 @@ from napsphere import (
     spherical_distance,
     unit_vector,
 )
-from napsphere.core import _FLOAT_RULE_MAX, UNIT_NORM_TOL, _first, _floats
+from napsphere import triangle
+from napsphere.core import _FLOAT_RULE_MAX, UNIT_NORM_TOL, _first, _floats, _off_unit, _zero_sum
+from napsphere.ellipsoid import _unrealizable
 from napsphere.triangle import BOUNDARY_BAND, DEGENERACY_TOL, SQRT3
 
 from conftest import (
@@ -214,21 +216,18 @@ def _around(x):
     return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
 
 
-# Each rule that core, triangle and ellipsoid test through _first, written as there, with the
-# values at its bound and their neighbouring floats.
+# Each rule that core, triangle and ellipsoid test through _first, its module-level predicate,
+# with the values at its bound and their neighbouring floats.
 RULES = {
-    "unit norm": (
-        lambda nsq: (abs(nsq - 1.0) > UNIT_NORM_TOL) | (nsq != nsq),
-        _around(1.0 - UNIT_NORM_TOL) + _around(1.0 + UNIT_NORM_TOL) + [1.0],
-    ),
-    "zero sum": (lambda n: n < 1e-9, _around(1e-9)),
-    "near gate": (lambda c: abs(c) >= 1.0 - DEGENERACY_TOL, _around(1.0 - DEGENERACY_TOL) + _around(DEGENERACY_TOL - 1.0)),
-    "cogeodesic": (lambda t: abs(t) <= DEGENERACY_TOL, _around(DEGENERACY_TOL) + _around(-DEGENERACY_TOL)),
-    "too wide": (lambda c: c <= -0.5, _around(-0.5)),
-    "boundary band": (lambda c: c <= -0.5 + BOUNDARY_BAND, _around(-0.5 + BOUNDARY_BAND) + [-0.5]),
-    "rounds to sqrt(3)": (lambda d: d >= SQRT3, _around(SQRT3)),
-    "unrealizable": (lambda chi2: chi2 <= 1e-12, _around(1e-12)),
-    "swap": (lambda t: t < 0.0, [-0.0, 0.0, -5e-324, 5e-324]),
+    "unit norm": (_off_unit, _around(1.0 - UNIT_NORM_TOL) + _around(1.0 + UNIT_NORM_TOL) + [1.0]),
+    "zero sum": (_zero_sum, _around(1e-9)),
+    "near gate": (triangle._near_unit, _around(1.0 - DEGENERACY_TOL) + _around(DEGENERACY_TOL - 1.0)),
+    "cogeodesic": (triangle._cogeodesic, _around(DEGENERACY_TOL) + _around(-DEGENERACY_TOL)),
+    "too wide": (triangle._too_wide, _around(-0.5)),
+    "boundary band": (triangle._in_band, _around(-0.5 + BOUNDARY_BAND) + [-0.5]),
+    "rounds to sqrt(3)": (triangle._rounds_to_sqrt3, _around(SQRT3)),
+    "unrealizable": (_unrealizable, _around(1e-12)),
+    "swap": (triangle._negative, [-0.0, 0.0, -5e-324, 5e-324]),
 }
 SPECIALS = [math.nan, math.inf, -math.inf, 0.0]
 

@@ -199,6 +199,28 @@ class TestNapoleonise:
             SignVector(*signs)
 
 
+def test_sign_vector_is_a_validated_tuple_of_its_signs():
+    # The repr, str and hash of the frozen dataclass it replaced; equality with the plain tuple of
+    # its signs is the one new behaviour.
+    assert repr(OUTWARD) == "SignVector(e0=-1, e1=-1, e2=-1)"
+    assert (str(OUTWARD), str(SignVector(+1, -1, +1))) == ("---", "+-+")
+    assert hash(SignVector(1, -1, 1)) == hash((1, -1, 1))
+    assert OUTWARD == (-1, -1, -1) and OUTWARD.as_tuple() == (-1, -1, -1) and OUTWARD != INWARD
+    for bad in ((-1, 0, 1), (1, 2, 1)):
+        with pytest.raises(ValueError, match=r"^e1 must be -1 or \+1$"):
+            SignVector(*bad)
+        with pytest.raises(ValueError, match=r"^e1 must be -1 or \+1$"):
+            SignVector._make(bad)
+    with pytest.raises(ValueError, match=r"^e1 must be -1 or \+1$"):
+        OUTWARD._replace(e1=0)
+    for name in ("e0", "e1", "e2"):
+        with pytest.raises(AttributeError):
+            setattr(OUTWARD, name, 1)
+    with pytest.raises(AttributeError):
+        OUTWARD.extra = 1
+    assert OUTWARD == SignVector(-1, -1, -1)  # unchanged
+
+
 @pytest.mark.parametrize("field", ["apexes", "centroids"])
 def test_result_arrays_are_read_only(napoleonic_triangle, field):
     # rr01/rr12/rr20 and the residual are derived from them at construction

@@ -16,7 +16,8 @@ from napsphere import (
     search_equilateral,
     side_parameters,
 )
-from napsphere import algebra
+from napsphere import NapsphereError, algebra, realize, sample_napoleonic_d
+from napsphere.core import _NEXT, barycentre, dot
 from napsphere.oracle import _rotate
 from napsphere.triangle import _opposite_edges
 
@@ -30,6 +31,19 @@ def _apexes_by_rotation(t, s):
     c = t.edge_inners
     eps = np.array(s.oriented(t.orientation_swapped).as_tuple(), dtype=float)
     return _rotate(b, a, t.edge_normals, c, eps * np.arccos(c / (1.0 + c)))
+
+
+def _search_reference(t):
+    """Reference: ``search_equilateral(t, inf)`` with all 24 apexes rotated and barycentred, one
+    per sign vector and edge, from the full (8, 3) angle table."""
+    signs = [SignVector(*e) for e in itertools.product((-1, +1), repeat=3)]
+    a, b = _opposite_edges(t.vertices)
+    c = t.edge_inners
+    angles = np.array(signs, dtype=float) * np.arccos(c / (1.0 + c))
+    r = barycentre(a, b, _rotate(b, a, t.edge_normals, c, angles))  # (8 signs, 3 edges, 3)
+    rr = dot(r, r.take(_NEXT, 1))
+    residuals = np.abs(rr - rr.take(_NEXT, 1)).max(axis=1).tolist()
+    return sorted(zip(signs, residuals), key=lambda pair: pair[1])
 
 
 class TestApexByRotation:
@@ -201,3 +215,33 @@ class TestRotationChain:
             assert error <= 1e-13
             checked += 1
         assert checked > 100
+
+
+def _chain_triangles(count, seed):
+    """Triangles of the outward chain of :class:`TestRotationChain`: P1 and P2 signed permutations of a random P0."""
+    m0, _, m2 = (_chain_rotation(axis, +1) for axis in CHAIN_AXES)
+    for p0 in np.random.default_rng(seed).normal(size=(count, 3)):
+        p0 /= np.linalg.norm(p0)
+        yield new_triangle(p0, m2 @ p0, m0 @ m2 @ p0)
+
+
+def test_six_apex_search_equals_the_full_angle_table_exactly():
+    # The search rotates the six distinct (sign, edge) apexes and gathers them into the eight
+    # sign vectors; every residual must keep the bits of the 24-apex table, on kept and swapped
+    # random triangles, realized quadric samples and rotation-chain triangles.
+    rng = np.random.default_rng(65)
+    uniform = []
+    while len(uniform) < 300:
+        v = rng.normal(size=(3, 3))
+        try:
+            uniform.append(new_triangle(*(v / np.linalg.norm(v, axis=1, keepdims=True))))
+        except NapsphereError:
+            continue
+    quadric = [realize(d) for d in sample_napoleonic_d(200, seed=66)]
+    chain = list(_chain_triangles(200, seed=67))
+    swapped = [t.orientation_swapped for t in uniform + chain]
+    assert 100 < sum(swapped) < 400
+    for t in uniform + quadric + chain:
+        got, expected = search_equilateral(t, math.inf), _search_reference(t)
+        assert [s for s, _ in got] == [s for s, _ in expected]
+        assert np.array([r for _, r in got]).tobytes() == np.array([r for _, r in expected]).tobytes()

@@ -247,13 +247,27 @@ def test_stored_edge_frame_is_built_from_the_stored_vertices_exactly():
         for field in (t.edge_normals, t.d):
             with pytest.raises(ValueError, match="read-only"):
                 field[0] = 0.0
+    # One stack of the realized vertices, entered as they are and with vertices 1 and 2 exchanged,
+    # row by row: the swapped rows take their frame from the stack's np.where branch, and each row
+    # must be its single-triangle record byte for byte.
+    rows = np.array([v[[0, 2, 1]] if (k + k // 100) % 2 else v for k, v in enumerate(entered[:100] * 2)])
+    stack = _validate(rows)
+    assert stack[5].tolist() == [False, True] * 50 + [True, False] * 50
+    normals = stack[2]
+    zeros = normals[normals == 0.0]
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()  # both signed zeros occur
+    for k, row in enumerate(rows):
+        t = new_triangle(*row)
+        for got, field in zip(stack[:4], ("vertices", "edge_inners", "edge_normals", "d")):
+            assert got[k].tobytes() == getattr(t, field).tobytes()
+        assert (stack[4][k], stack[5][k]) == (t.chi, t.orientation_swapped)
 
 
 def test_swapped_input_gives_the_record_of_the_stored_order_exactly():
-    # After a swap the frame is rebuilt from the stored vertices, so a record
-    # must not depend on the order in which vertices 1 and 2 were entered; that
-    # needs core.dot(a, b) to round exactly like core.dot(b, a).  A host whose
-    # matmul breaks that symmetry fails here instead of changing outputs.
+    # After a swap the stored inner products are the entered ones reordered, so
+    # a record does not depend on the order in which vertices 1 and 2 were
+    # entered only if core.dot(a, b) rounds exactly like core.dot(b, a).  A host
+    # whose matmul breaks that symmetry fails here instead of changing outputs.
     v = np.array([t.vertices for t in random_triangles(500, seed=31)])
     stored, entered = _validate(v), _validate(v.take([0, 2, 1], axis=1))
     assert not stored[5].any() and entered[5].all()
