@@ -91,12 +91,13 @@ class _BadInput(Exception):
 def _triangle_from_doc(doc: dict) -> SphericalTriangle:
     import numpy as np
 
-    from .ellipsoid import realize
     from .triangle import new_triangle
 
     if ("vertices" in doc) == ("d" in doc):
         raise _BadInput('input must contain exactly one of "vertices" and "d"')
     if "d" in doc:
+        from .ellipsoid import realize  # only a d document is realized
+
         return realize(_finite_triple(doc["d"], '"d"'))
     verts = doc["vertices"]
     if not (isinstance(verts, list) and len(verts) == 3):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import _dot, _first, dot
 from .errors import SeedExhaustedError, UnrealizableError
-from .triangle import SideParameters, SphericalTriangle, _checked, _validate
+from .triangle import SideParameters, SphericalTriangle, _checked, _gram, _validate
 
 # Orthogonal rotation taking (d0, d1, d2) to (X, Y, Z); rows are orthonormal,
 # so the inverse is the transpose.
@@ -95,9 +95,10 @@ def _quadric_block(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     phi = 2.0 * math.pi * u[:, 1]
     sin_theta = np.sin(theta)
     p = np.stack((np.cos(theta), 2.0 * sin_theta * np.cos(phi), 2.0 * sin_theta * np.sin(phi)), axis=-1)
-    d = (ROTATION.T @ p[..., None])[..., 0]
-    off = d - d.mean(axis=1, keepdims=True)
-    ok = (d >= D_FLOOR).all(axis=1) & (np.sqrt(dot(off, off)) >= DIAGONAL_MARGIN)
+    d = p @ ROTATION
+    d0, d1, d2 = d.T
+    off = d - ((d0 + d1 + d2) / 3.0)[:, None]
+    ok = (d0 >= D_FLOOR) & (d1 >= D_FLOOR) & (d2 >= D_FLOOR) & (np.sqrt(dot(off, off)) >= DIAGONAL_MARGIN)
     return d, ok
 
 
@@ -165,7 +166,7 @@ def _realized(d0, d1, d2):
     """:func:`realize` with the same expressions on floats or on columns (N,): ``_validate`` of
     the canonical vertices (..., 3, 3), or the first row's error."""
     c0, c1, c2 = ((x * x - 1.0) / 2.0 for x in (d0, d1, d2))
-    chi2 = 1.0 - c0 * c0 - c1 * c1 - c2 * c2 + 2.0 * c0 * c1 * c2
+    chi2 = _gram(c0, c1, c2)
     i = _first(chi2, _unrealizable)
     if i is not None:
         raise UnrealizableError(f"side parameters admit no triangle: squared triple {float(np.ravel(chi2)[i])!r} <= 0")

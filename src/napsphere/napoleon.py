@@ -35,6 +35,7 @@ and side parameters that ``new_triangle`` stored on the triangle.
 from __future__ import annotations
 
 import collections
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -78,9 +79,7 @@ class SignVector(collections.namedtuple("SignVector", "e0 e1 e2")):
         Swapping vertices 1 and 2 reverses every edge's cross product and
         exchanges which edges sit opposite vertices 1 and 2.
         """
-        if not swapped:
-            return self
-        return SignVector(-self.e0, -self.e2, -self.e1)
+        return _SWAPPED[self] if swapped else self
 
     @classmethod
     def parse(cls, text: str) -> "SignVector":
@@ -100,6 +99,15 @@ class SignVector(collections.namedtuple("SignVector", "e0 e1 e2")):
 
 OUTWARD = SignVector(-1, -1, -1)
 INWARD = SignVector(+1, +1, +1)
+
+# The eight sign vectors in search order: e0 varies slowest, each from -1 to +1.
+_SIGNS = [SignVector(*e) for e in itertools.product((-1, +1), repeat=3)]
+# Each sign vector in the stored order of a swapped triangle (see SignVector.oriented).
+_SWAPPED = {s: SignVector(-s.e0, -s.e2, -s.e1) for s in _SIGNS}
+# Each sign vector as the read-only (3, 1) float column that _construct multiplies by.
+_COLUMN_TABLE = np.array(_SIGNS, dtype=float)[..., None]
+_COLUMN_TABLE.flags.writeable = False
+_COLUMNS = dict(zip(_SIGNS, _COLUMN_TABLE))
 
 
 class NapoleonisationResult(NamedTuple):
@@ -137,13 +145,13 @@ class NapoleonisationResult(NamedTuple):
         return min(self.rr01, self.rr12, self.rr20) > 1.0 - 1e-9
 
 
-def _construct(s, w, c, h, eps):
+def _construct(s, w, c, h, e):
     """Apexes and centroids of stacked admissible edges (a, b) from the frame
     validation built for them: the sums ``s = a + b``, normals ``w = a x b``,
-    inner products *c*, side parameters ``h = sqrt(1 + 2c)``, and one sign
-    each; every edge of a stack comes out bit for bit as alone."""
+    inner products *c*, side parameters ``h = sqrt(1 + 2c)``, and the float
+    column *e* of their signs, one per edge (a ``_COLUMNS`` entry for one
+    triangle); every edge of a stack comes out bit for bit as alone."""
     c, h = np.asarray(c)[..., None], np.asarray(h)[..., None]
-    e = np.asarray(eps, dtype=float)[..., None]
     c1 = 1.0 + c
     q = (c * s + e * h * w) / c1
     r = (h * s + e * w) / (SQRT3 * c1)
@@ -161,10 +169,10 @@ def napoleonise(t: SphericalTriangle, s: SignVector) -> NapoleonisationResult:
     come from ``new_triangle``; only the boundary band is checked here, once
     for all three edges.
     """
-    eff = s.oriented(t.orientation_swapped)
+    e = _COLUMNS[s.oriented(t.orientation_swapped)]
     near = _near_boundary(t.edge_inners.tolist())
     a, b = _opposite_edges(t.vertices)
-    q, r = _construct(a + b, t.edge_normals, t.edge_inners, t.d, eff)
+    q, r = _construct(a + b, t.edge_normals, t.edge_inners, t.d, e)
     q.flags.writeable = r.flags.writeable = False
     rr01, rr12, rr20 = _dot(r, r.take(_NEXT, 0)).tolist()
     residual = max(abs(rr01 - rr12), abs(rr12 - rr20), abs(rr20 - rr01))
@@ -181,4 +189,4 @@ def centroid_inner_closed_form(d, chi: float, s: SignVector, i: int) -> float:
     """
     dv = _checked(d)
     dj = dv[(i + 1) % 3]
-    return (dj * dj + 1) / polynomials.gamma(*dv) * polynomials.centroid_bracket(dv, chi, s.as_tuple(), i)
+    return (dj * dj + 1) / polynomials.gamma(*dv) * polynomials.centroid_bracket(dv, chi, s, i)

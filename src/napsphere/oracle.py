@@ -20,17 +20,13 @@ operation before the gather acts entry by entry; a test compares the two.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .core import _NEXT, barycentre
-from .napoleon import SignVector
+from .napoleon import _SIGNS, SignVector
 from .triangle import SphericalTriangle, _check_tol, _opposite_edges
 
 
-# Sign vectors in search order: e0 varies slowest, each from -1 to +1.
-_SIGNS = [SignVector(*e) for e in itertools.product((-1, +1), repeat=3)]
 # The two signs of an apex angle as a column, -1 in row 0 and +1 in row 1; each converts exactly, so
 # the angles keep their bits.
 _ANGLE_SIGNS = np.array([[-1.0], [1.0]])

@@ -30,7 +30,8 @@ Validation builds every edge's frame once, for all three edges (or a stack
 of triangles) together: the inner products, the normals ``p_{i+1} x p_{i+2}``
 with one cross product, whose first row gives the triple product, and the side
 parameters with one square root.  The record stores the frame and every
-construction reads it.
+construction reads it.  Most too-wide triples are rejected before the frame,
+from their inner products alone (the width gate below).
 
 A swapped triangle's frame is reordered from that first computation, not
 rebuilt.  Its stored edge ``i`` is the entered edge ``_SWAP[i]`` reversed: the
@@ -60,7 +61,36 @@ and the forward error bound of a floating-point inner product (Higham,
   and the rounding of the sum and the square root moves it by about ``4e-16``,
   so ``d < SQRT3``.
 
-The bound needs vertices that are unit to rounding, as ``unit_vector``'s
+The third gate decides the width rule before the frame.  When some edge has
+``c <= -1/2``, :func:`_validate` evaluates the Gram determinant of the vertices
+on the same floats, ``g = 1 - c0**2 - c1**2 - c2**2 + 2 c0 c1 c2`` (:func:`_gram`,
+which :func:`napsphere.ellipsoid.realize` also uses), and if every triangle has
+``g > GRAM_GATE = 1e-12`` it raises :class:`TooWideError` at once, without the
+cross product and triple product ``t``.  That can change no outcome, because
+then the cogeodesy rule ``|t| <= DEGENERACY_TOL``, the one rule between the
+coincidence test and the width rule, cannot fire:
+
+* In exact arithmetic ``g = t**2``, the determinant of the Gram matrix of the
+  rows of ``v``, ``det(v v^T) = det(v)**2``.  Its nine entries are computed
+  or taken as 1 within ``6u`` each, and each partial derivative of the
+  determinant is a cofactor, at most 2 in magnitude, so the entries move
+  ``g`` by at most about ``108u = 1.2e-14``; evaluating the polynomial adds a
+  few ``u``.  The computed ``t``, a dot product of a cross product, is within a
+  few ``u`` of ``det(v)``.  Over 200,000 uniform triples and 80,000 triples
+  tilted ``1e-3`` to ``1e-12`` off a great circle, ``|g - t**2|`` stayed below
+  ``1.0e-15``.
+* So ``g > 1e-12`` gives ``t**2 > 1e-12 - 2e-14`` and ``|t| > 9.8e-7``, far
+  above ``DEGENERACY_TOL``.  No triple of those sets passed the gate with
+  ``|t| <= 1e-9``; the least ``|t|`` that passed was ``1.0e-6``, and the least
+  ``g`` of a uniform wide triple was ``6.5e-12``, so nearly every rejection
+  takes the gate.
+
+The gate runs after the coincidence test, which precedes the width rule.  A
+wide triple that the gate does not pass, and every admissible one, takes the
+frame and the rules in their order, so a cogeodesic wide triple still raises
+:class:`CogeodesicError`.
+
+The bounds need vertices that are unit to rounding, as ``unit_vector``'s
 rescaling leaves them.
 """
 
@@ -83,6 +113,10 @@ DEGENERACY_TOL = 1e-9
 BOUNDARY_BAND = 1e-6
 
 SQRT3 = math.sqrt(3.0)
+
+# A Gram determinant of the vertices above this excludes cogeodesy: the width rule can then be
+# decided before the frame (see the module docstring).
+GRAM_GATE = 1e-12
 
 # Vertex order with vertices 1 and 2 exchanged; it also exchanges the edges opposite them.
 _SWAP = np.array([0, 2, 1])
@@ -196,10 +230,23 @@ def _reject_degenerate(a, b) -> None:
         raise DegenerateError(f"vertices {i % 3} and {(i + 1) % 3} {'are antipodal' if anti else 'coincide'}")
 
 
-def _reject_too_wide(c) -> None:
-    """Raise :class:`TooWideError` for the first edge inner product c_i <= -1/2 of *c*: an array,
-    one or stacked, or :func:`core._floats` of one."""
-    i = _first(c, _too_wide)
+def _may_be_cogeodesic(g):
+    """The width gate's complement: a Gram determinant ``g`` at most ``GRAM_GATE``, which leaves
+    cogeodesy open."""
+    return g <= GRAM_GATE
+
+
+def _gram(c0, c1, c2):
+    """The Gram determinant ``1 - c0^2 - c1^2 - c2^2 + 2 c0 c1 c2`` of three unit vectors with
+    pairwise inner products c0, c1, c2, on floats or on columns: the squared triple product in
+    exact arithmetic."""
+    return 1.0 - c0 * c0 - c1 * c1 - c2 * c2 + 2.0 * c0 * c1 * c2
+
+
+def _reject_too_wide(c, i) -> None:
+    """Raise :class:`TooWideError` for entry *i* of *c* (an array, one or stacked, or
+    :func:`core._floats` of one) unless *i* is None; *i* is the first entry that :func:`_too_wide`
+    flags."""
     if i is not None:
         x = c[i] if type(c) is list else float(c.ravel()[i])
         raise TooWideError(f"edge opposite vertex {i % 3} has inner product {x!r} <= -1/2")
@@ -230,6 +277,11 @@ def _validate(v):
     near = _first(cs, _near_unit) is not None
     if near:
         _reject_degenerate(v, a)
+    wide = _first(cs, _too_wide)
+    if wide is not None:  # the width gate (see the module docstring)
+        g = _gram(*(cs if c.ndim == 1 else np.moveaxis(c, -1, 0)))
+        if _first(g, _may_be_cogeodesic) is None:
+            _reject_too_wide(cs, wide)
 
     # core._cross(a, b) as x - y, with both products kept for a swap
     x, y = a.take(_NEXT, -1) * b.take(_PREV, -1), a.take(_PREV, -1) * b.take(_NEXT, -1)
@@ -238,7 +290,7 @@ def _validate(v):
     if _first(t, _cogeodesic) is not None:
         raise CogeodesicError("vertices lie on a common great circle")
 
-    _reject_too_wide(cs)
+    _reject_too_wide(cs, wide)
     if near:
         i = _first(np.sqrt(1.0 + 2.0 * c), _rounds_to_sqrt3)
         if i is not None:
@@ -254,6 +306,7 @@ def _validate(v):
         else:  # a stack: its swapped rows
             m = swapped[..., None]
             v, w, c = np.where(m[..., None], sv, v), np.where(m[..., None], sw, w), np.where(m, sc, c)
+    del x, y  # a large stack's products, freed before the side parameters are allocated
     d = np.sqrt(1.0 + 2.0 * c)
     for field in (v, c, w, d):
         field.flags.writeable = False

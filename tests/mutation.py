@@ -72,9 +72,9 @@ MUTANTS = [
      "tests/test_ellipsoid.py::TestSamplerStuckGuard::test_one_rejection_short_of_the_limit_passes"),
     ("ellipsoid.py", "np.sqrt(dot(off, off)) >= DIAGONAL_MARGIN", "np.sqrt(dot(off, off)) > DIAGONAL_MARGIN",
      "tests/test_ellipsoid.py::TestSamplerStream::test_diagonal_margin_equality[1.591549430871888e-07-1e-06-True]"),
-    ("ellipsoid.py", "(d >= D_FLOOR).all(axis=1)", "(d > 0.0).all(axis=1)",
+    ("ellipsoid.py", "(d0 >= D_FLOOR) & (d1 >= D_FLOOR) & (d2 >= D_FLOOR)", "(d0 > 0.0) & (d1 > 0.0) & (d2 > 0.0)",
      "tests/test_ellipsoid.py::TestSampler::test_side_parameters_reach_the_floor"),
-    ("ellipsoid.py", "(d >= D_FLOOR).all(axis=1)", "(d >= D_FLOOR).any(axis=1)",
+    ("ellipsoid.py", "(d0 >= D_FLOOR) & (d1 >= D_FLOOR) & (d2 >= D_FLOOR)", "(d0 >= D_FLOOR) | (d1 >= D_FLOOR) | (d2 >= D_FLOOR)",
      "tests/test_acceptance.py::test_criterion_3_forward_direction_on_quadric"),
     ("ellipsoid.py", "return np.concatenate(blocks), attempts", "return np.concatenate(blocks), attempts + 1",
      "tests/test_ellipsoid.py::TestSamplerStream::test_matches_reference_loop[1]"),
@@ -88,17 +88,20 @@ MUTANTS = [
         "max(abs(rr01 - rr12), abs(rr12 - rr20))",
         "tests/test_napoleon.py::test_equilateral_residual_is_the_largest_of_all_three_differences",
     ),
-    ("napoleon.py", "t.edge_inners, t.d, eff", "t.edge_inners, t.edge_inners, eff",
+    ("napoleon.py", "t.edge_inners, t.d, e)", "t.edge_inners, t.edge_inners, e)",
      "tests/test_acceptance.py::test_criterion_1_scalene_construction_values"),
     ("napoleon.py", '        if e1 not in (-1, +1):\n            raise ValueError("e1 must be -1 or +1")\n', "",
      "tests/test_napoleon.py::test_sign_vector_is_a_validated_tuple_of_its_signs"),
-    ("napoleon.py", "-self.e2, -self.e1", "-self.e1, -self.e2",
+    ("napoleon.py", "-s.e2, -s.e1", "-s.e1, -s.e2",
      "tests/test_golden_cli.py::test_golden_stdout[napoleonise-json-vertices-swapped-mixed]"),
+    # two entries of the swapped-sign table exchanged: (-,-,+) and (-,+,-) map to each other's images
+    ("napoleon.py", "for s in _SIGNS}\n", "for s in _SIGNS} | {_SIGNS[1]: _SIGNS[6], _SIGNS[2]: _SIGNS[5]}\n",
+     "tests/test_napoleon.py::TestNapoleonise::test_sign_rule_in_input_order_for_both_orientations"),
     ("napoleon.py", "NapoleonisationResult(q, r, rr01, rr12,", "NapoleonisationResult(q, r, rr12, rr01,",
      "tests/test_acceptance.py::test_criterion_6_closed_form_consistency"),
     ("napoleon.py", "(SQRT3 * c1)", "(1.7320508 * c1)",
      "tests/test_acceptance.py::test_criterion_2_known_napoleonic_triangle"),
-    ("oracle.py", "itertools.product((-1, +1), repeat=3)", "itertools.product((+1, -1), repeat=3)",
+    ("napoleon.py", "itertools.product((-1, +1), repeat=3)", "itertools.product((+1, -1), repeat=3)",
      "tests/test_oracle.py::TestSearchEquilateral::test_ties_keep_search_order_and_tolerance_is_strict"),
     ("oracle.py", "return v * cos + w * sin + axis", "return v * cos - w * sin + axis",
      "tests/test_cli.py::TestSearch::test_known_triangle_contains_outward"),
@@ -147,6 +150,12 @@ MUTANTS = [
         "tests/test_triangle.py::test_rejection_messages_name_the_pair_or_edge"
         "[edge opposite vertex 0 has inner product -0.75 <= -1/2-stacked]",
     ),
+    ("triangle.py", "if _first(g, _may_be_cogeodesic) is None:", "if True:",
+     "tests/test_triangle.py::TestNewTriangle::test_cogeodesic_rejected"),
+    ("triangle.py", "if _first(g, _may_be_cogeodesic) is None:", "if _first(g, _may_be_cogeodesic) != 0:",
+     "tests/test_triangle.py::test_width_gate_changes_no_outcome_near_a_great_circle"),
+    ("triangle.py", "GRAM_GATE = 1e-12\n", "GRAM_GATE = 1e-18\n",
+     "tests/test_triangle.py::test_width_gate_changes_no_outcome_near_a_great_circle"),
     ("triangle.py", "return abs(t) <= DEGENERACY_TOL", "return abs(t) < DEGENERACY_TOL",
      "tests/test_triangle.py::TestNewTriangle::test_cogeodesic_bound_is_inclusive"),
     ("triangle.py", "(y - x).take(_SWAP, -2)", "w",

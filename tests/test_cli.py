@@ -452,6 +452,14 @@ def test_numpy_subcommands_load_no_exact_ring(argv):
     assert not loaded & {"napsphere.algebra", "fractions", "dataclasses"}
 
 
+@pytest.mark.parametrize("argv", [["classify", "-"], ["napoleonise", "-"], ["search", "-"]])
+def test_vertices_document_loads_no_sampler_module(argv):
+    # Only a "d" document is realized; a cold call on vertices skips compiling napsphere.ellipsoid.
+    loaded = _modules_loaded(argv, b'{"vertices": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}')
+    assert "napsphere.triangle" in loaded and "napsphere.ellipsoid" not in loaded
+    assert "napsphere.ellipsoid" in _modules_loaded(argv, b'{"d": [0.9, 1.0, 1.1]}')
+
+
 @pytest.mark.parametrize(
     "argv, stdin",
     [

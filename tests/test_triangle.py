@@ -284,7 +284,8 @@ def test_swapped_input_gives_the_record_of_the_stored_order_exactly():
 
 def _ungated_validate(v):
     """Reference: :func:`_validate`'s rules in their order, with the coincidence/antipodality
-    test and the rounds-to-sqrt(3) test run on every input, and the swap as a gather."""
+    test and the rounds-to-sqrt(3) test run on every input, the width rule only after the frame
+    and the cogeodesy rule, and the swap as a gather."""
     v = unit_vector(v)
     a, b = _opposite_edges(v)
     _reject_degenerate(v, a)
@@ -293,7 +294,7 @@ def _ungated_validate(v):
     if _first(t, lambda t: abs(t) <= DEGENERACY_TOL) is not None:
         raise CogeodesicError("vertices lie on a common great circle")
     c = dot(a, b)
-    _reject_too_wide(c)
+    _reject_too_wide(c, _first(c, lambda c: c <= -0.5))
     d = np.sqrt(1.0 + 2.0 * c)
     i = _first(d, lambda d: d >= SQRT3)
     if i is not None:
@@ -346,6 +347,60 @@ def test_gate_changes_no_outcome_near_coincident_or_antipodal_pairs():
         stack = rows.copy()
         stack[k % 9] = v
         assert _outcome(_validate, stack) == _outcome(_ungated_validate, stack)
+
+
+def _near_great_circle():
+    """Wide triples tilted 1e-3 to 1e-12 off a great circle: one vertex lifted off the plane of
+    two others, at each position and in both orientations, rotated at random; and the 120-degree
+    equator triple, cogeodesic with every edge at c = -1/2."""
+    rng = np.random.default_rng(35)
+    triples = [np.array([EX, (-0.5, math.sqrt(3.0) / 2.0, 0.0), (-0.5, -math.sqrt(3.0) / 2.0, 0.0)])]
+    angles = (0.0, 2.6, 4.4)  # edges of about 149, 103 and 108 degrees; the first is wide
+    for tilt in [10.0**-k for k in range(3, 13)]:
+        for lifted in range(3):
+            for sign in (1.0, -1.0):
+                rot = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+                z = [sign * tilt if k == lifted else 0.0 for k in range(3)]
+                base = np.array([[math.cos(a) * math.sqrt(1.0 - h * h), math.sin(a) * math.sqrt(1.0 - h * h), h]
+                                 for a, h in zip(angles, z)])
+                for order in ([0, 1, 2], [0, 2, 1]):
+                    triples.append(base[order] @ rot.T)
+    return triples
+
+
+def test_width_gate_changes_no_outcome_near_a_great_circle():
+    # A wide triple is rejected before its frame only where its Gram determinant rules out
+    # cogeodesy; near a great circle both errors occur, each as the ungated reference raises it.
+    triples = _near_great_circle()
+    outcomes = [_outcome(_ungated_validate, v) for v in triples]
+    for v, expected in zip(triples, outcomes):
+        assert _outcome(_validate, v) == expected
+    assert {o[0] for o in outcomes} == {"Cogeodesic", "TooWide"}
+    assert outcomes[0][0] == "Cogeodesic"
+    rows = np.array([t.vertices for t in random_triangles(9, seed=36)])
+    for k, v in enumerate(triples):
+        stack = rows.copy()
+        stack[k % 9] = v
+        assert _outcome(_validate, stack) == _outcome(_ungated_validate, stack)
+        pair = np.stack((rows[0], v) if k % 2 else (v, rows[0]))  # six values, tested as floats
+        assert _outcome(_validate, pair) == _outcome(_ungated_validate, pair)
+
+
+def test_width_gate_changes_no_outcome_on_uniform_triples():
+    rng = np.random.default_rng(37)
+    v = rng.normal(size=(10**4, 3, 3))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    outcomes = [_outcome(_ungated_validate, row) for row in v]
+    for row, expected in zip(v, outcomes):
+        assert _outcome(_validate, row) == expected
+    kinds = [o[0] if isinstance(o[0], str) else "accepted" for o in outcomes]
+    assert {"TooWide", "accepted"} <= set(kinds)
+    for size in (3, 4):  # nine values tested as floats, twelve with NumPy
+        for stack in v[: 2000 // size * size].reshape(-1, size, 3, 3):
+            assert _outcome(_validate, stack) == _outcome(_ungated_validate, stack)
+    kept = v[[k == "accepted" for k in kinds]]
+    assert _outcome(_validate, kept) == _outcome(_ungated_validate, kept)
+    assert _outcome(_validate, v) == _outcome(_ungated_validate, v) == outcomes[kinds.index("TooWide")]
 
 
 _WIDE = (-0.75, math.sqrt(1.0 - 0.5625), 0.0)  # inner product -0.75 with EX, exactly
