@@ -27,7 +27,6 @@ _HOMES = {
     "Verdict": "verdict",
     "classify_d": "verdict",
     "barycentre": "core",
-    "cross": "core",
     "dot": "core",
     "spherical_distance": "core",
     "unit_vector": "core",

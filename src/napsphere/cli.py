@@ -134,7 +134,7 @@ def _napoleonisation_dict(t: SphericalTriangle, res: NapoleonisationResult) -> d
 
     rs = res.centroids
     return {
-        "signs": list(res.signs.as_tuple()),
+        "signs": list(res.signs),
         "orientation_swapped": t.orientation_swapped,
         "vertices": t.vertices.tolist(),
         "apexes": res.apexes.tolist(),
@@ -228,7 +228,7 @@ def cmd_search(args, t: SphericalTriangle) -> int:
             {
                 "tolerance": args.tol,
                 "matches": [
-                    {"signs": list(s.as_tuple()), "residual": r} for s, r in hits
+                    {"signs": list(s), "residual": r} for s, r in hits
                 ],
             }
         )

@@ -95,16 +95,6 @@ def _dot(a: np.ndarray, b: np.ndarray):
     return float(a.dot(b)) if a.ndim == b.ndim == 1 else np.vecdot(a, b)
 
 
-def cross(a, b) -> np.ndarray:
-    """Right-handed cross product over the last axis (``np.cross``'s arithmetic, less set-up)."""
-    return _cross(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`cross` of two float arrays, with no conversion."""
-    return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
-
-
 def spherical_distance(p, q) -> float:
     """Great-circle distance in [0, pi] between two unit vectors."""
     x = dot(p, q)

@@ -41,9 +41,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import polynomials
-from .core import _NEXT, _dot
+from .core import _NEXT, _dot, _first
 from .triangle import SQRT3, SphericalTriangle
-from .triangle import _checked, _near_boundary, _opposite_edges
+from .triangle import _checked, _in_band, _opposite_edges
 
 
 class SignVector(collections.namedtuple("SignVector", "e0 e1 e2")):
@@ -71,6 +71,7 @@ class SignVector(collections.namedtuple("SignVector", "e0 e1 e2")):
         return cls(*iterable)
 
     def as_tuple(self) -> tuple[int, int, int]:
+        """``tuple(self)``, kept only because the benchmark's ``perfbench/workloads.py`` calls it (ROADMAP item 1)."""
         return tuple(self)
 
     def oriented(self, swapped: bool) -> "SignVector":
@@ -94,7 +95,7 @@ class SignVector(collections.namedtuple("SignVector", "e0 e1 e2")):
         raise ValueError(f"cannot parse sign vector from {text!r}")
 
     def __str__(self) -> str:
-        return "".join("+" if e > 0 else "-" for e in self.as_tuple())
+        return "".join("+" if e > 0 else "-" for e in self)
 
 
 OUTWARD = SignVector(-1, -1, -1)
@@ -170,7 +171,7 @@ def napoleonise(t: SphericalTriangle, s: SignVector) -> NapoleonisationResult:
     for all three edges.
     """
     e = _COLUMNS[s.oriented(t.orientation_swapped)]
-    near = _near_boundary(t.edge_inners.tolist())
+    near = _first(t.edge_inners.tolist(), _in_band) is not None
     a, b = _opposite_edges(t.vertices)
     q, r = _construct(a + b, t.edge_normals, t.edge_inners, t.d, e)
     q.flags.writeable = r.flags.writeable = False

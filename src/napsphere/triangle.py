@@ -156,25 +156,19 @@ class SideParameters(NamedTuple):
     d2: float
 
     def as_tuple(self) -> tuple[float, float, float]:
+        """``tuple(self)``, kept only because the benchmark's ``perfbench/workloads.py`` calls it (ROADMAP item 1)."""
         return tuple(self)
-
-
-def _in_range(d):
-    """The open-interval rule ``0 < d < sqrt(3)`` of side parameters, on floats or arrays; NaN fails it."""
-    return (d > 0.0) & (d < SQRT3)
 
 
 def _checked(d) -> tuple[float, float, float]:
     """Side parameters *d* from outside the package, as three Python floats; raises ``ValueError`` for
-    another count and :class:`OutOfRangeError` for the first entry failing :func:`_in_range`, whose
-    rule the chained comparisons state on floats."""
+    another count and :class:`OutOfRangeError` for the first entry outside the open interval (0, sqrt(3)), NaN too."""
     dv = tuple(map(float, d.tolist() if isinstance(d, np.ndarray) else d))  # one call for an array row
     if len(dv) != 3:
         raise ValueError(f"expected three side parameters, got {len(dv)}")
-    d0, d1, d2 = dv
-    if not (0.0 < d0 < SQRT3 and 0.0 < d1 < SQRT3 and 0.0 < d2 < SQRT3):
-        i = next(i for i, x in enumerate(dv) if not _in_range(x))
-        raise OutOfRangeError(f"d{i} = {dv[i]!r} outside the open interval (0, sqrt(3))")
+    for i, x in enumerate(dv):
+        if not 0.0 < x < SQRT3:
+            raise OutOfRangeError(f"d{i} = {x!r} outside the open interval (0, sqrt(3))")
     return dv
 
 
@@ -252,11 +246,6 @@ def _reject_too_wide(c, i) -> None:
         raise TooWideError(f"edge opposite vertex {i % 3} has inner product {x!r} <= -1/2")
 
 
-def _near_boundary(c) -> bool:
-    """Whether some edge inner product of *c* lies in the ill-conditioned band (-1/2, -1/2 + BOUNDARY_BAND]."""
-    return _first(c, _in_band) is not None
-
-
 def _check_tol(tol: float) -> float:
     """Raise ``ValueError`` unless the tolerance *tol* is >= 0 (``inf`` included); returns *tol*."""
     if not tol >= 0.0:  # NaN fails too
@@ -283,7 +272,7 @@ def _validate(v):
         if _first(g, _may_be_cogeodesic) is None:
             _reject_too_wide(cs, wide)
 
-    # core._cross(a, b) as x - y, with both products kept for a swap
+    # the cross product a x b as x - y, with both products kept for a swap
     x, y = a.take(_NEXT, -1) * b.take(_PREV, -1), a.take(_PREV, -1) * b.take(_NEXT, -1)
     w = x - y
     t = _dot(v[..., 0, :], w[..., 0, :])  # the triple product <P0, P1 x P2>
@@ -333,5 +322,6 @@ def new_triangle(p0, p1, p2) -> SphericalTriangle:
 
 
 def side_parameters(t: SphericalTriangle) -> SideParameters:
-    """``t.d`` as named Python floats; each is in range by validation."""
+    """``t.d`` as named Python floats, each in range by validation; kept only because the benchmark's
+    ``perfbench/workloads.py`` calls it (ROADMAP item 1)."""
     return SideParameters(*t.d.tolist())

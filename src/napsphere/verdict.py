@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from . import polynomials
 from .polynomials import CLASSIFY_TOL
-from .triangle import SideParameters, SphericalTriangle, _check_tol, _checked
+from .triangle import SphericalTriangle, _check_tol, _checked
 
 
 class Verdict(enum.Enum):
@@ -51,7 +51,7 @@ class ClassificationReport(NamedTuple):
     that equilateral triangles are both outward- and inward-Napoleonic.
     """
 
-    d: SideParameters
+    d: tuple[float, float, float]
     alpha: float
     chi: float
     gamma: float
@@ -108,7 +108,7 @@ def _report(*dv: float, tol: float) -> ClassificationReport:
         epsilon_sign = -1
 
     return ClassificationReport(
-        SideParameters(*dv), polynomials.alpha(*dv), math.sqrt(chi2) if chi2 > 0.0 else 0.0,
+        dv, polynomials.alpha(*dv), math.sqrt(chi2) if chi2 > 0.0 else 0.0,
         polynomials.gamma(*dv), cval, cres, eqf, verdict, predicted_rr, epsilon_sign, note,
     )
 

@@ -56,12 +56,6 @@ MUTANTS = [
      "tests/test_acceptance.py::test_criterion_2_known_napoleonic_triangle"),
     ("core.py", "else np.vecdot(a, b)", "else np.vecdot(a, a)",
      "tests/test_acceptance.py::test_criterion_2_known_napoleonic_triangle"),
-    (
-        "core.py",
-        "a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)",
-        "a.take(_PREV, -1) * b.take(_NEXT, -1) - a.take(_NEXT, -1) * b.take(_PREV, -1)",
-        "tests/test_core.py::TestCross::test_basis_identity",
-    ),
     ("core.py", "if flagged(x):\n            return i\n", "if flagged(x):\n            return i + 1\n",
      "tests/test_acceptance.py::test_criterion_6_closed_form_consistency"),
     ("core.py", "if values.size <= _FLOAT_RULE_MAX else", "if values.size > _FLOAT_RULE_MAX else",
@@ -168,13 +162,13 @@ MUTANTS = [
      "tests/test_triangle.py::test_stored_edge_frame_is_built_from_the_stored_vertices_exactly"),
     ("triangle.py", "return abs(c) >= 1.0 - DEGENERACY_TOL", "return abs(c) > 1.0",
      "tests/test_acceptance.py::test_criterion_8_degenerate_handling"),
-    ("triangle.py", "return (d > 0.0) & (d < SQRT3)", "return (d > 0.0) & (d <= SQRT3)",
+    ("triangle.py", "if not 0.0 < x < SQRT3:", "if not 0.0 < x <= SQRT3:",
      "tests/test_triangle.py::TestSideParameters::test_out_of_range_rejected"),
-    ("triangle.py", "return (d > 0.0) & (d < SQRT3)", "return (d >= 0.0) & (d < SQRT3)",
+    ("triangle.py", "if not 0.0 < x < SQRT3:", "if not 0.0 <= x < SQRT3:",
      "tests/test_triangle.py::TestSideParameters::test_out_of_range_rejected"),
-    ("triangle.py", "return (d > 0.0) & (d < SQRT3)", "return (d > 0.0) & (d < SQRT3) | (d != d)",
+    ("triangle.py", "if not 0.0 < x < SQRT3:", "if not 0.0 < x < SQRT3 and x == x:",
      "tests/test_triangle.py::test_range_rule_at_every_entry_point[realize-list]"),
-    ("triangle.py", "0.0 < d1 < SQRT3 and 0.0 < d2 < SQRT3", "0.0 < d1 < SQRT3",
+    ("triangle.py", "for i, x in enumerate(dv):", "for i, x in enumerate(dv[:2]):",
      "tests/test_triangle.py::TestSideParameters::test_out_of_range_rejected"),
     ("triangle.py", "d.tolist() if isinstance", "d.tolist()[::-1] if isinstance",
      "tests/test_public_api.py::test_sampler_rows_are_side_parameters"),

@@ -19,6 +19,14 @@ warning's records, which no later tree raises.  To compare such a tree with a
 later one, run its copy of this file with that category ignored (add
 ``warnings.simplefilter("ignore", BoundaryConditioningWarning)`` after the
 ``"always"`` filter in ``main``); every group and the total must then match.
+
+Trees in which ``ClassificationReport.d`` is a ``SideParameters`` print reports
+as ``d=SideParameters(d0=..., ...)``; later trees hold the plain tuple of three
+floats.  To compare such a tree with a later one, run its copy of this file with
+each report hashed as ``report._replace(d=tuple(report.d))`` (the ``classify``
+call in ``Digest.triangle`` and the ``classify_d`` call in ``uniform_d``); every
+group and the total must then match.  Unnormalised, only the groups that hash
+reports move; ``cli`` and ``sample`` do not.
 """
 
 from __future__ import annotations

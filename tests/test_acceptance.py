@@ -26,7 +26,6 @@ from napsphere import (
     OUTWARD,
     SignVector,
     barycentre,
-    cross,
     dot,
     napoleonise,
     new_triangle,
@@ -209,7 +208,7 @@ def test_criterion_6_closed_form_consistency():
         for t in random_triangles(1000, seed=601):
             d = side_parameters(t)
             chi2 = algebra.chi_squared(*d.as_tuple())
-            worst_chi = max(worst_chi, abs(chi2 - dot(t.vertices[0], cross(t.vertices[1], t.vertices[2])) ** 2))
+            worst_chi = max(worst_chi, abs(chi2 - dot(t.vertices[0], np.cross(t.vertices[1], t.vertices[2])) ** 2))
             chi = math.sqrt(chi2)
             for s in all_signs:
                 res = napoleonise(t, s)

@@ -15,7 +15,6 @@ from napsphere import (
     ZeroSumError,
     barycentre,
     classify_d,
-    cross,
     dot,
     napoleonise,
     new_triangle,
@@ -42,8 +41,8 @@ EZ = np.array([0.0, 0.0, 1.0])
 
 
 def triple(a, b, c) -> float:
-    """Scalar triple product <a, b x c>, from the package's dot and cross."""
-    return dot(a, cross(b, c))
+    """Scalar triple product <a, b x c>, from the package's dot and NumPy's cross product."""
+    return dot(a, np.cross(b, c))
 
 
 def _unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -91,21 +90,6 @@ class TestDot:
 def test_stacked_dot_rounds_like_each_pair(pairs):
     a, b = np.array(pairs).transpose(1, 0, 2)
     assert dot(a, b).tobytes() == _pairwise_dots(a, b)
-
-
-class TestCross:
-    def test_basis_identity(self):
-        assert np.array_equal(cross(EX, EY), EZ)
-
-    def test_hand_expanded_determinant(self):
-        # (1,0,0) x (-1/2, sqrt(3)/2, 0) = (0*0-0*s, 0*(-1/2)-1*0, 1*s-0*(-1/2))
-        b = np.array([-0.5, math.sqrt(3.0) / 2.0, 0.0])
-        expected = np.array([0.0, 0.0, math.sqrt(3.0) / 2.0])
-        assert np.allclose(cross(EX, b), expected, atol=1e-15)
-
-    def test_self_cross_is_zero(self):
-        v = np.array([0.3, -0.4, 0.5])
-        assert np.array_equal(cross(v, v), np.zeros(3))
 
 
 class TestTriple:
@@ -284,7 +268,7 @@ def test_non_finite_vertex_is_reported_alone_and_in_a_stack(bad):
 def test_lagrange_identity(u, v):
     a = np.array(u)
     b = np.array(v)
-    lhs = float(np.linalg.norm(cross(a, b))) ** 2 + dot(a, b) ** 2
+    lhs = float(np.linalg.norm(np.cross(a, b))) ** 2 + dot(a, b) ** 2
     rhs = float(a @ a) * float(b @ b)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
@@ -320,10 +304,10 @@ RECORD_FIELDS = {
     ),
 }
 
-# ``repr(classify_d(NAPOLEONIC_D))`` as the frozen-dataclass report printed it, byte for byte.
+# ``repr(classify_d(NAPOLEONIC_D))`` byte for byte: the frozen-dataclass report's text, with ``d`` a plain tuple.
 NAPOLEONIC_REPORT_REPR = (
-    "ClassificationReport(d=SideParameters(d0=0.282842712474619, d1=0.565685424949238, "
-    "d2=0.8485281374238571), alpha=0.06000000000000005, chi=0.7806458864299485, "
+    "ClassificationReport(d=(0.282842712474619, 0.565685424949238, "
+    "0.8485281374238571), alpha=0.06000000000000005, chi=0.7806458864299485, "
     "gamma=7.356096000000002, condition_value=2.0, condition_residual=0.0, "
     "equilateral_factor=0.24000000000000002, verdict=<Verdict.OUTWARD_NAPOLEONIC: "
     "'OutwardNapoleonic'>, predicted_rr=-0.3333333333333333, epsilon_sign=-1, note=None)"

@@ -20,7 +20,7 @@ from napsphere import (
 )
 from napsphere import algebra
 from napsphere import ellipsoid
-from napsphere.core import cross, dot
+from napsphere.core import dot
 from napsphere.ellipsoid import D_FLOOR, DIAGONAL_MARGIN, ROTATION, sample_napoleonic_d_with_attempts
 from napsphere.errors import OutOfRangeError, SeedExhaustedError, TooWideError
 from napsphere.triangle import SideParameters
@@ -259,7 +259,7 @@ class TestRealize:
             t2 = new_triangle(*t.vertices)
             assert not t2.orientation_swapped
             assert t2.chi == pytest.approx(t.chi, abs=1e-12)
-            assert t.chi == pytest.approx(dot(t.vertices[0], cross(t.vertices[1], t.vertices[2])), abs=1e-12)
+            assert t.chi == pytest.approx(dot(t.vertices[0], np.cross(t.vertices[1], t.vertices[2])), abs=1e-12)
 
     def test_congruent_napoleonisations_on_locus(self):
         for d in sample_napoleonic_d(300, seed=47):

@@ -50,7 +50,6 @@ PUBLIC_NAMES = [
     "centroid_inner_closed_form",
     "classify",
     "classify_d",
-    "cross",
     "d_to_xyz",
     "dot",
     "napoleonise",
@@ -95,7 +94,8 @@ FLATTENED_MODULES = ["core", "ellipsoid", "errors", "napoleon", "oracle", "polyn
 # Names the package no longer exports: tests-only helpers, single-caller
 # wrappers, a re-export, a per-row record replaced by stacked arrays, and the
 # SideParameters adapters of polynomials that napsphere.algebra defines.
-# random_triangles now lives in tests/conftest.py; triple is dot(a, cross(b, c)).
+# random_triangles now lives in tests/conftest.py; triple is dot(a, np.cross(b, c)), and cross
+# is np.cross where a test needs one: validation states its own cross product inline.
 # The CLI divides a vertex by its own norm instead of calling normalize, and the
 # tests build N+- (napoleonic_equation_residual) from napsphere.algebra.
 # apex, edge_centroid and apex_by_rotation built one apex or centroid from a
@@ -112,6 +112,7 @@ REMOVED_NAMES = [
     "clamp",
     "condition_residual",
     "condition_value",
+    "cross",
     "edge_centroid",
     "epsilon_from_d",
     "equilateral_factor",
@@ -169,6 +170,45 @@ def _defining_modules() -> dict[str, str]:
     return homes
 
 
+def _private_definitions(trees: dict[str, ast.Module]) -> dict[tuple[str, str], ast.stmt]:
+    """Each private module-level name that a ``def``, ``class`` or assignment in *trees* defines,
+    keyed by module and name, with its defining statement; dunder names are the language's."""
+    defined = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[module, name] = node
+    return defined
+
+
+def test_every_private_name_has_a_caller_in_the_package():
+    # A private helper whose last caller went is dead code.  A reference is a read of the name, or
+    # of an attribute of that name, anywhere in src/napsphere/ outside the statement that defines
+    # it; an import alone, a string or docstring naming it, and a test calling it do not count.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    defined = _private_definitions(trees)
+    assert len(defined) >= 50, sorted(defined)  # the walk found the package's helpers
+    reads = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load):
+                reads.setdefault(n.id if isinstance(n, ast.Name) else n.attr, []).append(n)
+    uncalled = []
+    for (module, name), node in sorted(defined.items()):
+        own = {id(n) for n in ast.walk(node)}
+        if all(id(n) in own for n in reads.get(name, [])):
+            uncalled.append(f"{module}.{name}")
+    assert uncalled == []
+
+
 # Run in a fresh interpreter: the CLI imports its modules first, as
 # ``python -m napsphere.cli`` does, and the package names are read after.
 IMPORT_ORDER_SCRIPT = """
@@ -190,7 +230,7 @@ for name in napsphere.__all__:
     assert value is getattr(importlib.import_module("napsphere." + homes[name]), name), name
 assert callable(napsphere.classify) and napsphere.classify.__module__ == "napsphere.verdict"
 listed = dir(napsphere)
-assert len(napsphere.__all__) == 34 and all(name in listed for name in napsphere.__all__)
+assert len(napsphere.__all__) == 33 and all(name in listed for name in napsphere.__all__)
 try:
     napsphere.no_such_name
 except AttributeError:
@@ -267,5 +307,5 @@ def test_classify_is_classify_d_of_the_stored_d():
     for t in random_triangles(200, 5) + [realize(d) for d in sample_napoleonic_d(200, 6)]:
         report, direct = classify(t), classify_d(t.d.tolist())
         assert report == direct and repr(report) == repr(direct)
-        assert report.d == side_parameters(t) and type(report.d) is SideParameters
+        assert report.d == side_parameters(t) and type(report.d) is tuple
         assert all(type(x) is float for x in report.d)
