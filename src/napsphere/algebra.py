@@ -3,7 +3,8 @@
 The polynomials themselves, alpha, chi^2, gamma, the condition value, the
 equilateral factor and the centroid inner-product bracket, are defined once
 in :mod:`napsphere.polynomials` with ring operations and integer constants
-only, and re-exported here.  The ``verify_*`` checks call them on
+only, and re-exported here.  Called on ``Fraction``s, such a function
+evaluates its polynomial exactly; the ``verify_*`` checks call it on
 :class:`RationalPolynomial` arguments: integer numerators of the monomials
 d0^i d1^j d2^k over one common denominator, each monomial under the packed
 int key ``i | j << 21 | k << 42`` (every exponent below 2**20), and at most
@@ -24,11 +25,10 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple, Union
 
 # Re-exported, so that the checks and the polynomials they prove come from one module.
 from .polynomials import (
-    CLASSIFY_TOL,
     alpha,
     centroid_bracket,
     chi_squared,
@@ -105,8 +105,9 @@ class RationalPolynomial:
     rescaling, an ``int`` or ``Fraction`` operand scales the numerators (or,
     for a positive ``int`` divisor, the denominator), and a result over
     denominator 1 needs none.  A constant equals the ``int``, ``Fraction`` or
-    finite ``float`` of its value, but a ``float`` operand is a ``TypeError``.
-    Immutable in practice: all arithmetic returns new instances.
+    finite ``float`` of its value (so a polynomial is unhashable), but a
+    ``float`` operand is a ``TypeError``.  Immutable in practice: all
+    arithmetic returns new instances.
     """
 
     __slots__ = ("_num", "_den")
@@ -153,9 +154,6 @@ class RationalPolynomial:
 
     __add__ = __radd__ = _merge
 
-    def __neg__(self) -> "RationalPolynomial":
-        return _wrap({e: -n for e, n in self._num.items()}, self._den)
-
     def __sub__(self, other) -> "RationalPolynomial":
         return self._merge(other, -1)
 
@@ -195,11 +193,6 @@ class RationalPolynomial:
             return _wrap({e: n // g for e, n in self._num.items()}, self._den * (other // g))
         return self * (1 / Fraction(other))
 
-    def __pow__(self, n: int) -> "RationalPolynomial":
-        if n < 0:
-            raise ValueError("negative powers are not polynomials")
-        return math.prod([self] * n, start=ONE)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, float):  # equal to the constant of its exact value, as to that Fraction
             if not math.isfinite(other):
@@ -210,22 +203,8 @@ class RationalPolynomial:
             return NotImplemented
         return self._den == other._den and self._num == other._num
 
-    def __hash__(self):
-        # A constant hashes like the int, Fraction or float it equals, as == requires.
-        if self._num.keys() <= {0}:
-            return hash(Fraction(self._num.get(0, 0), self._den))
-        return hash((self._den, frozenset(self._num.items())))
-
     def is_zero(self) -> bool:
         return not self._num
-
-    def evaluate(self, d: Iterable) -> "Fraction | float":
-        """Evaluate at a point; exact when given Fractions/ints."""
-        d0, d1, d2 = d
-        terms = [c * d0**i * d1**j * d2**k for (i, j, k), c in self.coeffs.items()]
-        if not terms:
-            return Fraction(0) if isinstance(d0, (int, Fraction)) else 0.0
-        return sum(terms[1:], terms[0])
 
     def __repr__(self) -> str:
         coeffs = self.coeffs

@@ -201,19 +201,18 @@ def cmd_sample(args) -> int:
         raise _BadInput("--count must be >= 1 and --seed >= 0")
     d, attempts = sample_napoleonic_d_with_attempts(args.count, args.seed)
     xyz = d_to_xyz(d)
+    if args.format == "csv":
+        columns = [d.tolist(), xyz.tolist()]
+        if args.realize:
+            columns.append(_realized(*d.T)[0].reshape(-1, 9).tolist())
+        print("d0,d1,d2,X,Y,Z" + (",p0x,p0y,p0z,p1x,p1y,p1z,p2x,p2y,p2z" if args.realize else ""))
+        for row in zip(*columns):
+            print(",".join(map(repr, sum(row, []))))
+        return EXIT_OK
     columns = {"d": d.tolist(), "xyz": xyz.tolist(), "condition_value": quadric_value(xyz).tolist()}
     if args.realize:
         columns["vertices"] = _realized(*d.T)[0].tolist()
     rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
-    if args.format == "csv":
-        header = "d0,d1,d2,X,Y,Z"
-        if args.realize:
-            header += "," + ",".join(f"p{i}{ax}" for i in range(3) for ax in "xyz")
-        print(header)
-        for entry in rows:
-            cells = [*entry["d"], *entry["xyz"], *(x for p in entry.get("vertices", ()) for x in p)]
-            print(",".join(map(repr, cells)))
-        return EXIT_OK
     doc = {"count": args.count, "seed": args.seed, "attempts": attempts, "acceptance_rate": args.count / attempts}
     print(_dump({**doc, "samples": rows}))
     return EXIT_OK

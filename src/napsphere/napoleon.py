@@ -57,12 +57,9 @@ class SignVector(collections.namedtuple("SignVector", "e0 e1 e2")):
     __slots__ = ()
 
     def __new__(cls, e0: int, e1: int, e2: int) -> "SignVector":
-        if e0 not in (-1, +1):
-            raise ValueError("e0 must be -1 or +1")
-        if e1 not in (-1, +1):
-            raise ValueError("e1 must be -1 or +1")
-        if e2 not in (-1, +1):
-            raise ValueError("e2 must be -1 or +1")
+        for i, e in enumerate((e0, e1, e2)):
+            if e not in (-1, +1):
+                raise ValueError(f"e{i} must be -1 or +1")
         return tuple.__new__(cls, (e0, e1, e2))
 
     @classmethod

@@ -84,7 +84,7 @@ MUTANTS = [
     ),
     ("napoleon.py", "t.edge_inners, t.d, e)", "t.edge_inners, t.edge_inners, e)",
      "tests/test_acceptance.py::test_criterion_1_scalene_construction_values"),
-    ("napoleon.py", '        if e1 not in (-1, +1):\n            raise ValueError("e1 must be -1 or +1")\n', "",
+    ("napoleon.py", "if e not in (-1, +1):", "if e not in (-1, +1) and i != 1:",
      "tests/test_napoleon.py::test_sign_vector_is_a_validated_tuple_of_its_signs"),
     ("napoleon.py", "-s.e2, -s.e1", "-s.e1, -s.e2",
      "tests/test_golden_cli.py::test_golden_stdout[napoleonise-json-vertices-swapped-mixed]"),

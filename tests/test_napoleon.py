@@ -213,6 +213,9 @@ def test_sign_vector_is_a_validated_tuple_of_its_signs():
             SignVector._make(bad)
     with pytest.raises(ValueError, match=r"^e1 must be -1 or \+1$"):
         OUTWARD._replace(e1=0)
+    for bad, first in (((0, 2, 0), "e0"), ((1, -1, 2), "e2")):  # the first failing entry is named
+        with pytest.raises(ValueError, match=rf"^{first} must be -1 or \+1$"):
+            SignVector(*bad)
     for name in ("e0", "e1", "e2"):
         with pytest.raises(AttributeError):
             setattr(OUTWARD, name, 1)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+import napsphere
 from napsphere import (
     INWARD,
     OUTWARD,
@@ -178,7 +179,7 @@ class TestRotationChain:
             p = (p0, m2 @ p0, m0 @ m2 @ p0)
             sigma = {np.sign(CHAIN_AXES[i] @ p[(i + 1) % 3]) for i in range(3)}
             t = new_triangle(*p)
-            hits = [str(s) for s, _ in search_equilateral(t, algebra.CLASSIFY_TOL)]
+            hits = [str(s) for s, _ in search_equilateral(t, napsphere.CLASSIFY_TOL)]
             equal = len(sigma) == 1
             kinds[equal] += 1
             if equal:
