@@ -89,8 +89,6 @@ class _BadInput(Exception):
 
 
 def _triangle_from_doc(doc: dict) -> SphericalTriangle:
-    import numpy as np
-
     from .triangle import new_triangle
 
     if ("vertices" in doc) == ("d" in doc):
@@ -104,9 +102,8 @@ def _triangle_from_doc(doc: dict) -> SphericalTriangle:
         raise _BadInput('"vertices" must be a list of three [x, y, z] triples')
     normed = []
     for k, row in enumerate(verts):
-        v = np.array(_finite_triple(row, f"vertex {k}"))
-        with np.errstate(over="ignore"):
-            n = float(np.linalg.norm(v))
+        x, y, z = _finite_triple(row, f"vertex {k}")
+        n = math.sqrt(x * x + y * y + z * z)  # a square that overflows makes n inf
         if not math.isfinite(n):
             raise _BadInput(f"vertex {k} is too long to normalise")
         if n < 1e-12:
@@ -116,7 +113,7 @@ def _triangle_from_doc(doc: dict) -> SphericalTriangle:
                 f"warning: vertex {k} renormalised (|v| deviated from 1 by {abs(n - 1.0):.3e})",
                 file=sys.stderr,
             )
-        normed.append(v / n)
+        normed.append((x / n, y / n, z / n))
     return new_triangle(*normed)
 
 

@@ -25,9 +25,9 @@ import math
 
 import numpy as np
 
-from .core import _dot, _first, dot
+from .core import _dot, _entry, _first, _sqrt, dot
 from .errors import SeedExhaustedError, UnrealizableError
-from .triangle import SideParameters, SphericalTriangle, _checked, _gram, _validate
+from .triangle import SideParameters, SphericalTriangle, _checked, _frame, _gram
 
 # Orthogonal rotation taking (d0, d1, d2) to (X, Y, Z); rows are orthonormal,
 # so the inverse is the transpose.
@@ -167,23 +167,21 @@ def _realized(d0, d1, d2):
     the canonical vertices (..., 3, 3), or the first row's error."""
     c0, c1, c2 = ((x * x - 1.0) / 2.0 for x in (d0, d1, d2))
     chi2 = _gram(c0, c1, c2)
-    i = _first(chi2, _unrealizable)
+    i = _first([chi2], _unrealizable)
     if i is not None:
-        raise UnrealizableError(f"side parameters admit no triangle: squared triple {float(np.ravel(chi2)[i])!r} <= 0")
+        raise UnrealizableError(f"side parameters admit no triangle: squared triple {_entry([chi2], i)!r} <= 0")
     # P2 = a0 P0 + a1 P1 + b (P0 x P1) has <P2, P0> = c1 and <P2, P1> = c0,
     # with P0 = (1,0,0), P1 = (c2, s, 0) and P0 x P1 = (0,0,s).
     denom = 1.0 - c2 * c2
     a0 = (c1 - c2 * c0) / denom
     a1 = (c0 - c2 * c1) / denom
-    b = np.sqrt(chi2) / denom
-    s = np.sqrt(denom)
-    v = np.zeros(s.shape + (3, 3))
-    v[..., 0, 0], v[..., 1, 0], v[..., 1, 1] = 1.0, c2, s
-    p2 = v[..., 2, :]
-    p2[..., 0], p2[..., 1], p2[..., 2] = a0 + a1 * c2, a1 * s, b * s
-    p2 /= np.sqrt(_dot(p2, p2))[..., None]
+    b = _sqrt(chi2) / denom
+    s = _sqrt(denom)
+    zero = 0.0 * s  # +0.0, as a float or a column like s
+    p2 = (a0 + a1 * c2, a1 * s, b * s)
+    n = _sqrt(_dot(p2, p2))
     # b > 0 makes the raw triple product positive, so no swap occurs here.
-    return _validate(v)
+    return _frame((zero + 1.0, zero, zero), (c2, s, zero), (p2[0] / n, p2[1] / n, p2[2] / n))
 
 
 def realize(d) -> SphericalTriangle:

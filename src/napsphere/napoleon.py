@@ -41,9 +41,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import polynomials
-from .core import _NEXT, _dot, _first
+from .core import _dot, _first
 from .triangle import SQRT3, SphericalTriangle
-from .triangle import _checked, _in_band, _opposite_edges
+from .triangle import _checked, _in_band, _pack
 
 
 class SignVector(collections.namedtuple("SignVector", "e0 e1 e2")):
@@ -102,10 +102,6 @@ INWARD = SignVector(+1, +1, +1)
 _SIGNS = [SignVector(*e) for e in itertools.product((-1, +1), repeat=3)]
 # Each sign vector in the stored order of a swapped triangle (see SignVector.oriented).
 _SWAPPED = {s: SignVector(-s.e0, -s.e2, -s.e1) for s in _SIGNS}
-# Each sign vector as the read-only (3, 1) float column that _construct multiplies by.
-_COLUMN_TABLE = np.array(_SIGNS, dtype=float)[..., None]
-_COLUMN_TABLE.flags.writeable = False
-_COLUMNS = dict(zip(_SIGNS, _COLUMN_TABLE))
 
 
 class NapoleonisationResult(NamedTuple):
@@ -143,16 +139,16 @@ class NapoleonisationResult(NamedTuple):
         return min(self.rr01, self.rr12, self.rr20) > 1.0 - 1e-9
 
 
-def _construct(s, w, c, h, e):
-    """Apexes and centroids of stacked admissible edges (a, b) from the frame
-    validation built for them: the sums ``s = a + b``, normals ``w = a x b``,
-    inner products *c*, side parameters ``h = sqrt(1 + 2c)``, and the float
-    column *e* of their signs, one per edge (a ``_COLUMNS`` entry for one
-    triangle); every edge of a stack comes out bit for bit as alone."""
-    c, h = np.asarray(c)[..., None], np.asarray(h)[..., None]
+def _construct(a, b, w, c, h, e):
+    """Apex and centroid, as coordinate triples, of an admissible edge (a, b) from the frame
+    validation built for it: the normal ``w = a x b``, inner product *c*, side parameter
+    ``h = sqrt(1 + 2c)`` and the sign *e* (-1 or +1), all Python floats."""
+    s = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
     c1 = 1.0 + c
-    q = (c * s + e * h * w) / c1
-    r = (h * s + e * w) / (SQRT3 * c1)
+    eh = e * h
+    den = SQRT3 * c1
+    q = ((c * s[0] + eh * w[0]) / c1, (c * s[1] + eh * w[1]) / c1, (c * s[2] + eh * w[2]) / c1)
+    r = ((h * s[0] + e * w[0]) / den, (h * s[1] + e * w[1]) / den, (h * s[2] + e * w[2]) / den)
     return q, r
 
 
@@ -167,12 +163,17 @@ def napoleonise(t: SphericalTriangle, s: SignVector) -> NapoleonisationResult:
     come from ``new_triangle``; only the boundary band is checked here, once
     for all three edges.
     """
-    e = _COLUMNS[s.oriented(t.orientation_swapped)]
-    near = _first(t.edge_inners.tolist(), _in_band) is not None
-    a, b = _opposite_edges(t.vertices)
-    q, r = _construct(a + b, t.edge_normals, t.edge_inners, t.d, e)
-    q.flags.writeable = r.flags.writeable = False
-    rr01, rr12, rr20 = _dot(r, r.take(_NEXT, 0)).tolist()
+    e0, e1, e2 = s.oriented(t.orientation_swapped)
+    c0, c1, c2 = c = t.edge_inners.tolist()
+    near = _first(c, _in_band) is not None
+    p0, p1, p2 = t.vertices.tolist()
+    w0, w1, w2 = t.edge_normals.tolist()
+    h0, h1, h2 = t.d.tolist()
+    q0, r0 = _construct(p1, p2, w0, c0, h0, e0)
+    q1, r1 = _construct(p2, p0, w1, c1, h1, e1)
+    q2, r2 = _construct(p0, p1, w2, c2, h2, e2)
+    q, r = _pack([*q0, *q1, *q2, *r0, *r1, *r2], (2, 3, 3))
+    rr01, rr12, rr20 = _dot(r0, r1), _dot(r1, r2), _dot(r2, r0)
     residual = max(abs(rr01 - rr12), abs(rr12 - rr20), abs(rr20 - rr01))
     return NapoleonisationResult(q, r, rr01, rr12, rr20, residual, s, near)
 

@@ -11,10 +11,8 @@ vertices is negative, the second and third vertices are swapped (recorded in
 The coincident/antipodal (``DEGENERACY_TOL``), width and ill-conditioned band
 (``BOUNDARY_BAND``) tests are one function each here; the unit-norm test is
 ``core.unit_vector``.  Each rule is one module-level predicate handed to
-``core._first``, which tests one triangle's values as Python floats, read with
-one ``tolist()``, and a stack of more than ``core._FLOAT_RULE_MAX = 9`` values
-(three triangles' edges) with one NumPy compare, which is cheaper from about
-ten values on.
+``core._first``, which tests one triangle's values as Python floats and a
+stack's columns with one NumPy compare each.
 
 Each edge is encoded by a side parameter ``d_i = sqrt(1 + 2<p_{i+1}, p_{i+2}>)``
 in (0, sqrt(3)), a monotone function of the length of the edge opposite
@@ -26,22 +24,26 @@ in range by construction.  A triple given from outside is checked once where
 it enters, by :func:`_checked`: it must hold three numbers, each in the open
 interval.  A tolerance given from outside is checked by :func:`_check_tol`.
 
-Validation builds every edge's frame once, for all three edges (or a stack
-of triangles) together: the inner products, the normals ``p_{i+1} x p_{i+2}``
-with one cross product, whose first row gives the triple product, and the side
-parameters with one square root.  The record stores the frame and every
-construction reads it.  Most too-wide triples are rejected before the frame,
-from their inner products alone (the width gate below).
+Validation works on the nine coordinates of the vertices, as core's module
+docstring describes: Python floats for one triangle, (N,) columns for a stack,
+through the same expressions (:func:`_frame`).  It builds every edge's frame
+once: the inner products, the normals ``p_{i+1} x p_{i+2}`` (:func:`_cross`),
+the first of which gives the triple product, and the side parameters.  The
+record stores the frame and every construction reads it.  Most too-wide
+triples are rejected before the frame, from their inner products alone (the
+width gate below).  Every value is a fixed sequence of correctly rounded IEEE
+operations, so the record's bits do not depend on the BLAS kernel or the CPU
+dispatch of the host.
 
-A swapped triangle's frame is reordered from that first computation, not
-rebuilt.  Its stored edge ``i`` is the entered edge ``_SWAP[i]`` reversed: the
-entered (a, b) becomes (b, a).  The cross product ``a x b`` is computed as
-``x - y`` from the products ``x = a_{k+1} b_{k-1}`` and ``y = a_{k-1} b_{k+1}``,
-and ``b x a`` is ``y - x`` bit for bit, because IEEE multiplication commutes
-exactly.  So the stored normals are ``y - x`` reordered by ``_SWAP``, signed
-zeros included; ``-(x - y)`` would differ in the sign of an exact zero.  The
-stored inner products are ``c`` reordered by ``_SWAP``.  That ``<b, a>`` rounds
-exactly like ``<a, b>`` is pinned by a test, so a record does not depend on
+A swapped triangle's inner products and side parameters are the entered ones
+reordered, and its normals are computed from the stored vertices.  Its stored
+edge ``i`` is an entered edge reversed: the entered (a, b) becomes (b, a).
+Coordinate k of ``b x a`` is ``b_{k+1} a_{k+2} - b_{k+2} a_{k+1}``, the same
+two products as in ``a x b``, because IEEE multiplication commutes exactly, so
+the stored normals carry the bits they would have had if the vertices had been
+entered in the stored order, signed zeros included; ``-(a x b)`` would differ
+in the sign of an exact zero.  That ``<b, a>`` rounds exactly like ``<a, b>``
+follows the same way and is pinned by a test, so a record does not depend on
 the order in which vertices 1 and 2 were entered.
 
 Two exact tests can fire only near ``|c| = 1``: the coincidence/antipodality
@@ -78,12 +80,13 @@ coincidence test and the width rule, cannot fire:
   few ``u``.  The computed ``t``, a dot product of a cross product, is within a
   few ``u`` of ``det(v)``.  Over 200,000 uniform triples and 80,000 triples
   tilted ``1e-3`` to ``1e-12`` off a great circle, ``|g - t**2|`` stayed below
-  ``1.0e-15``.
+  ``1.3e-15`` (at most ``1.22e-15`` and ``9.0e-16``), with every inner
+  product the plain sum of :func:`core._dot`.
 * So ``g > 1e-12`` gives ``t**2 > 1e-12 - 2e-14`` and ``|t| > 9.8e-7``, far
   above ``DEGENERACY_TOL``.  No triple of those sets passed the gate with
-  ``|t| <= 1e-9``; the least ``|t|`` that passed was ``1.0e-6``, and the least
-  ``g`` of a uniform wide triple was ``6.5e-12``, so nearly every rejection
-  takes the gate.
+  ``|t| <= 1e-9``; the least ``|t|`` that passed was ``1.0e-6``, and one of
+  the 112,718 uniform wide triples had ``g <= 1e-12`` (``6.4e-13``), so nearly
+  every rejection takes the gate.
 
 The gate runs after the coincidence test, which precedes the width rule.  A
 wide triple that the gate does not pass, and every admissible one, takes the
@@ -101,7 +104,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _NEXT, _PREV, _dot, _first, _floats, dot, unit_vector
+from .core import _array, _components, _dot, _entry, _first, _normalised, _real, _sqrt, unit_vector
 from .errors import CogeodesicError, DegenerateError, OutOfRangeError, TooWideError
 
 # Tolerance for distinctness / antipodality / cogeodesy checks, matching the
@@ -117,10 +120,6 @@ SQRT3 = math.sqrt(3.0)
 # A Gram determinant of the vertices above this excludes cogeodesy: the width rule can then be
 # decided before the frame (see the module docstring).
 GRAM_GATE = 1e-12
-
-# Vertex order with vertices 1 and 2 exchanged; it also exchanges the edges opposite them.
-_SWAP = np.array([0, 2, 1])
-
 
 class SphericalTriangle(NamedTuple):
     """Admissible, orientation-normalised vertex triple on the unit sphere.
@@ -172,9 +171,12 @@ def _checked(d) -> tuple[float, float, float]:
     return dv
 
 
-def _opposite_edges(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints of the edges opposite each vertex of a stacked (..., 3, 3) triple."""
-    return v.take(_NEXT, -2), v.take(_PREV, -2)
+def _cross(a, b):
+    """The cross product ``a x b`` of two coordinate triples: coordinate k is
+    ``a_{k+1} b_{k+2} - a_{k+2} b_{k+1}``."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
 # The rules, one module-level predicate each, true on a flagged value; each gives the same flag on a
@@ -214,10 +216,15 @@ def _negative(t):
     return t < 0.0
 
 
-def _reject_degenerate(a, b) -> None:
-    """Raise :class:`DegenerateError` for the first stacked pair (a[i], b[i]) that
-    coincides or is antipodal (coincidence first), naming vertices ``i % 3`` and ``(i + 1) % 3``."""
-    separations = np.stack((np.sqrt(dot(a - b, a - b)), np.sqrt(dot(a + b, a + b))), axis=-1)
+def _reject_degenerate(points) -> None:
+    """Raise :class:`DegenerateError` for the first pair (P_i, P_{i+1}) of the three vertices'
+    coordinate triples *points* that coincides or is antipodal (coincidence first), naming
+    vertices ``i`` and ``i + 1`` of its triangle."""
+    separations = []
+    for i in range(3):
+        (ax, ay, az), (bx, by, bz) = points[i], points[i - 2]
+        difference, total = (ax - bx, ay - by, az - bz), (ax + bx, ay + by, az + bz)
+        separations += (_sqrt(_dot(difference, difference)), _sqrt(_dot(total, total)))
     k = _first(separations, _coincident)
     if k is not None:
         i, anti = divmod(k, 2)
@@ -238,12 +245,11 @@ def _gram(c0, c1, c2):
 
 
 def _reject_too_wide(c, i) -> None:
-    """Raise :class:`TooWideError` for entry *i* of *c* (an array, one or stacked, or
-    :func:`core._floats` of one) unless *i* is None; *i* is the first entry that :func:`_too_wide`
-    flags."""
+    """Raise :class:`TooWideError` for entry *i* of the edge inner products *c* (numbered as
+    :func:`core._first` numbers them) unless *i* is None; *i* is the first entry that
+    :func:`_too_wide` flags."""
     if i is not None:
-        x = c[i] if type(c) is list else float(c.ravel()[i])
-        raise TooWideError(f"edge opposite vertex {i % 3} has inner product {x!r} <= -1/2")
+        raise TooWideError(f"edge opposite vertex {i % 3} has inner product {_entry(c, i)!r} <= -1/2")
 
 
 def _check_tol(tol: float) -> float:
@@ -253,53 +259,62 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _validate(v):
-    """:func:`new_triangle`'s rules, in its order, over stacked triples (..., 3, 3), each raising for
-    its first flagged entry.  Returns the read-only vertices, edge inner products, edge normals and
-    side parameters, chi and the swap mask: the fields of :class:`SphericalTriangle`, for one
-    triangle or stacked."""
-    v = unit_vector(v)
-    a, b = _opposite_edges(v)
-    c = np.vecdot(a, b)
-    cs = _floats(c)  # read once for the gate and the width rule
-    # The two exact tests below can fire only near |c| = 1 (see the module docstring).
-    near = _first(cs, _near_unit) is not None
-    if near:
-        _reject_degenerate(v, a)
-    wide = _first(cs, _too_wide)
-    if wide is not None:  # the width gate (see the module docstring)
-        g = _gram(*(cs if c.ndim == 1 else np.moveaxis(c, -1, 0)))
-        if _first(g, _may_be_cogeodesic) is None:
-            _reject_too_wide(cs, wide)
+def _pack(values, shape: tuple) -> np.ndarray:
+    """:func:`core._array` of *values*, read-only."""
+    a = _array(values, shape)
+    a.flags.writeable = False
+    return a
 
-    # the cross product a x b as x - y, with both products kept for a swap
-    x, y = a.take(_NEXT, -1) * b.take(_PREV, -1), a.take(_PREV, -1) * b.take(_NEXT, -1)
-    w = x - y
-    t = _dot(v[..., 0, :], w[..., 0, :])  # the triple product <P0, P1 x P2>
-    if _first(t, _cogeodesic) is not None:
+
+def _frame(p0, p1, p2):
+    """:func:`_validate` on the coordinate triples of the three vertices: Python floats for one
+    triangle, or columns for a stack, through the same expressions."""
+    p0, p1, p2 = _normalised((p0, p1, p2))
+    c = _dot(p1, p2), _dot(p2, p0), _dot(p0, p1)
+    # The two exact tests below can fire only near |c| = 1 (see the module docstring).
+    near = _first(c, _near_unit) is not None
+    if near:
+        _reject_degenerate((p0, p1, p2))
+    wide = _first(c, _too_wide)
+    if wide is not None and _first([_gram(*c)], _may_be_cogeodesic) is None:  # the width gate
+        _reject_too_wide(c, wide)
+
+    w0 = _cross(p1, p2)
+    t = _dot(p0, w0)  # the triple product <P0, P1 x P2>
+    if _first([t], _cogeodesic) is not None:
         raise CogeodesicError("vertices lie on a common great circle")
 
-    _reject_too_wide(cs, wide)
+    _reject_too_wide(c, wide)
+    d = _sqrt(1.0 + 2.0 * c[0]), _sqrt(1.0 + 2.0 * c[1]), _sqrt(1.0 + 2.0 * c[2])
     if near:
-        i = _first(np.sqrt(1.0 + 2.0 * c), _rounds_to_sqrt3)
+        i = _first(d, _rounds_to_sqrt3)
         if i is not None:
             raise DegenerateError(f"vertices {(i + 1) % 3} and {(i + 2) % 3} coincide: d{i % 3} rounds to sqrt(3)")
 
-    swapped = t < 0.0
-    if _first(t, _negative) is not None:
-        # Stored edge i is entered edge _SWAP[i] reversed, (b, a): its normal b x a is y - x and its
-        # inner product takes the bits of <a, b> (see the module docstring).
-        sv, sw, sc = v.take(_SWAP, -2), (y - x).take(_SWAP, -2), c.take(_SWAP, -1)
-        if type(swapped) is bool:  # one triangle
-            v, w, c = sv, sw, sc
-        else:  # a stack: its swapped rows
-            m = swapped[..., None]
-            v, w, c = np.where(m[..., None], sv, v), np.where(m[..., None], sw, w), np.where(m, sc, c)
-    del x, y  # a large stack's products, freed before the side parameters are allocated
-    d = np.sqrt(1.0 + 2.0 * c)
-    for field in (v, c, w, d):
-        field.flags.writeable = False
-    return v, c, w, d, abs(t), swapped
+    swapped = _negative(t)
+    if _first([t], _negative) is not None:
+        # Stored order (P0, P2, P1): its inner products and side parameters are the entered ones
+        # reordered, and its normals are built from the stored vertices (see the module docstring).
+        entered = (*p1, *p2, c[1], c[2], d[1], d[2])
+        stored = (*p2, *p1, c[2], c[1], d[2], d[1])
+        if type(swapped) is not bool:  # a stack: its swapped rows
+            stored = [np.where(swapped, x, y) for x, y in zip(stored, entered)]
+        p1, p2, (c1, c2, d1, d2) = stored[0:3], stored[3:6], stored[6:]
+        c, d = (c[0], c1, c2), (d[0], d1, d2)
+        w0 = _cross(p1, p2)
+    w1, w2 = _cross(p2, p0), _cross(p0, p1)
+    record = _pack([*p0, *p1, *p2, *c, *w0, *w1, *w2, *d], (8, 3))
+    return record[..., 0:3, :], record[..., 3, :], record[..., 4:7, :], record[..., 7, :], abs(t), swapped
+
+
+def _validate(v):
+    """:func:`new_triangle`'s rules, in its order, over a vertex array (3, 3) or stacked triples
+    (..., 3, 3), each raising for its first flagged entry.  Returns the read-only vertices, edge
+    inner products, edge normals and side parameters, chi and the swap mask: the fields of
+    :class:`SphericalTriangle`, for one triangle or stacked.  A stack's rows are tested and built
+    as columns, each bit for bit as alone."""
+    v = _real(v)
+    return _frame(*(v.tolist() if v.ndim == 2 else (_components(v[..., i, :]) for i in range(3))))
 
 
 def new_triangle(p0, p1, p2) -> SphericalTriangle:
@@ -314,7 +329,7 @@ def new_triangle(p0, p1, p2) -> SphericalTriangle:
     (and their edge inner products) are swapped so the stored orientation has
     positive triple product.  This is :func:`_validate` for one triangle.
     """
-    v = np.asarray((p0, p1, p2))  # converted to float by unit_vector, which refuses complex input
+    v = np.asarray((p0, p1, p2))  # converted to float by core._real, which refuses complex input
     if v.ndim != 2:
         unit_vector(v)  # a malformed or non-unit point is reported before the shape
         raise ValueError(f"expected three 3-component points, got shape {v.shape}")

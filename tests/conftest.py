@@ -6,7 +6,7 @@ closed-form values that every construction routine must reproduce.
 ``SCALENE_*`` is a small scalene triangle that is not Napoleonic; the
 centroid distances of its outward construction are a fixed regression
 target.  :func:`random_triangles` draws seeded uniform triangles to check
-against.
+against, and :func:`opposite_edges` gathers a vertex array's edges.
 """
 
 import math
@@ -72,6 +72,11 @@ def equilateral_vertices(inner: float = -1.0 / 3.0):
     b = math.sqrt((1.0 - (a0 * a0 + a1 * a1 + 2.0 * a0 * a1 * c)) / (1.0 - c * c))
     p2 = a0 * p0 + a1 * p1 + b * np.cross(p0, p1)
     return (p0, p1, p2 / np.linalg.norm(p2))
+
+
+def opposite_edges(v):
+    """Endpoints (P_{i+1}, P_{i+2}) of the edges opposite each vertex of a vertex array (..., 3, 3)."""
+    return v[..., [1, 2, 0], :], v[..., [2, 0, 1], :]
 
 
 def random_triangles(count: int, seed: int):

@@ -52,16 +52,21 @@ MUTANTS = [
      "tests/test_core.py::TestUnitVector::test_tolerance_is_on_the_squared_norm"),
     ("core.py", "return n < 1e-9", "return n < 1e-6",
      "tests/test_core.py::TestBarycentre::test_small_vertex_sum_still_has_a_direction"),
-    ("core.py", "n = np.sqrt(_dot(s, s))", "n = _dot(s, s)",
+    ("core.py", "n = _sqrt(_dot(s, s))", "n = _dot(s, s)",
      "tests/test_acceptance.py::test_criterion_2_known_napoleonic_triangle"),
-    ("core.py", "else np.vecdot(a, b)", "else np.vecdot(a, a)",
-     "tests/test_acceptance.py::test_criterion_2_known_napoleonic_triangle"),
+    ("core.py", "_components(np.asarray(b, dtype=float)))", "_components(np.asarray(a, dtype=float)))",
+     "tests/test_acceptance.py::test_criterion_1_scalene_construction_values"),
     ("core.py", "if flagged(x):\n            return i\n", "if flagged(x):\n            return i + 1\n",
      "tests/test_acceptance.py::test_criterion_6_closed_form_consistency"),
-    ("core.py", "if values.size <= _FLOAT_RULE_MAX else", "if values.size > _FLOAT_RULE_MAX else",
-     "tests/test_core.py::test_rule_gives_one_triangle_and_a_stack_the_same_first_index[unit norm]"),
-    ("core.py", "if values.size > _FLOAT_RULE_MAX:", "if values.size >= _FLOAT_RULE_MAX:",
+    ("core.py", "for v in values], -1)", "for v in values], 0)",
      "tests/test_core.py::test_rule_is_tested_on_python_floats_for_a_triangle_and_in_numpy_for_a_stack"),
+    ("core.py", "if flags.any() else None", "if flags.all() else None",
+     "tests/test_core.py::test_rule_gives_one_triangle_and_a_stack_the_same_first_index[unit norm]"),
+    # the summation order of every inner product, reversed
+    ("core.py", "return a0 * b0 + a1 * b1 + a2 * b2", "return a2 * b2 + a1 * b1 + a0 * b0",
+     "tests/test_core.py::TestDot::test_stacked_entries_round_like_each_pair[shape0]"),
+    ("core.py", "[x * x + y * y + z * z for", "[z * z + y * y + x * x for",
+     "tests/test_golden_cli.py::test_golden_stdout[napoleonise-json-random-in]"),
     ("ellipsoid.py", "_MAX_REJECTIONS = 10**6", "_MAX_REJECTIONS = 10**5",
      "tests/test_ellipsoid.py::TestSamplerStuckGuard::test_one_rejection_short_of_the_limit_passes"),
     ("ellipsoid.py", "np.sqrt(dot(off, off)) >= DIAGONAL_MARGIN", "np.sqrt(dot(off, off)) > DIAGONAL_MARGIN",
@@ -82,7 +87,7 @@ MUTANTS = [
         "max(abs(rr01 - rr12), abs(rr12 - rr20))",
         "tests/test_napoleon.py::test_equilateral_residual_is_the_largest_of_all_three_differences",
     ),
-    ("napoleon.py", "t.edge_inners, t.d, e)", "t.edge_inners, t.edge_inners, e)",
+    ("napoleon.py", "h0, h1, h2 = t.d.tolist()", "h0, h1, h2 = t.edge_inners.tolist()",
      "tests/test_acceptance.py::test_criterion_1_scalene_construction_values"),
     ("napoleon.py", "if e not in (-1, +1):", "if e not in (-1, +1) and i != 1:",
      "tests/test_napoleon.py::test_sign_vector_is_a_validated_tuple_of_its_signs"),
@@ -93,19 +98,22 @@ MUTANTS = [
      "tests/test_napoleon.py::TestNapoleonise::test_sign_rule_in_input_order_for_both_orientations"),
     ("napoleon.py", "NapoleonisationResult(q, r, rr01, rr12,", "NapoleonisationResult(q, r, rr12, rr01,",
      "tests/test_acceptance.py::test_criterion_6_closed_form_consistency"),
-    ("napoleon.py", "(SQRT3 * c1)", "(1.7320508 * c1)",
+    ("napoleon.py", "den = SQRT3 * c1", "den = 1.7320508 * c1",
      "tests/test_acceptance.py::test_criterion_2_known_napoleonic_triangle"),
     ("napoleon.py", "itertools.product((-1, +1), repeat=3)", "itertools.product((+1, -1), repeat=3)",
      "tests/test_oracle.py::TestSearchEquilateral::test_ties_keep_search_order_and_tolerance_is_strict"),
-    ("oracle.py", "return v * cos + w * sin + axis", "return v * cos - w * sin + axis",
+    ("oracle.py", "v[0] * cos + w[0] * sin", "v[0] * cos - w[0] * sin",
      "tests/test_cli.py::TestSearch::test_known_triangle_contains_outward"),
-    ("oracle.py", "[[-1.0], [1.0]]", "[[1.0], [-1.0]]",
+    ("oracle.py", "(-theta, theta)", "(theta, -theta)",
      "tests/test_cli.py::TestSearch::test_known_triangle_contains_outward"),
-    ("oracle.py", "np.arccos(c / (1.0 + c))", "np.arccos(c / (1.0 - c))",
+    # one angle row negated: both apexes of an edge on the same side
+    ("oracle.py", "(-theta, theta)", "(-theta, -theta)",
+     "tests/test_golden_cli.py::test_golden_stdout[search-vertices]"),
+    ("oracle.py", "math.acos(c / (1.0 + c))", "math.acos(c / (1.0 - c))",
      "tests/test_cli.py::TestSearch::test_known_triangle_contains_outward"),
-    ("oracle.py", "np.abs(rr - rr.take(_NEXT, 1)).max(axis=1)", "np.abs(rr - rr.take(_NEXT, 1)).min(axis=1)",
+    ("oracle.py", "residual = max(", "residual = min(",
      "tests/test_golden_cli.py::test_golden_stdout[search-vertices-swapped]"),
-    ("oracle.py", "if res < tol]", "if res <= tol]",
+    ("oracle.py", "if residual < tol:", "if residual <= tol:",
      "tests/test_oracle.py::TestSearchEquilateral::test_ties_keep_search_order_and_tolerance_is_strict"),
     ("oracle.py", "    hits.sort(key=lambda pair: pair[1])\n", "",
      "tests/test_golden_cli.py::test_golden_stdout[search-vertices-swapped]"),
@@ -139,27 +147,32 @@ MUTANTS = [
      "tests/test_ellipsoid.py::TestRealize::test_stacked_realize_reports_the_first_failing_row"),
     (
         "triangle.py",
-        "c[i] if type(c) is list",
-        "c[0] if type(c) is list",
+        "{_entry(c, i)!r}",
+        "{_entry(c, 0)!r}",
         "tests/test_triangle.py::test_rejection_messages_name_the_pair_or_edge"
         "[edge opposite vertex 0 has inner product -0.75 <= -1/2-stacked]",
     ),
-    ("triangle.py", "if _first(g, _may_be_cogeodesic) is None:", "if True:",
+    ("triangle.py", "if wide is not None and _first([_gram(*c)], _may_be_cogeodesic) is None:", "if wide is not None:",
      "tests/test_triangle.py::TestNewTriangle::test_cogeodesic_rejected"),
-    ("triangle.py", "if _first(g, _may_be_cogeodesic) is None:", "if _first(g, _may_be_cogeodesic) != 0:",
+    ("triangle.py", "_may_be_cogeodesic) is None:", "_may_be_cogeodesic) != 0:",
      "tests/test_triangle.py::test_width_gate_changes_no_outcome_near_a_great_circle"),
     ("triangle.py", "GRAM_GATE = 1e-12\n", "GRAM_GATE = 1e-18\n",
      "tests/test_triangle.py::test_width_gate_changes_no_outcome_near_a_great_circle"),
     ("triangle.py", "return abs(t) <= DEGENERACY_TOL", "return abs(t) < DEGENERACY_TOL",
      "tests/test_triangle.py::TestNewTriangle::test_cogeodesic_bound_is_inclusive"),
-    ("triangle.py", "(y - x).take(_SWAP, -2)", "w",
+    # a swapped triangle keeps the normal of its entered edge 0, reverses it, or negates it (which
+    # differs from the reversal only in the sign of an exact zero)
+    ("triangle.py", "d1, d2)\n        w0 = _cross(p1, p2)\n", "d1, d2)\n",
      "tests/test_acceptance.py::test_criterion_1_scalene_construction_values"),
-    ("triangle.py", "(y - x)", "(x - y)",
+    ("triangle.py", "d1, d2)\n        w0 = _cross(p1, p2)\n", "d1, d2)\n        w0 = _cross(p2, p1)\n",
      "tests/test_acceptance.py::test_criterion_1_scalene_construction_values"),
-    ("triangle.py", "(y - x)", "-(x - y)",
+    ("triangle.py", "d1, d2)\n        w0 = _cross(p1, p2)\n", "d1, d2)\n        w0 = tuple(-x for x in _cross(p2, p1))\n",
      "tests/test_triangle.py::test_stored_edge_frame_is_built_from_the_stored_vertices_exactly"),
-    ("triangle.py", "np.where(m[..., None], sw, w)", "np.where(m[..., None], -(x - y).take(_SWAP, -2), w)",
+    ("triangle.py", "for x, y in zip(stored, entered)]", "for x, y in zip(entered, stored)]",
      "tests/test_triangle.py::test_stored_edge_frame_is_built_from_the_stored_vertices_exactly"),
+    # the two terms of one cross-product coordinate exchanged
+    ("triangle.py", "return a1 * b2 - a2 * b1,", "return a2 * b1 - a1 * b2,",
+     "tests/test_acceptance.py::test_criterion_1_scalene_construction_values"),
     ("triangle.py", "return abs(c) >= 1.0 - DEGENERACY_TOL", "return abs(c) > 1.0",
      "tests/test_acceptance.py::test_criterion_8_degenerate_handling"),
     ("triangle.py", "if not 0.0 < x < SQRT3:", "if not 0.0 < x <= SQRT3:",

@@ -4,8 +4,11 @@ Run as ``PYTHONPATH=src python tests/output_digest.py`` (about 40 s).  It
 prints one digest per group of inputs and a total.  A change that must keep
 every output bit for bit is checked by running this one file against both
 source trees and comparing the totals; a group whose digest moves names
-where the outputs differ.  The digests depend on the platform's floating
-point, as the golden corpus does.
+where the outputs differ.  The digests depend on the platform's libm
+(``acos``, ``cos`` and ``sin``, in the oracle) and, through the sampler's
+rotation, on the BLAS matrix-product kernel (FORMATS.md, "Floating point"),
+as the golden corpus does; every other output is plain IEEE arithmetic, so
+neither NumPy's CPU dispatch nor the BLAS dot kernel moves a digest.
 
 Every float is hashed exactly (array bytes, or the shortest round-trip repr
 of a scalar); every rejection by its error type and message; every warning

@@ -22,7 +22,7 @@ from napsphere import (
     unit_vector,
 )
 from napsphere import triangle
-from napsphere.core import _FLOAT_RULE_MAX, UNIT_NORM_TOL, _first, _floats, _off_unit, _zero_sum
+from napsphere.core import UNIT_NORM_TOL, _first, _off_unit, _zero_sum
 from napsphere.ellipsoid import _unrealizable
 from napsphere.triangle import BOUNDARY_BAND, DEGENERACY_TOL, SQRT3
 
@@ -57,9 +57,10 @@ raw_vectors = st.tuples(finite_components, finite_components, finite_components)
 
 
 def _pairwise_dots(a, b) -> bytes:
-    """The bytes of ``float(a_i @ b_i)`` for each stacked pair of 3-vectors, one pair at a time."""
-    pairs = zip(a.reshape(-1, 3), b.reshape(-1, 3))
-    return np.array([float(x @ y) for x, y in pairs]).tobytes()
+    """The bytes of the plain left-to-right sum ``(a0 b0 + a1 b1) + a2 b2`` for each stacked pair
+    of 3-vectors, one pair at a time in Python floats."""
+    pairs = zip(a.reshape(-1, 3).tolist(), b.reshape(-1, 3).tolist())
+    return np.array([a0 * b0 + a1 * b1 + a2 * b2 for (a0, a1, a2), (b0, b1, b2) in pairs]).tobytes()
 
 
 class TestDot:
@@ -77,7 +78,7 @@ class TestDot:
 
     @pytest.mark.parametrize("shape", [(10_000, 3), (1_000, 3, 3)])
     def test_stacked_entries_round_like_each_pair(self, shape):
-        # The docstring's promise: each entry of a stack has the bits of ``a @ b`` of its pair.
+        # The docstring's promise: each entry of a stack has the bits of the plain sum of its pair.
         rng = np.random.default_rng(26)
         a, b = rng.normal(size=shape), rng.normal(size=shape)
         got = dot(a, b)
@@ -220,18 +221,16 @@ SPECIALS = [math.nan, math.inf, -math.inf, 0.0]
 def test_rule_gives_one_triangle_and_a_stack_the_same_first_index(rule):
     flagged, bounds = RULES[rule]
     values = bounds + SPECIALS
-    copies = _FLOAT_RULE_MAX // 3 + 1  # a stack of this many triples is past the cut-over
     outcomes = set()
     for triple in itertools.product(values, repeat=3):
-        one = np.array(triple)
-        stack = np.tile(one, (copies, 1))
-        assert isinstance(_floats(one), list) and _floats(stack) is stack
+        columns = [np.full(4, x) for x in triple]  # a stack of four copies of the triple, as columns
         expected = next((i for i, x in enumerate(triple) if flagged(np.float64(x))), None)
-        assert _first(one, flagged) == _first(_floats(one), flagged) == _first(stack, flagged) == expected
+        assert _first(list(triple), flagged) == _first(columns, flagged) == expected
         outcomes.add(expected)
     assert outcomes == {None, 0, 1, 2}  # every rule flags some triples and passes others
-    for x in values:  # one float, as the triple product or a realized triangle's chi^2 is
-        assert _first(x, flagged) == _first(np.float64(x), flagged) == (0 if flagged(np.float64(x)) else None)
+    for x in values:  # one value, as the triple product or a realized triangle's chi^2 is
+        expected = 0 if flagged(np.float64(x)) else None
+        assert _first([x], flagged) == _first([np.float64(x)], flagged) == _first([np.array([x])], flagged) == expected
 
 
 def test_rule_is_tested_on_python_floats_for_a_triangle_and_in_numpy_for_a_stack():
@@ -241,13 +240,13 @@ def test_rule_is_tested_on_python_floats_for_a_triangle_and_in_numpy_for_a_stack
         seen.append(type(x))
         return x < 0.0
 
-    assert _first(np.zeros(_FLOAT_RULE_MAX), flagged) is None
-    assert seen == [float] * _FLOAT_RULE_MAX
+    assert _first([0.0, 0.0, 0.0], flagged) is None
+    assert seen == [float] * 3
     seen.clear()
-    stack = np.zeros(_FLOAT_RULE_MAX + 1)
-    stack[-1] = -1.0
-    assert _first(stack, flagged) == _FLOAT_RULE_MAX
-    assert seen == [np.ndarray]
+    columns = [np.zeros(4), np.zeros(4), np.zeros(4)]
+    columns[1][2] = -1.0
+    assert _first(columns, flagged) == 2 * 3 + 1  # row 2 of column 1, numbered row by row
+    assert seen == [np.ndarray] * 3
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -255,7 +254,7 @@ def test_non_finite_vertex_is_reported_alone_and_in_a_stack(bad):
     point = np.array([bad, 0.0, 0.0])
     with pytest.raises(ValueError, match="^vector components must be finite$"):
         unit_vector(point)
-    stack = np.tile(EY, (_FLOAT_RULE_MAX + 1, 1))
+    stack = np.tile(EY, (10, 1))
     stack[-2] = point
     with pytest.raises(ValueError, match="^vector components must be finite$"):
         unit_vector(stack)

@@ -1,10 +1,10 @@
 """Golden CLI corpus: every subcommand and output format, byte for byte.
 
 Each case in ``golden/cases.json`` gives an argv, an optional stdin document
-and the expected exit code; ``golden/<name>.out`` holds the expected stdout.
-The one exception to byte equality is ``search``: its residuals are
-noise-level values of the rotation oracle, so the tolerance and the signs
-(in order) must match exactly and each residual within 1e-12.
+and the expected exit code; ``golden/<name>.out`` holds the expected stdout,
+compared as bytes.  ``search`` is no exception: its residuals are plain IEEE
+arithmetic plus the platform libm's ``acos``, ``cos`` and ``sin`` (FORMATS.md,
+"Floating point").
 
 After an intended output change, regenerate the expected files with
 ``PYTHONPATH=src python tests/test_golden_cli.py``.
@@ -40,14 +40,7 @@ def _check(case) -> None:
     code, got = _run(case)
     expected = (GOLDEN / f"{case['name']}.out").read_bytes()
     assert code == case["exit"]
-    if case["argv"][0] != "search" or code != 0:
-        assert got == expected
-        return
-    doc, ref = json.loads(got), json.loads(expected)
-    assert doc["tolerance"] == ref["tolerance"]
-    assert [m["signs"] for m in doc["matches"]] == [m["signs"] for m in ref["matches"]]
-    for m, r in zip(doc["matches"], ref["matches"]):
-        assert abs(m["residual"] - r["residual"]) <= 1e-12
+    assert got == expected
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])

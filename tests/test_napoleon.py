@@ -22,7 +22,6 @@ from napsphere import (
     spherical_distance,
 )
 from napsphere import algebra
-from napsphere.triangle import _opposite_edges
 
 from conftest import (
     NAPOLEONIC_APEXES,
@@ -31,6 +30,7 @@ from conftest import (
     SCALENE_CENTROID_DISTANCES,
     SCALENE_VERTICES,
     equilateral_vertices,
+    opposite_edges,
     random_triangles,
 )
 
@@ -77,7 +77,7 @@ class TestApex:
 
     def test_equidistance(self):
         for t, _, res in _rows(random_triangles(100, seed=21)):
-            a, b = _opposite_edges(t.vertices)
+            a, b = opposite_edges(t.vertices)
             q = res.apexes
             assert np.abs(dot(q, a) - t.edge_inners).max() < 1e-12
             assert np.abs(dot(q, b) - t.edge_inners).max() < 1e-12
@@ -234,7 +234,7 @@ def test_result_arrays_are_read_only(napoleonic_triangle, field):
 
 def _reference_edge(a, b, eps):
     """Apex and centroid of one edge, written out as the closed forms read."""
-    c = float(a @ b)
+    c = dot(a, b)  # the plain sum, as test_core pins it
     w = np.cross(a, b)
     q = (c * (a + b) + eps * math.sqrt(1.0 + 2.0 * c) * w) / (1.0 + c)
     r = (math.sqrt(1.0 + 2.0 * c) * (a + b) + eps * w) / (math.sqrt(3.0) * (1.0 + c))
@@ -255,7 +255,7 @@ def test_napoleonise_matches_one_edge_at_a_time_exactly():
                 q, r = _reference_edge(v[(i + 1) % 3], v[(i + 2) % 3], e)
                 assert np.array_equal(res.apexes[i], q) and np.array_equal(res.centroids[i], r)
             r0, r1, r2 = res.centroids
-            assert res.centroid_inners == (float(r0 @ r1), float(r1 @ r2), float(r2 @ r0))
+            assert res.centroid_inners == (dot(r0, r1), dot(r1, r2), dot(r2, r0))
 
 
 def test_equilateral_residual_is_the_largest_of_all_three_differences():

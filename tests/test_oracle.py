@@ -18,32 +18,44 @@ from napsphere import (
     side_parameters,
 )
 from napsphere import NapsphereError, algebra, realize, sample_napoleonic_d
-from napsphere.core import _NEXT, barycentre, dot
+from napsphere.core import barycentre, dot
 from napsphere.oracle import _rotate
-from napsphere.triangle import _opposite_edges
 
-from conftest import NAPOLEONIC_APEXES, equilateral_vertices, random_triangles
+from conftest import NAPOLEONIC_APEXES, equilateral_vertices, opposite_edges, random_triangles
+
+
+def _libm(f, x):
+    """The libm function *f* (``math.acos``, ``math.cos`` or ``math.sin``, as the search takes
+    them) entry by entry of the array *x*."""
+    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _rotated(t, angles):
+    """b rotated about a by *angles* (any shape ending in the three edges), on the stored frame of
+    *t*, as an array (..., 3 edges, 3)."""
+    a, b = opposite_edges(t.vertices)
+    cos, sin = _libm(math.cos, angles), _libm(math.sin, angles)
+    return np.stack(_rotate(b.T, a.T, t.edge_normals.T, t.edge_inners, cos, sin), -1)
 
 
 def _apexes_by_rotation(t, s):
     """The apexes of *t* with signs *s* (caller's order) as ``search_equilateral`` builds them:
     b rotated about a by the equilateral vertex angle, on the stored frame."""
-    a, b = _opposite_edges(t.vertices)
     c = t.edge_inners
     eps = np.array(s.oriented(t.orientation_swapped).as_tuple(), dtype=float)
-    return _rotate(b, a, t.edge_normals, c, eps * np.arccos(c / (1.0 + c)))
+    return _rotated(t, eps * _libm(math.acos, c / (1.0 + c)))
 
 
 def _search_reference(t):
     """Reference: ``search_equilateral(t, inf)`` with all 24 apexes rotated and barycentred, one
     per sign vector and edge, from the full (8, 3) angle table."""
     signs = [SignVector(*e) for e in itertools.product((-1, +1), repeat=3)]
-    a, b = _opposite_edges(t.vertices)
+    a, b = opposite_edges(t.vertices)
     c = t.edge_inners
-    angles = np.array(signs, dtype=float) * np.arccos(c / (1.0 + c))
-    r = barycentre(a, b, _rotate(b, a, t.edge_normals, c, angles))  # (8 signs, 3 edges, 3)
-    rr = dot(r, r.take(_NEXT, 1))
-    residuals = np.abs(rr - rr.take(_NEXT, 1)).max(axis=1).tolist()
+    angles = np.array(signs, dtype=float) * _libm(math.acos, c / (1.0 + c))
+    r = barycentre(a, b, _rotated(t, angles))  # (8 signs, 3 edges, 3)
+    rr = dot(r, r[:, [1, 2, 0]])
+    residuals = np.abs(rr - rr[:, [1, 2, 0]]).max(axis=1).tolist()
     return sorted(zip(signs, residuals), key=lambda pair: pair[1])
 
 

@@ -30,6 +30,7 @@ UNCALLED = {
     "napoleon.SignVector._make": "keeps _replace validated",
     "napoleon.SignVector.__str__": "the --signs spelling of a sign vector",
     "verdict.classify_d": "the paper's test on a raw d",
+    "core.unit_vector": "the public point check; triangles apply its rule to coordinates (core._normalised)",
     "__init__.__dir__": "dir(napsphere) lists the lazily loaded names",
     "cli._Parser.error": "usage errors exit 1, not argparse's 2",
 }

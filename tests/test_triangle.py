@@ -34,13 +34,12 @@ from napsphere.triangle import (
     BOUNDARY_BAND,
     DEGENERACY_TOL,
     SQRT3,
-    _opposite_edges,
     _reject_degenerate,
     _reject_too_wide,
     _validate,
 )
 
-from conftest import NAPOLEONIC_D, SCALENE_VERTICES, equilateral_vertices, random_triangles
+from conftest import NAPOLEONIC_D, SCALENE_VERTICES, equilateral_vertices, opposite_edges, random_triangles
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -48,8 +47,13 @@ EZ = np.array([0.0, 0.0, 1.0])
 
 
 def _edge_at(c):
-    """An edge from (1, 0, 0) whose endpoints have inner product *c*."""
-    return EX, np.array([c, math.sqrt(1.0 - c * c), 0.0])
+    """An edge from (1, 0, 0) whose endpoints have inner product exactly *c* once validated: the
+    second endpoint (c, s, 0) takes the least float s >= sqrt(1 - c^2) whose squared norm, summed
+    in plain floats as validation sums it, has the square root 1.0, so the rescaling keeps c."""
+    s = math.sqrt(1.0 - c * c)
+    while math.sqrt(c * c + s * s) != 1.0:
+        s = math.nextafter(s, 2.0)
+    return EX, np.array([c, s, 0.0])
 
 
 class TestNewTriangle:
@@ -206,7 +210,8 @@ def test_stored_edge_inners_are_the_per_pair_products_exactly():
         v = t.vertices
         stacked = dot(v.take([1, 2, 0], 0), v.take([2, 0, 1], 0))
         for i in range(3):
-            expected = float(v[(i + 1) % 3] @ v[(i + 2) % 3])
+            (a0, a1, a2), (b0, b1, b2) = v[(i + 1) % 3].tolist(), v[(i + 2) % 3].tolist()
+            expected = a0 * b0 + a1 * b1 + a2 * b2  # the plain left-to-right sum
             assert stacked[i] == expected and t.edge_inners[i] == expected
 
 
@@ -236,11 +241,14 @@ def test_stored_edge_frame_is_built_from_the_stored_vertices_exactly():
     # and after a swap b x a must not become -(a x b).
     realized = [realize(d) for d in sample_napoleonic_d(100, seed=28)]
     uniform = random_triangles(100, seed=29)
-    entered = [t.vertices for t in realized + uniform]
+    # realize's vertices cycled, so that (1, 0, 0) and (c2, s, 0) span edge 0, whose normal holds
+    # exact zeros: entered with vertices 1 and 2 exchanged, that is the edge a swap reverses
+    cycled = [t.vertices[[2, 0, 1]] for t in realized]
+    entered = [t.vertices for t in realized + uniform] + cycled
     triangles = realized + [new_triangle(*v) for v in entered] + [new_triangle(*v[[0, 2, 1]]) for v in entered]
-    assert [t.orientation_swapped for t in triangles] == [False] * 300 + [True] * 200
+    assert [t.orientation_swapped for t in triangles] == [False] * 400 + [True] * 300
     for t in triangles:
-        assert t.edge_normals.tobytes() == np.cross(*_opposite_edges(t.vertices)).tobytes()
+        assert t.edge_normals.tobytes() == np.cross(*opposite_edges(t.vertices)).tobytes()
         assert t.d.tobytes() == np.sqrt(1.0 + 2.0 * t.edge_inners).tobytes()
         for field in (t.edge_normals, t.d):
             with pytest.raises(ValueError, match="read-only"):
@@ -264,8 +272,8 @@ def test_stored_edge_frame_is_built_from_the_stored_vertices_exactly():
 def test_swapped_input_gives_the_record_of_the_stored_order_exactly():
     # After a swap the stored inner products are the entered ones reordered, so
     # a record does not depend on the order in which vertices 1 and 2 were
-    # entered only if core.dot(a, b) rounds exactly like core.dot(b, a).  A host
-    # whose matmul breaks that symmetry fails here instead of changing outputs.
+    # entered only if core.dot(a, b) rounds exactly like core.dot(b, a): the plain
+    # sum of products, each of which commutes exactly in IEEE arithmetic.
     v = np.array([t.vertices for t in random_triangles(500, seed=31)])
     stored, entered = _validate(v), _validate(v.take([0, 2, 1], axis=1))
     assert not stored[5].any() and entered[5].all()
@@ -276,8 +284,14 @@ def test_swapped_input_gives_the_record_of_the_stored_order_exactly():
         for field in ("vertices", "edge_inners", "edge_normals", "d"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
         assert a.chi == b.chi
-    a, b = _opposite_edges(v)
+    a, b = opposite_edges(v)
     assert dot(a, b).tobytes() == dot(b, a).tobytes()
+
+
+def _columns(a):
+    """The last axis of *a* as the values that core._first reads: NumPy scalars of one triangle, or
+    the columns of a stack."""
+    return tuple(np.moveaxis(a, -1, 0))
 
 
 def _ungated_validate(v):
@@ -285,23 +299,23 @@ def _ungated_validate(v):
     test and the rounds-to-sqrt(3) test run on every input, the width rule only after the frame
     and the cogeodesy rule, and the swap as a gather."""
     v = unit_vector(v)
-    a, b = _opposite_edges(v)
-    _reject_degenerate(v, a)
+    a, b = opposite_edges(v)
+    _reject_degenerate([_columns(v[..., i, :]) for i in range(3)])
     w = np.cross(a, b)
     t = dot(v[..., 0, :], w[..., 0, :])
-    if _first(t, lambda t: abs(t) <= DEGENERACY_TOL) is not None:
+    if _first([t], lambda t: abs(t) <= DEGENERACY_TOL) is not None:
         raise CogeodesicError("vertices lie on a common great circle")
     c = dot(a, b)
-    _reject_too_wide(c, _first(c, lambda c: c <= -0.5))
+    _reject_too_wide(_columns(c), _first(_columns(c), lambda c: c <= -0.5))
     d = np.sqrt(1.0 + 2.0 * c)
-    i = _first(d, lambda d: d >= SQRT3)
+    i = _first(_columns(d), lambda d: d >= SQRT3)
     if i is not None:
         raise DegenerateError(f"vertices {(i + 1) % 3} and {(i + 2) % 3} coincide: d{i % 3} rounds to sqrt(3)")
     flip = np.asarray(t < 0.0)[..., None]
     v = np.where(flip[..., None], v.take([0, 2, 1], -2), v)
     c = np.where(flip, c.take([0, 2, 1], -1), c)
     d = np.where(flip, d.take([0, 2, 1], -1), d)
-    return v, c, np.cross(*_opposite_edges(v)), d, abs(t), t < 0.0
+    return v, c, np.cross(*opposite_edges(v)), d, abs(t), t < 0.0
 
 
 def _outcome(validate, v):
