@@ -8,8 +8,11 @@ arithmetic.
 
 The public names are loaded on first use (PEP 562): ``import napsphere``
 imports no submodule, and ``napsphere.classify`` imports ``verdict``, its
-home module, with NumPy, the first time it is read.  So the exact layer,
-``napsphere.algebra``, and the CLI's ``verify-identities`` run without NumPy.
+home module, the first time it is read.  No module but ``ellipsoid`` (the
+sampler) imports NumPy when it loads; the others import it in the functions
+that read or build arrays.  So the exact layer, ``napsphere.algebra``, runs
+without NumPy, and so do the CLI's ``verify-identities`` and its one-triangle
+``napoleonise``, ``classify`` and ``search``.
 """
 
 import importlib as _importlib

@@ -19,10 +19,18 @@ See FORMATS.md for the exact output schemas.
 
 At module level this imports only the standard library, :mod:`napsphere.errors`
 and :mod:`napsphere.polynomials` (for the ``--tol`` default); each handler
-imports the modules it runs, so ``verify-identities`` starts without NumPy and
-the NumPy subcommands without the exact ring of :mod:`napsphere.algebra`.
+imports the modules it runs, so no subcommand but ``verify-identities`` loads
+the exact ring of :mod:`napsphere.algebra`, and only ``sample`` loads NumPy.
 ``json`` is imported where a document is read or written, which
 ``verify-identities`` never does.
+
+``napoleonise``, ``classify`` and ``search`` take one triangle from the
+document to stdout on Python floats.  :func:`_triangle_from_doc` returns the
+triangle's frame unpacked (``triangle._frame``, or ``triangle._placed`` for a
+``d`` document), and each handler runs the kernel that its public function runs
+on the record's arrays: ``napoleon._construction``, ``verdict._report`` and
+``oracle._search``, with ``core._barycentre`` and ``core.spherical_distance``.
+So the output equals the public records' bit for bit, without building them.
 """
 
 from __future__ import annotations
@@ -31,14 +39,9 @@ import argparse
 import math
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from .errors import DegenerateError, NapsphereError
 from .polynomials import CLASSIFY_TOL
-
-if TYPE_CHECKING:
-    from .napoleon import NapoleonisationResult
-    from .triangle import SphericalTriangle
 
 __all__ = ["main"]
 
@@ -88,33 +91,37 @@ class _BadInput(Exception):
     """Malformed input (exit 1), as opposed to geometric rejection (exit 2)."""
 
 
-def _triangle_from_doc(doc: dict) -> SphericalTriangle:
-    from .triangle import new_triangle
+def _triangle_from_doc(doc: dict) -> tuple:
+    """The document's triangle as its frame, unpacked (``triangle._frame``): the vertices
+    normalised and validated, or the side parameters realized."""
+    from .triangle import _checked, _frame, _placed
 
     if ("vertices" in doc) == ("d" in doc):
         raise _BadInput('input must contain exactly one of "vertices" and "d"')
     if "d" in doc:
-        from .ellipsoid import realize  # only a d document is realized
-
-        return realize(_finite_triple(doc["d"], '"d"'))
+        return _placed(*_checked(_finite_triple(doc["d"], '"d"')))
     verts = doc["vertices"]
     if not (isinstance(verts, list) and len(verts) == 3):
         raise _BadInput('"vertices" must be a list of three [x, y, z] triples')
     normed = []
     for k, row in enumerate(verts):
         x, y, z = _finite_triple(row, f"vertex {k}")
-        n = math.sqrt(x * x + y * y + z * z)  # a square that overflows makes n inf
-        if not math.isfinite(n):
-            raise _BadInput(f"vertex {k} is too long to normalise")
-        if n < 1e-12:
+        n = math.sqrt(x * x + y * y + z * z)
+        scale = 1.0
+        if n == math.inf:  # the squared norm overflows: divide by the largest component first
+            scale = max(abs(x), abs(y), abs(z))
+            x, y, z = x / scale, y / scale, z / scale
+            n = math.sqrt(x * x + y * y + z * z)
+        length = n * scale  # n itself unless scaled; inf beyond the double range
+        if length < 1e-12:
             raise DegenerateError("cannot normalise a (near-)zero vector")
-        if abs(n - 1.0) > NORMALISE_WARN:
+        if abs(length - 1.0) > NORMALISE_WARN:
             print(
-                f"warning: vertex {k} renormalised (|v| deviated from 1 by {abs(n - 1.0):.3e})",
+                f"warning: vertex {k} renormalised (|v| deviated from 1 by {abs(length - 1.0):.3e})",
                 file=sys.stderr,
             )
         normed.append((x / n, y / n, z / n))
-    return new_triangle(*normed)
+    return _frame(*normed)
 
 
 def _finite_triple(row, what: str) -> list[float]:
@@ -126,31 +133,33 @@ def _finite_triple(row, what: str) -> list[float]:
     return row
 
 
-def _napoleonisation_dict(t: SphericalTriangle, res: NapoleonisationResult) -> dict:
-    from .core import barycentre, spherical_distance
+def _napoleonisation_dict(frame: tuple, signs) -> dict:
+    from .core import _barycentre, spherical_distance
+    from .napoleon import _coincident, _construction
 
-    rs = res.centroids
+    p, c, w, d, _, swapped = frame
+    q, r, rr01, rr12, rr20, residual, near = _construction(p, c, w, d, signs.oriented(swapped))
     return {
-        "signs": list(res.signs),
-        "orientation_swapped": t.orientation_swapped,
-        "vertices": t.vertices.tolist(),
-        "apexes": res.apexes.tolist(),
-        "centroids": rs.tolist(),
+        "signs": list(signs),
+        "orientation_swapped": swapped,
+        "vertices": p,
+        "apexes": q,
+        "centroids": r,
         "centroid_inner_products": {
-            "rr01": res.rr01,
-            "rr12": res.rr12,
-            "rr20": res.rr20,
+            "rr01": rr01,
+            "rr12": rr12,
+            "rr20": rr20,
         },
         "centroid_distances": [
-            spherical_distance(rs[0], rs[1]),
-            spherical_distance(rs[1], rs[2]),
-            spherical_distance(rs[2], rs[0]),
+            spherical_distance(r[0], r[1]),
+            spherical_distance(r[1], r[2]),
+            spherical_distance(r[2], r[0]),
         ],
-        "equilateral_residual": res.equilateral_residual,
-        "coincident_centroids": res.centroids_coincident,
-        "near_boundary": res.near_boundary,
-        "barycentre": barycentre(*t.vertices).tolist(),
-        "napoleon_barycentre": barycentre(*rs).tolist(),
+        "equilateral_residual": residual,
+        "coincident_centroids": _coincident(rr01, rr12, rr20),
+        "near_boundary": near,
+        "barycentre": _barycentre(*p),
+        "napoleon_barycentre": _barycentre(*r),
     }
 
 
@@ -162,14 +171,14 @@ def _point_cloud_csv(doc: dict) -> str:
     return "\n".join(["kind,index,x,y,z", *rows]) + "\n"
 
 
-def cmd_napoleonise(args, t: SphericalTriangle) -> int:
-    from .napoleon import SignVector, napoleonise
+def cmd_napoleonise(args, frame: tuple) -> int:
+    from .napoleon import SignVector
 
     try:
         signs = SignVector.parse(args.signs)
     except ValueError as exc:
         raise _BadInput(str(exc))
-    doc = _napoleonisation_dict(t, napoleonise(t, signs))
+    doc = _napoleonisation_dict(frame, signs)
     if args.format == "csv":
         sys.stdout.write(_point_cloud_csv(doc))
     else:
@@ -177,10 +186,10 @@ def cmd_napoleonise(args, t: SphericalTriangle) -> int:
     return EXIT_OK
 
 
-def cmd_classify(args, t: SphericalTriangle) -> int:
-    from .verdict import classify
+def cmd_classify(args, frame: tuple) -> int:
+    from .verdict import _report
 
-    report = classify(t, tol=args.tol)
+    report = _report(*frame[3], tol=args.tol)  # the side parameters
     doc = {
         **report._asdict(),
         "d": list(report.d),
@@ -215,10 +224,10 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def cmd_search(args, t: SphericalTriangle) -> int:
-    from .oracle import search_equilateral
+def cmd_search(args, frame: tuple) -> int:
+    from .oracle import _search
 
-    hits = search_equilateral(t, tol=args.tol)
+    hits = _search(*frame[:3], args.tol)  # the vertices, edge inner products and edge normals
     print(
         _dump(
             {

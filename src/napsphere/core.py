@@ -11,18 +11,26 @@ An inner product is the plain left-to-right sum ``(a0 b0 + a1 b1) + a2 b2``
 (:func:`_dot`), so every result is a fixed sequence of correctly rounded IEEE
 operations and no BLAS kernel, which may fuse a multiply and an add, decides
 its bits.  Only four things depend on the kind of input: the square root
-(:func:`_sqrt`), the rule test (:func:`_first`), a stack's per-row choice
-(``np.where``, in the triangle's swap) and building the result arrays
-(:func:`_array` and ``triangle._pack``).
+(:func:`_sqrt`), the rule test (:func:`_first`, with :func:`_entry` reading
+the flagged value), a stack's per-row choice (``np.where``, in the
+triangle's swap) and building the result arrays (:func:`_array` and
+``triangle._fields``).
+
+NumPy is imported only where an array is read or built: in those functions'
+stack branches, in :func:`_array` and :func:`_real`, and in the public
+functions, which take arrays.  One triangle's floats never need it, so the
+CLI's one-triangle subcommands run without loading it.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ZeroSumError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # |x^2+y^2+z^2 - 1| allowed on construction of a unit vector.
 UNIT_NORM_TOL = 1e-9
@@ -37,24 +45,35 @@ def _first(values, flagged) -> int | None:
     of column ``i % n`` (:func:`_entry` reads it).  *flagged* is a module-level
     predicate, one expression that gives the same flag on a Python float as on
     an array entry."""
-    if type(values[0]) is np.ndarray:
-        flags = np.stack([flagged(v) for v in values], -1)
-        return int(flags.argmax()) if flags.any() else None
-    for i, x in enumerate(values):
-        if flagged(x):
-            return i
-    return None
+    if type(values[0]) is float:
+        for i, x in enumerate(values):
+            if flagged(x):
+                return i
+        return None
+    import numpy as np
+
+    flags = np.stack([flagged(v) for v in values], -1)
+    return int(flags.argmax()) if flags.any() else None
 
 
 def _entry(values, i: int) -> float:
     """Entry *i* of *values*, numbered as :func:`_first` numbers them, as a Python float."""
     n = len(values)
-    return float(np.ravel(values[i % n])[i // n])
+    x = values[i % n]
+    if type(x) is float:
+        return x
+    import numpy as np
+
+    return float(np.ravel(x)[i // n])
 
 
 def _sqrt(x):
     """The correctly rounded square root of a Python float or, entry by entry, of a column."""
-    return math.sqrt(x) if type(x) is float else np.sqrt(x)
+    if type(x) is float:
+        return math.sqrt(x)
+    import numpy as np
+
+    return np.sqrt(x)
 
 
 def _dot(a, b):
@@ -72,13 +91,19 @@ def _components(a: np.ndarray):
 def _array(values, shape: tuple = (3,)) -> np.ndarray:
     """*values*, Python floats or a stack's equal-shape columns, as a float array of shape *shape*,
     or (..., *shape) for columns: a coordinate triple by default."""
-    a = np.array(values) if type(values[0]) is float else np.stack(values, -1)
+    import numpy as np
+
+    if type(values[0]) is float:
+        return np.fromiter(values, float, len(values)).reshape(shape)
+    a = np.stack(values, -1)
     return a.reshape(a.shape[:-1] + shape)
 
 
 def _real(v) -> np.ndarray:
     """*v* as a float array of 3-vectors (..., 3): ``TypeError`` for complex components and
     ``ValueError`` for another last axis."""
+    import numpy as np
+
     a = np.asarray(v)
     if a.dtype.kind == "c":  # a float conversion would drop the imaginary part
         raise TypeError(f"vector components must be real, got {a.dtype}")
@@ -104,6 +129,8 @@ def _normalised(points) -> list:
     nsq = [x * x + y * y + z * z for x, y, z in points]  # _dot(p, p), written out
     i = _first(nsq, _off_unit)
     if i is not None:
+        import numpy as np  # a rejected point, from an array: no CLI document reaches here
+
         if not np.isfinite(points).all():
             raise ValueError("vector components must be finite")
         raise ValueError(f"not a unit vector: |v|^2 = {_entry(nsq, i)!r}")
@@ -134,12 +161,15 @@ def dot(a, b):
     """Euclidean inner product of 3-vectors over the last axis: a float for two 3-vectors, else an
     array.  Every entry is the plain left-to-right sum ``(a0 b0 + a1 b1) + a2 b2`` of its pair,
     whichever BLAS kernel the host would pick."""
+    import numpy as np
+
     return _dot(_components(np.asarray(a, dtype=float)), _components(np.asarray(b, dtype=float)))
 
 
 def spherical_distance(p, q) -> float:
-    """Great-circle distance in [0, pi] between two unit vectors."""
-    x = dot(p, q)
+    """Great-circle distance in [0, pi] between two unit vectors: arrays of shape (3,), or any
+    three-number sequences, such as coordinate triples.  The inner product is :func:`_dot`'s sum."""
+    x = _dot(p, q)
     # Clamped to [-1, 1] against rounding past +-1; NaN passes through.
     return math.acos(-1.0 if x < -1.0 else 1.0 if x > 1.0 else x)
 
@@ -151,4 +181,6 @@ def barycentre(p0, p1, p2) -> np.ndarray:
     :class:`ZeroSumError` when some vertex sum is too small to determine a
     direction (e.g. three equally spaced cogeodesic points).
     """
+    import numpy as np
+
     return _array(_barycentre(*(_components(np.asarray(p, dtype=float)) for p in (p0, p1, p2))))

@@ -14,9 +14,10 @@ last axis to plain (..., 3) arrays and :func:`quadric_value` evaluates the
 left side per row; :func:`sample_napoleonic_d_with_attempts` draws
 admissible side parameters from this surface as one (count, 3) array, and
 :func:`realize` places any realizable side parameters as a canonical triangle
-on the unit sphere (``_realized`` places a stack).  Side parameters are plain
-triples; only the sampler's row view :func:`sample_napoleonic_d` builds
-:class:`SideParameters`.
+on the unit sphere (``_realized`` places a stack; the placement itself is
+``triangle._placed``, which the CLI runs without loading this module).  Side
+parameters are plain triples; only the sampler's row view
+:func:`sample_napoleonic_d` builds :class:`SideParameters`.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import math
 
 import numpy as np
 
-from .core import _dot, _entry, _first, _sqrt, dot
-from .errors import SeedExhaustedError, UnrealizableError
-from .triangle import SideParameters, SphericalTriangle, _checked, _frame, _gram
+from .core import dot
+from .errors import SeedExhaustedError
+from .triangle import SideParameters, SphericalTriangle, _checked, _fields, _placed
 
 # Orthogonal rotation taking (d0, d1, d2) to (X, Y, Z); rows are orthonormal,
 # so the inverse is the transpose.
@@ -157,31 +158,10 @@ def sample_napoleonic_d(count: int, seed: int) -> list[SideParameters]:
     return [SideParameters(*row) for row in sample_napoleonic_d_with_attempts(count, seed)[0].tolist()]
 
 
-def _unrealizable(chi2):
-    """The realizability rule on the Gram form: flags a squared triple product <= 1e-12."""
-    return chi2 <= 1e-12
-
-
 def _realized(d0, d1, d2):
-    """:func:`realize` with the same expressions on floats or on columns (N,): ``_validate`` of
-    the canonical vertices (..., 3, 3), or the first row's error."""
-    c0, c1, c2 = ((x * x - 1.0) / 2.0 for x in (d0, d1, d2))
-    chi2 = _gram(c0, c1, c2)
-    i = _first([chi2], _unrealizable)
-    if i is not None:
-        raise UnrealizableError(f"side parameters admit no triangle: squared triple {_entry([chi2], i)!r} <= 0")
-    # P2 = a0 P0 + a1 P1 + b (P0 x P1) has <P2, P0> = c1 and <P2, P1> = c0,
-    # with P0 = (1,0,0), P1 = (c2, s, 0) and P0 x P1 = (0,0,s).
-    denom = 1.0 - c2 * c2
-    a0 = (c1 - c2 * c0) / denom
-    a1 = (c0 - c2 * c1) / denom
-    b = _sqrt(chi2) / denom
-    s = _sqrt(denom)
-    zero = 0.0 * s  # +0.0, as a float or a column like s
-    p2 = (a0 + a1 * c2, a1 * s, b * s)
-    n = _sqrt(_dot(p2, p2))
-    # b > 0 makes the raw triple product positive, so no swap occurs here.
-    return _frame((zero + 1.0, zero, zero), (c2, s, zero), (p2[0] / n, p2[1] / n, p2[2] / n))
+    """:func:`realize` with the same expressions on floats or on columns (N,): the fields of the
+    placed triangle (``triangle._placed``), for one row or stacked, or the first row's error."""
+    return _fields(_placed(d0, d1, d2))
 
 
 def realize(d) -> SphericalTriangle:

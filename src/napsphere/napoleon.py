@@ -36,14 +36,15 @@ from __future__ import annotations
 
 import collections
 import itertools
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import polynomials
 from .core import _dot, _first
 from .triangle import SQRT3, SphericalTriangle
 from .triangle import _checked, _in_band, _pack
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SignVector(collections.namedtuple("SignVector", "e0 e1 e2")):
@@ -136,7 +137,12 @@ class NapoleonisationResult(NamedTuple):
     @property
     def centroids_coincident(self) -> bool:
         """True when all three centroids agree to ~1e-9 (inner products ~ 1)."""
-        return min(self.rr01, self.rr12, self.rr20) > 1.0 - 1e-9
+        return _coincident(self.rr01, self.rr12, self.rr20)
+
+
+def _coincident(rr01, rr12, rr20) -> bool:
+    """The coincidence rule on the three centroid inner products: each within 1e-9 of 1."""
+    return min(rr01, rr12, rr20) > 1.0 - 1e-9
 
 
 def _construct(a, b, w, c, h, e):
@@ -152,6 +158,24 @@ def _construct(a, b, w, c, h, e):
     return q, r
 
 
+def _construction(p, c, w, h, e):
+    """:func:`napoleonise` on a triangle's frame, as Python floats: the stored vertices *p*, edge
+    inner products *c*, edge normals *w* and side parameters *h*, each a triple, and the signs *e*
+    in the stored order.  Returns the apexes and the centroids, each three coordinate triples, the
+    centroid inner products rr01, rr12 and rr20, the residual and the band report."""
+    p0, p1, p2 = p
+    w0, w1, w2 = w
+    c0, c1, c2 = c
+    h0, h1, h2 = h
+    e0, e1, e2 = e
+    q0, r0 = _construct(p1, p2, w0, c0, h0, e0)
+    q1, r1 = _construct(p2, p0, w1, c1, h1, e1)
+    q2, r2 = _construct(p0, p1, w2, c2, h2, e2)
+    rr01, rr12, rr20 = _dot(r0, r1), _dot(r1, r2), _dot(r2, r0)
+    residual = max(abs(rr01 - rr12), abs(rr12 - rr20), abs(rr20 - rr01))
+    return (q0, q1, q2), (r0, r1, r2), rr01, rr12, rr20, residual, _first(c, _in_band) is not None
+
+
 def napoleonise(t: SphericalTriangle, s: SignVector) -> NapoleonisationResult:
     """Construct apexes and centroids on every edge of *t* with signs *s*.
 
@@ -161,20 +185,13 @@ def napoleonise(t: SphericalTriangle, s: SignVector) -> NapoleonisationResult:
     an equilateral triangle collapses all three onto the triangle's centre.
     The edges and their frame (normals, inner products and side parameters)
     come from ``new_triangle``; only the boundary band is checked here, once
-    for all three edges.
+    for all three edges.  This is :func:`_construction` with read-only arrays.
     """
-    e0, e1, e2 = s.oriented(t.orientation_swapped)
-    c0, c1, c2 = c = t.edge_inners.tolist()
-    near = _first(c, _in_band) is not None
-    p0, p1, p2 = t.vertices.tolist()
-    w0, w1, w2 = t.edge_normals.tolist()
-    h0, h1, h2 = t.d.tolist()
-    q0, r0 = _construct(p1, p2, w0, c0, h0, e0)
-    q1, r1 = _construct(p2, p0, w1, c1, h1, e1)
-    q2, r2 = _construct(p0, p1, w2, c2, h2, e2)
+    (q0, q1, q2), (r0, r1, r2), rr01, rr12, rr20, residual, near = _construction(
+        t.vertices.tolist(), t.edge_inners.tolist(), t.edge_normals.tolist(), t.d.tolist(),
+        s.oriented(t.orientation_swapped),
+    )
     q, r = _pack([*q0, *q1, *q2, *r0, *r1, *r2], (2, 3, 3))
-    rr01, rr12, rr20 = _dot(r0, r1), _dot(r1, r2), _dot(r2, r0)
-    residual = max(abs(rr01 - rr12), abs(rr12 - rr20), abs(rr20 - rr01))
     return NapoleonisationResult(q, r, rr01, rr12, rr20, residual, s, near)
 
 

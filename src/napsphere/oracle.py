@@ -48,21 +48,11 @@ def _rotate(v, axis, w, c, cos, sin):
     )
 
 
-def search_equilateral(t: SphericalTriangle, tol: float) -> list[tuple[SignVector, float]]:
-    """All sign vectors whose Napoleonisation of *t* is equilateral within *tol*.
-
-    Works entirely from rotation-based apexes and barycentres (never the
-    closed-form centroid or inner-product formulas).  Signs are interpreted
-    in the stored vertex order of *t*.  Returns (sign vector, residual)
-    pairs with residual < *tol*, sorted by residual, ties in search order; an
-    empty list means no equilateral Napoleonisation exists at this tolerance;
-    ``inf`` lists all eight.  NaN or a negative *tol* is ``ValueError``.
-    """
-    _check_tol(tol)
-    p = t.vertices.tolist()
-    normals = t.edge_normals.tolist()
+def _search(p, inners, normals, tol: float) -> list[tuple[SignVector, float]]:
+    """:func:`search_equilateral` on a triangle's frame, as Python floats: the stored vertices *p*,
+    edge inner products and edge normals, each a triple, with *tol* already checked."""
     centroids = ([], [])  # centroids[k][i]: edge i's centroid with the apex at angle -/+ theta (k = 0/1)
-    for i, c in enumerate(t.edge_inners.tolist()):
+    for i, c in enumerate(inners):
         a, b = p[i - 2], p[i - 1]  # P_{i+1} and P_{i+2}
         theta = math.acos(c / (1.0 + c))
         for row, angle in zip(centroids, (-theta, theta)):
@@ -76,3 +66,17 @@ def search_equilateral(t: SphericalTriangle, tol: float) -> list[tuple[SignVecto
             hits.append((s, residual))
     hits.sort(key=lambda pair: pair[1])
     return hits
+
+
+def search_equilateral(t: SphericalTriangle, tol: float) -> list[tuple[SignVector, float]]:
+    """All sign vectors whose Napoleonisation of *t* is equilateral within *tol*.
+
+    Works entirely from rotation-based apexes and barycentres (never the
+    closed-form centroid or inner-product formulas).  Signs are interpreted
+    in the stored vertex order of *t*.  Returns (sign vector, residual)
+    pairs with residual < *tol*, sorted by residual, ties in search order; an
+    empty list means no equilateral Napoleonisation exists at this tolerance;
+    ``inf`` lists all eight.  NaN or a negative *tol* is ``ValueError``.  This
+    is :func:`_search` on the triangle's arrays.
+    """
+    return _search(t.vertices.tolist(), t.edge_inners.tolist(), t.edge_normals.tolist(), _check_tol(tol))

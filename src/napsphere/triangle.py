@@ -29,7 +29,11 @@ docstring describes: Python floats for one triangle, (N,) columns for a stack,
 through the same expressions (:func:`_frame`).  It builds every edge's frame
 once: the inner products, the normals ``p_{i+1} x p_{i+2}`` (:func:`_cross`),
 the first of which gives the triple product, and the side parameters.  The
-record stores the frame and every construction reads it.  Most too-wide
+record stores the frame, packed into read-only arrays by :func:`_fields`, and
+every construction reads it; the CLI reads the frame unpacked, as Python
+floats, and never loads NumPy.  The placement of a realized triangle,
+:func:`_placed`, sits beside the frame for that reason: ``ellipsoid`` builds its
+rotation with NumPy when it loads.  Most too-wide
 triples are rejected before the frame, from their inner products alone (the
 width gate below).  Every value is a fixed sequence of correctly rounded IEEE
 operations, so the record's bits do not depend on the BLAS kernel or the CPU
@@ -66,7 +70,7 @@ and the forward error bound of a floating-point inner product (Higham,
 The third gate decides the width rule before the frame.  When some edge has
 ``c <= -1/2``, :func:`_validate` evaluates the Gram determinant of the vertices
 on the same floats, ``g = 1 - c0**2 - c1**2 - c2**2 + 2 c0 c1 c2`` (:func:`_gram`,
-which :func:`napsphere.ellipsoid.realize` also uses), and if every triangle has
+which :func:`_placed` also uses), and if every triangle has
 ``g > GRAM_GATE = 1e-12`` it raises :class:`TooWideError` at once, without the
 cross product and triple product ``t``.  That can change no outcome, because
 then the cogeodesy rule ``|t| <= DEGENERACY_TOL``, the one rule between the
@@ -100,12 +104,13 @@ rescaling leaves them.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import _array, _components, _dot, _entry, _first, _normalised, _real, _sqrt, unit_vector
-from .errors import CogeodesicError, DegenerateError, OutOfRangeError, TooWideError
+from .errors import CogeodesicError, DegenerateError, OutOfRangeError, TooWideError, UnrealizableError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Tolerance for distinctness / antipodality / cogeodesy checks, matching the
 # unit-norm tolerance scale of core.unit_vector.
@@ -162,7 +167,7 @@ class SideParameters(NamedTuple):
 def _checked(d) -> tuple[float, float, float]:
     """Side parameters *d* from outside the package, as three Python floats; raises ``ValueError`` for
     another count and :class:`OutOfRangeError` for the first entry outside the open interval (0, sqrt(3)), NaN too."""
-    dv = tuple(map(float, d.tolist() if isinstance(d, np.ndarray) else d))  # one call for an array row
+    dv = tuple(map(float, d.tolist() if hasattr(d, "tolist") else d))  # one call for an array row
     if len(dv) != 3:
         raise ValueError(f"expected three side parameters, got {len(dv)}")
     for i, x in enumerate(dv):
@@ -262,13 +267,16 @@ def _check_tol(tol: float) -> float:
 def _pack(values, shape: tuple) -> np.ndarray:
     """:func:`core._array` of *values*, read-only."""
     a = _array(values, shape)
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
 def _frame(p0, p1, p2):
     """:func:`_validate` on the coordinate triples of the three vertices: Python floats for one
-    triangle, or columns for a stack, through the same expressions."""
+    triangle, or columns for a stack, through the same expressions.  Returns the frame unpacked,
+    in the order of :class:`SphericalTriangle`'s fields: the stored vertices ``(P0, P1, P2)``, the
+    edge inner products, the edge normals ``(W0, W1, W2)``, the side parameters, chi and the swap
+    (a bool, or a stack's mask).  The record packs it (:func:`_fields`); the CLI reads it as it is."""
     p0, p1, p2 = _normalised((p0, p1, p2))
     c = _dot(p1, p2), _dot(p2, p0), _dot(p0, p1)
     # The two exact tests below can fire only near |c| = 1 (see the module docstring).
@@ -298,23 +306,58 @@ def _frame(p0, p1, p2):
         entered = (*p1, *p2, c[1], c[2], d[1], d[2])
         stored = (*p2, *p1, c[2], c[1], d[2], d[1])
         if type(swapped) is not bool:  # a stack: its swapped rows
+            import numpy as np
+
             stored = [np.where(swapped, x, y) for x, y in zip(stored, entered)]
         p1, p2, (c1, c2, d1, d2) = stored[0:3], stored[3:6], stored[6:]
         c, d = (c[0], c1, c2), (d[0], d1, d2)
         w0 = _cross(p1, p2)
-    w1, w2 = _cross(p2, p0), _cross(p0, p1)
+    return (p0, p1, p2), c, (w0, _cross(p2, p0), _cross(p0, p1)), d, abs(t), swapped
+
+
+def _fields(frame):
+    """The fields of :class:`SphericalTriangle` from a :func:`_frame`: the vertices, edge inner
+    products, edge normals and side parameters as read-only arrays, for one triangle or stacked,
+    then chi and the swap."""
+    (p0, p1, p2), c, (w0, w1, w2), d, chi, swapped = frame
     record = _pack([*p0, *p1, *p2, *c, *w0, *w1, *w2, *d], (8, 3))
-    return record[..., 0:3, :], record[..., 3, :], record[..., 4:7, :], record[..., 7, :], abs(t), swapped
+    return record[..., 0:3, :], record[..., 3, :], record[..., 4:7, :], record[..., 7, :], chi, swapped
 
 
 def _validate(v):
-    """:func:`new_triangle`'s rules, in its order, over a vertex array (3, 3) or stacked triples
-    (..., 3, 3), each raising for its first flagged entry.  Returns the read-only vertices, edge
-    inner products, edge normals and side parameters, chi and the swap mask: the fields of
-    :class:`SphericalTriangle`, for one triangle or stacked.  A stack's rows are tested and built
-    as columns, each bit for bit as alone."""
-    v = _real(v)
-    return _frame(*(v.tolist() if v.ndim == 2 else (_components(v[..., i, :]) for i in range(3))))
+    """:func:`new_triangle`'s rules, in its order, over a float vertex array (3, 3) or stacked
+    triples (..., 3, 3), as :func:`core._real` returns them, each raising for its first flagged
+    entry.  Returns :func:`_fields` of the frame, for one triangle or stacked.  A stack's rows are
+    tested and built as columns, each bit for bit as alone."""
+    return _fields(_frame(*(v.tolist() if v.ndim == 2 else (_components(v[..., i, :]) for i in range(3)))))
+
+
+def _unrealizable(chi2):
+    """The realizability rule on the Gram form: flags a squared triple product <= 1e-12."""
+    return chi2 <= 1e-12
+
+
+def _placed(d0, d1, d2):
+    """The :func:`_frame` of the canonical triangle with side parameters d0, d1, d2, Python floats
+    or columns (N,), through the same expressions: ``napsphere.ellipsoid.realize``'s placement.
+    Raises :class:`UnrealizableError` for the first row whose Gram form is at most 1e-12."""
+    c0, c1, c2 = ((x * x - 1.0) / 2.0 for x in (d0, d1, d2))
+    chi2 = _gram(c0, c1, c2)
+    i = _first([chi2], _unrealizable)
+    if i is not None:
+        raise UnrealizableError(f"side parameters admit no triangle: squared triple {_entry([chi2], i)!r} <= 0")
+    # P2 = a0 P0 + a1 P1 + b (P0 x P1) has <P2, P0> = c1 and <P2, P1> = c0,
+    # with P0 = (1,0,0), P1 = (c2, s, 0) and P0 x P1 = (0,0,s).
+    denom = 1.0 - c2 * c2
+    a0 = (c1 - c2 * c0) / denom
+    a1 = (c0 - c2 * c1) / denom
+    b = _sqrt(chi2) / denom
+    s = _sqrt(denom)
+    zero = 0.0 * s  # +0.0, as a float or a column like s
+    p2 = (a0 + a1 * c2, a1 * s, b * s)
+    n = _sqrt(_dot(p2, p2))
+    # b > 0 makes the raw triple product positive, so no swap occurs here.
+    return _frame((zero + 1.0, zero, zero), (c2, s, zero), (p2[0] / n, p2[1] / n, p2[2] / n))
 
 
 def new_triangle(p0, p1, p2) -> SphericalTriangle:
@@ -329,7 +372,7 @@ def new_triangle(p0, p1, p2) -> SphericalTriangle:
     (and their edge inner products) are swapped so the stored orientation has
     positive triple product.  This is :func:`_validate` for one triangle.
     """
-    v = np.asarray((p0, p1, p2))  # converted to float by core._real, which refuses complex input
+    v = _real((p0, p1, p2))  # float, or TypeError for complex input
     if v.ndim != 2:
         unit_vector(v)  # a malformed or non-unit point is reported before the shape
         raise ValueError(f"expected three 3-component points, got shape {v.shape}")

@@ -17,6 +17,8 @@ A triangle with side parameters d = (d0, d1, d2) is
 validated triangle's ``d`` and checks nothing again.  Both check the tolerance:
 NaN or a negative value is ``ValueError``; the default, ``CLASSIFY_TOL``, is
 defined in the import-free :mod:`napsphere.polynomials`, where the CLI reads it.
+Both build the report with :func:`_report`, which the CLI runs on the side
+parameters of its triangle's frame, having checked its ``--tol`` itself.
 
 The module is named for its verdict, not for :func:`classify`: importing a
 submodule binds it on the package, and a submodule named ``classify`` would

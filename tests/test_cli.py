@@ -311,8 +311,6 @@ class TestErrors:
         [
             '{"vertices": [[NaN, 0, 0], [0, 1, 0], [0, 0, 1]]}',
             '{"vertices": [[1e400, 0, 0], [0, 1, 0], [0, 0, 1]]}',
-            '{"vertices": [[1e200, 0, 0], [0, 1, 0], [0, 0, 1]]}',
-            '{"vertices": [[1e160, 0, 0], [0, 1, 0], [0, 0, 1]]}',
             '{"vertices": [[true, 0, 0], [0, 1, 0], [0, 0, 1]]}',
             '{"d": [0.5, 0.5, "0.5"]}',
             '{"d": [Infinity, 0.5, 0.5]}',
@@ -322,8 +320,7 @@ class TestErrors:
             b'\xff{"d": [0.5, 0.5, 0.5]}',
             '{"d": [5, 5, 5], "d": [0.5, 0.6, 0.7]}',
         ],
-        ids=["vertex-nan", "vertex-overflow", "vertex-norm-overflow",
-             "vertex-square-overflow", "vertex-boolean", "d-string",
+        ids=["vertex-nan", "vertex-overflow", "vertex-boolean", "d-string",
              "d-infinity", "d-huge-integer", "d-and-vertices", "deep-nesting", "not-utf8", "repeated-key"],
     )
     def test_malformed_document_exit_1(self, tmp_path, capsys, text):
@@ -336,12 +333,37 @@ class TestErrors:
         assert "Traceback" not in err
 
     def test_vertex_with_finite_squared_norm_is_renormalised(self, tmp_path, capsys):
-        # The length cut is on the squared norm (vertex-square-overflow above).
+        # Divided by its norm as it is, like every vertex whose squared norm is finite.
         path = _write(tmp_path, {"vertices": [[1e150, 0, 0], [0, 1, 0], [0, 0, 1]]})
         code, out, err = _run(capsys, ["classify", path])
         assert code == 0
         assert json.loads(out)["verdict"] == "Equilateral"
         assert err.startswith("warning: vertex 0 renormalised")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"vertices": [[1e200, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+            '{"vertices": [[1e160, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+        ],
+        ids=["vertex-norm-overflow", "vertex-square-overflow"],
+    )
+    def test_overflowing_vertex_is_renormalised(self, tmp_path, capsys, text):
+        # Its squared norm overflows, though its norm (1e160) may not: divided by its largest
+        # component first, it has a plain direction.
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, out, err = _run(capsys, ["classify", str(path)])
+        assert code == 0
+        assert json.loads(out)["verdict"] == "Equilateral"
+        assert err.startswith("warning: vertex 0 renormalised")
+
+    def test_overflowing_vertex_keeps_its_direction(self, tmp_path, capsys):
+        path = _write(tmp_path, {"vertices": [[3e300, -4e300, 0.0], [0.0, 0.0, 1.0], [0.8, 0.6, 0.0]]})
+        code, out, err = _run(capsys, ["napoleonise", path])
+        assert code == 0
+        assert json.loads(out)["vertices"][0] == pytest.approx([0.6, -0.8, 0.0], abs=1e-16)
+        assert err == "warning: vertex 0 renormalised (|v| deviated from 1 by 5.000e+300)\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -397,7 +419,19 @@ def test_import_loads_no_scipy(module):
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("module", ["napsphere", "napsphere.algebra", "napsphere.cli"])
+@pytest.mark.parametrize(
+    "module",
+    [
+        "napsphere",
+        "napsphere.algebra",
+        "napsphere.cli",
+        "napsphere.core",
+        "napsphere.triangle",
+        "napsphere.napoleon",
+        "napsphere.oracle",
+        "napsphere.verdict",
+    ],
+)
 def test_import_loads_no_numpy(module):
     code = f"import sys, {module}; print('numpy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_child_env())
@@ -448,16 +482,49 @@ def test_verify_identities_loads_no_numpy_dataclasses_or_json():
 )
 def test_numpy_subcommands_load_no_exact_ring(argv):
     loaded = _modules_loaded(argv, b'{"d": [0.9, 1.0, 1.1]}')
-    assert "numpy" in loaded  # the child ran its subcommand
+    # the child ran its subcommand: sample loads NumPy, the one-triangle subcommands only the triangle
+    assert ("numpy" if argv[0] == "sample" else "napsphere.triangle") in loaded
     assert not loaded & {"napsphere.algebra", "fractions", "dataclasses"}
 
 
 @pytest.mark.parametrize("argv", [["classify", "-"], ["napoleonise", "-"], ["search", "-"]])
 def test_vertices_document_loads_no_sampler_module(argv):
-    # Only a "d" document is realized; a cold call on vertices skips compiling napsphere.ellipsoid.
+    # The sampler's module is for sample alone: a "d" document is placed by napsphere.triangle.
     loaded = _modules_loaded(argv, b'{"vertices": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}')
     assert "napsphere.triangle" in loaded and "napsphere.ellipsoid" not in loaded
-    assert "napsphere.ellipsoid" in _modules_loaded(argv, b'{"d": [0.9, 1.0, 1.1]}')
+    assert "napsphere.ellipsoid" not in _modules_loaded(argv, b'{"d": [0.9, 1.0, 1.1]}')
+
+
+# One-triangle documents of every outcome: (stdin, exit code).
+_DOCUMENTS = {
+    "vertices": (b'{"vertices": [[1, 0, 0], [0, 0.6, 0.8], [0.6, 0, 0.8]]}', 0),
+    "d": (b'{"d": [0.9, 1.0, 1.1]}', 0),
+    "too-wide": (b'{"vertices": [[1, 0, 0], [-0.6, 0.8, 0], [0, 0, 1]]}', 2),
+    "unrealizable": (json.dumps({"d": [math.sqrt(2.0), math.sqrt(2.8), math.sqrt(0.4)]}).encode(), 2),
+    "malformed": (b'{"vertices": [[1, 0, 0], [0, 1, 0]]}', 1),
+}
+
+
+@pytest.mark.parametrize("document", list(_DOCUMENTS))
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "-"], ["napoleonise", "-"], ["napoleonise", "-", "--format", "csv"], ["search", "-"]],
+    ids=["classify", "napoleonise-json", "napoleonise-csv", "search"],
+)
+def test_one_triangle_subcommands_never_load_numpy(argv, document):
+    # From document to stdout one triangle is Python float arithmetic; NumPy is for arrays.
+    stdin, exit_code = _DOCUMENTS[document]
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = ['napsphere', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('napsphere.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, 'numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], input=stdin, capture_output=True, env=_child_env(), timeout=120)
+    assert proc.stderr.decode().splitlines()[-1] == f"{exit_code} False"
+    assert proc.stdout if exit_code != 1 else not proc.stdout  # the child wrote its result or its error
 
 
 @pytest.mark.parametrize(

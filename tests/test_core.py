@@ -23,8 +23,7 @@ from napsphere import (
 )
 from napsphere import triangle
 from napsphere.core import UNIT_NORM_TOL, _first, _off_unit, _zero_sum
-from napsphere.ellipsoid import _unrealizable
-from napsphere.triangle import BOUNDARY_BAND, DEGENERACY_TOL, SQRT3
+from napsphere.triangle import BOUNDARY_BAND, DEGENERACY_TOL, SQRT3, _unrealizable
 
 from conftest import (
     NAPOLEONIC_BARYCENTRE,

@@ -31,6 +31,9 @@ UNCALLED = {
     "napoleon.SignVector.__str__": "the --signs spelling of a sign vector",
     "verdict.classify_d": "the paper's test on a raw d",
     "core.unit_vector": "the public point check; triangles apply its rule to coordinates (core._normalised)",
+    "core.barycentre": "the public barycentre of arrays; the CLI takes core._barycentre of coordinate triples",
+    "napoleon.NapoleonisationResult.centroids_coincident": "the record's coincidence flag; the CLI applies "
+    "its rule (napoleon._coincident) to the inner products",
     "__init__.__dir__": "dir(napsphere) lists the lazily loaded names",
     "cli._Parser.error": "usage errors exit 1, not argparse's 2",
 }
